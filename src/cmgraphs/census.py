@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .criteria import (
+    cm_routes,
     cm_structural_doublestar,
     cm_verdict,
     degree_one_exists,
@@ -215,9 +216,7 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
             verdict = cm_verdict(pl, routes=routes, field=2)
             cm = bool(verdict.value)
             if full_oracles:
-                from .criteria import _route_f
-
-                rational = _route_f(pl, "Q")
+                rational = cm_routes(pl, "f", "Q")["f"]
                 if rational.value != verdict.value:
                     violations.append(
                         _bundle(

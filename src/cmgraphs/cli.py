@@ -17,6 +17,7 @@ from .criteria import (
     ROUTE_NAMES,
     cm_routes,
     generator_bounds,
+    route_agreement,
     _crosschecked_unmixed,
 )
 from .errors import (
@@ -125,26 +126,11 @@ def _analysis_document(path, routes: str, field) -> tuple[dict, int]:
         return document, exit_code
 
     results = cm_routes(pl, routes=routes, field=field)
-    decided = {r: v for r, v in results.items() if v.value is not None}
-    values = {v.value for v in decided.values()}
-    if len(values) > 1:
-        raise RouteDisagreementError(
-            "Cohen-Macaulayness routes disagree",
-            dump={
-                "graph": g.edge_list(),
-                "pairs": [list(p) for p in pl.pairs],
-                "routes": {r: v.to_dict() for r, v in results.items()},
-            },
-        )
-    cm_value = values.pop() if decided else None
+    cm_value, primary = route_agreement(pl, results)
     document["cm"] = {
         "applicable": True,
         "value": cm_value,
-        "primary": (
-            ROUTE_NAMES["a"]
-            if "a" in decided
-            else (ROUTE_NAMES[sorted(decided)[0]] if decided else None)
-        ),
+        "primary": ROUTE_NAMES[primary] if primary else None,
         "routes": {r: v.to_dict() for r, v in sorted(results.items())},
     }
     if cm_value is None:

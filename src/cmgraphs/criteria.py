@@ -242,22 +242,16 @@ def cm_routes(pl: PairedLabeling, routes="a", field=2) -> dict[str, Verdict]:
     return results
 
 
-def cm_verdict(pl: PairedLabeling, routes="a", field=2) -> Verdict:
-    """Cohen-Macaulayness of an unmixed labeled graph.
-
-    Unmixedness is verified first (the criteria assume it).  Every
-    computed route must agree; the primary verdict is route a when
-    selected, otherwise the first selected route with a value.
+def route_agreement(
+    pl: PairedLabeling, results: dict[str, Verdict]
+) -> tuple[bool | None, str | None]:
+    """The agreed value of the computed routes and the primary route id:
+    route a when it decided, otherwise the first decided route in id
+    order; `(None, None)` when every route was inconclusive.  Decided
+    routes that disagree raise `RouteDisagreementError`.
     """
-    unmixed = _crosschecked_unmixed(pl)
-    if not unmixed.value:
-        raise PreconditionError(
-            "graph is not unmixed", witness=unmixed.certificate
-        )
-    results = cm_routes(pl, routes, field)
     decided = {r: v for r, v in results.items() if v.value is not None}
-    values = {v.value for v in decided.values()}
-    if len(values) > 1:
+    if len({v.value for v in decided.values()}) > 1:
         raise RouteDisagreementError(
             "Cohen-Macaulayness routes disagree",
             dump={
@@ -267,17 +261,28 @@ def cm_verdict(pl: PairedLabeling, routes="a", field=2) -> Verdict:
             },
         )
     if not decided:
-        return Verdict(
-            None,
-            "inconclusive",
-            {"routes": {r: v.to_dict() for r, v in results.items()}},
-        )
+        return None, None
     primary = "a" if "a" in decided else sorted(decided)[0]
-    return Verdict(
-        decided[primary].value,
-        ROUTE_NAMES[primary],
-        {"routes": {r: v.to_dict() for r, v in results.items()}},
-    )
+    return decided[primary].value, primary
+
+
+def cm_verdict(pl: PairedLabeling, routes="a", field=2) -> Verdict:
+    """Cohen-Macaulayness of an unmixed labeled graph.
+
+    Unmixedness is verified first (the criteria assume it).  Every
+    computed route must agree (`route_agreement`).
+    """
+    unmixed = _crosschecked_unmixed(pl)
+    if not unmixed.value:
+        raise PreconditionError(
+            "graph is not unmixed", witness=unmixed.certificate
+        )
+    results = cm_routes(pl, routes, field)
+    value, primary = route_agreement(pl, results)
+    certificate = {"routes": {r: v.to_dict() for r, v in results.items()}}
+    if primary is None:
+        return Verdict(None, "inconclusive", certificate)
+    return Verdict(value, ROUTE_NAMES[primary], certificate)
 
 
 def cm_structural_doublestar(pl: PairedLabeling) -> Verdict:

@@ -3,11 +3,18 @@ and perfect matchings.
 
 Vertex names are opaque strings.  Every enumeration returns a fixed
 deterministic order (lexicographic on sorted vertex names) so reports and
-golden files are byte-stable.  All values are immutable after construction
-and every operation is a pure function.
+golden files are byte-stable.  A `Graph` is immutable, so the facts every
+analysis needs (adjacency, maximal independent sets, minimal vertex
+covers) are computed on first use and memoized on that instance.  The
+memo holds only immutable values, dies with the graph and is never shared
+across graphs or calls; equality, hashing, repr and pickling see only the
+vertices and edges.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import InputFormatError
 from .verdicts import Verdict
@@ -54,14 +61,31 @@ class Graph:
     def has_edge(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self.edges
 
+    def __reduce__(self):
+        return Graph, (self.vertices, self.edges)
 
-def adjacency(g: Graph) -> dict[str, frozenset[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    return {v: frozenset(nb) for v, nb in adj.items()}
+    @cached_property
+    def _adjacency(self) -> Mapping[str, frozenset[str]]:
+        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for e in self.edges:
+            a, b = tuple(e)
+            adj[a].add(b)
+            adj[b].add(a)
+        return MappingProxyType({v: frozenset(nb) for v, nb in adj.items()})
+
+    @cached_property
+    def _maximal_independent_sets(self) -> tuple[frozenset[str], ...]:
+        return _sorted_sets(_bron_kerbosch(self))
+
+    @cached_property
+    def _minimal_vertex_covers(self) -> tuple[frozenset[str], ...]:
+        verts = frozenset(self.vertices)
+        return _sorted_sets(verts - m for m in maximal_independent_sets(self))
+
+
+def adjacency(g: Graph) -> Mapping[str, frozenset[str]]:
+    """Read-only neighbour sets, memoized on the graph."""
+    return g._adjacency
 
 
 def degrees(g: Graph) -> dict[str, int]:
@@ -124,12 +148,9 @@ def _sorted_sets(sets) -> tuple[frozenset[str], ...]:
     return tuple(sorted(sets, key=lambda s: tuple(sorted(s))))
 
 
-def maximal_independent_sets(g: Graph) -> tuple[frozenset[str], ...]:
-    """All inclusion-maximal independent sets, lexicographically ordered.
-
-    Bron-Kerbosch with pivoting over the non-adjacency relation: an
-    independent set of g is a clique of the complement graph.
-    """
+def _bron_kerbosch(g: Graph) -> list[frozenset[str]]:
+    """Bron-Kerbosch with pivoting over the non-adjacency relation: an
+    independent set of g is a clique of the complement graph."""
     adj = adjacency(g)
     verts = frozenset(g.vertices)
     nonadj = {v: verts - adj[v] - {v} for v in verts}
@@ -146,17 +167,22 @@ def maximal_independent_sets(g: Graph) -> tuple[frozenset[str], ...]:
             x = x | {v}
 
     extend(frozenset(), verts, frozenset())
-    return _sorted_sets(out)
+    return out
+
+
+def maximal_independent_sets(g: Graph) -> tuple[frozenset[str], ...]:
+    """All inclusion-maximal independent sets, lexicographically ordered;
+    enumerated once per graph."""
+    return g._maximal_independent_sets
 
 
 def minimal_vertex_covers(g: Graph) -> tuple[frozenset[str], ...]:
     """All inclusion-minimal vertex covers.
 
     These are exactly the complements of the maximal independent sets,
-    which is also how they are computed.
+    which is also how they are computed (once per graph).
     """
-    verts = frozenset(g.vertices)
-    return _sorted_sets(verts - m for m in maximal_independent_sets(g))
+    return g._minimal_vertex_covers
 
 
 def height(g: Graph) -> int:

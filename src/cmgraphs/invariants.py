@@ -10,8 +10,9 @@ verifies that first and refuses otherwise.
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, RouteDisagreementError
 from .graphs import (
+    Graph,
     is_unmixed_bruteforce,
     maximal_independent_sets,
     minimal_vertex_covers,
@@ -37,46 +38,77 @@ def _require_cm(pl: PairedLabeling) -> None:
         )
 
 
-def socle_generators(pl: PairedLabeling) -> list[tuple[str, ...]]:
-    """Socle monomials as x-vertex subsets: the maximal independent sets
-    of the restricted deformation, sorted."""
-    _require_cm(pl)
-    restricted = restricted_o_full(pl)
+def _dump(pl: PairedLabeling, **details) -> dict:
+    return {
+        "graph": pl.graph.edge_list(),
+        "pairs": [list(p) for p in pl.pairs],
+        **details,
+    }
+
+
+def _socle(restricted: Graph) -> list[tuple[str, ...]]:
     return sorted(tuple(sorted(s)) for s in maximal_independent_sets(restricted))
 
 
-def cm_type(pl: PairedLabeling) -> int:
-    """Number of minimal vertex covers of the restricted deformation.
-
-    Always equals the socle generator count (complement duality).
-    """
-    _require_cm(pl)
-    restricted = restricted_o_full(pl)
+def _type(pl: PairedLabeling, restricted: Graph) -> int:
     covers = minimal_vertex_covers(restricted)
     generators = maximal_independent_sets(restricted)
-    assert len(covers) == len(generators)
+    if len(covers) != len(generators):
+        raise RouteDisagreementError(
+            "type and socle generator count disagree",
+            dump=_dump(pl, covers=len(covers), generators=len(generators)),
+        )
     return len(covers)
 
 
-def is_level(pl: PairedLabeling) -> Verdict:
-    """Level iff the restricted deformation is unmixed."""
-    _require_cm(pl)
-    v = is_unmixed_bruteforce(restricted_o_full(pl))
+def _level(restricted: Graph) -> Verdict:
+    v = is_unmixed_bruteforce(restricted)
     return Verdict(v.value, "level", v.certificate)
 
 
-def is_gorenstein(pl: PairedLabeling) -> Verdict:
-    """Gorenstein iff the edge set is exactly the matching; equivalently
-    the type is one (asserted)."""
-    _require_cm(pl)
+def _gorenstein(pl: PairedLabeling, cm_type_value: int) -> Verdict:
     matching = {frozenset(p) for p in pl.pairs}
     extra = sorted(
         sorted(e) for e in pl.graph.edges - matching
     )
     value = not extra
-    assert value == (cm_type(pl) == 1)
+    if value != (cm_type_value == 1):
+        raise RouteDisagreementError(
+            "matching-only and type one disagree",
+            dump=_dump(pl, extra_edges=extra, cm_type=cm_type_value),
+        )
     certificate = {"extra_edges": extra} if extra else None
     return Verdict(value, "matching-only", certificate)
+
+
+def socle_generators(pl: PairedLabeling) -> list[tuple[str, ...]]:
+    """Socle monomials as x-vertex subsets: the maximal independent sets
+    of the restricted deformation, sorted."""
+    _require_cm(pl)
+    return _socle(restricted_o_full(pl))
+
+
+def cm_type(pl: PairedLabeling) -> int:
+    """Number of minimal vertex covers of the restricted deformation.
+
+    Always equals the socle generator count (complement duality); a
+    mismatch raises `RouteDisagreementError`.
+    """
+    _require_cm(pl)
+    return _type(pl, restricted_o_full(pl))
+
+
+def is_level(pl: PairedLabeling) -> Verdict:
+    """Level iff the restricted deformation is unmixed."""
+    _require_cm(pl)
+    return _level(restricted_o_full(pl))
+
+
+def is_gorenstein(pl: PairedLabeling) -> Verdict:
+    """Gorenstein iff the edge set is exactly the matching; equivalently
+    the type is one (checked: a mismatch raises `RouteDisagreementError`)."""
+    _require_cm(pl)
+    return _gorenstein(pl, _type(pl, restricted_o_full(pl)))
 
 
 @dataclass(frozen=True)
@@ -98,11 +130,16 @@ class InvariantReport:
 
 
 def invariant_report(pl: PairedLabeling) -> InvariantReport:
-    gorenstein = is_gorenstein(pl).value
+    """All invariants from one precondition check and one restricted
+    deformation."""
+    _require_cm(pl)
+    restricted = restricted_o_full(pl)
+    t = _type(pl, restricted)
+    gorenstein = _gorenstein(pl, t).value
     return InvariantReport(
-        cm_type=cm_type(pl),
-        socle_monomials=tuple(socle_generators(pl)),
-        level=bool(is_level(pl).value),
+        cm_type=t,
+        socle_monomials=tuple(_socle(restricted)),
+        level=bool(_level(restricted).value),
         gorenstein=gorenstein,
         complete_intersection=gorenstein,
     )

@@ -4,6 +4,8 @@ import jsonschema
 import pytest
 
 import cmgraphs.criteria as criteria
+import cmgraphs.graphs as graphs
+import cmgraphs.invariants as invariants
 from cmgraphs.cli import main
 from cmgraphs.graphio import parse_graph
 from cmgraphs.verdicts import Verdict
@@ -191,6 +193,56 @@ def test_route_disagreement_exits_three(capsys, monkeypatch):
     )
     assert code == 3
     assert "disagree" in err
+
+
+def test_check_enumerates_the_input_graph_once(capsys, monkeypatch, tmp_path):
+    n = 6
+    path = tmp_path / "whiskered.graph"
+    path.write_text(
+        f"pairs {n}\n" + "".join(f"edge x{i} x{i + 1}\n" for i in range(1, n))
+    )
+    runs = []
+    enumerate_ = graphs._bron_kerbosch
+
+    def counted(g):
+        runs.append(g.vertices)
+        return enumerate_(g)
+
+    monkeypatch.setattr(graphs, "_bron_kerbosch", counted)
+    code, out, _ = run_cli(capsys, "check", str(path), "--json")
+    document = json.loads(out)
+    assert code == 0 and document["cm"]["value"] is True
+    assert document["invariants"] is not None
+    inputs = [v for v in runs if len(v) == 2 * n]
+    assert len(inputs) == 1
+    # the invariants add one enumeration of the restricted deformation
+    assert len(runs) == 2
+
+
+def test_invariants_type_mismatch_exits_three(capsys, monkeypatch):
+    covers = graphs.minimal_vertex_covers
+    monkeypatch.setattr(
+        invariants, "minimal_vertex_covers", lambda g: covers(g)[1:]
+    )
+    code, _, err = run_cli(
+        capsys, "invariants", fixture_path("example3_1.graph")
+    )
+    assert code == 3
+    assert "disagree" in err and '"generators": 3' in err
+
+
+def test_invariants_gorenstein_mismatch_exits_three(
+    capsys, monkeypatch, tmp_path
+):
+    # a doubled enumeration gives a bare matching type two
+    path = tmp_path / "pairs.graph"
+    path.write_text("pairs 2\n")
+    for name in ("maximal_independent_sets", "minimal_vertex_covers"):
+        real = getattr(graphs, name)
+        monkeypatch.setattr(invariants, name, lambda g, real=real: real(g) * 2)
+    code, _, err = run_cli(capsys, "invariants", str(path))
+    assert code == 3
+    assert "disagree" in err and '"cm_type": 2' in err
 
 
 def test_invariants_subcommand(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from cmgraphs.errors import InputFormatError
 from cmgraphs.graphs import (
     Graph,
     add_edges,
+    adjacency,
     classify,
     height,
     induced_subgraph,
@@ -236,3 +238,47 @@ def test_pairs_graph():
     assert classify(g).in_class
     with pytest.raises(InputFormatError):
         pairs_graph(0)
+
+
+def _facts(g):
+    return adjacency(g), maximal_independent_sets(g), minimal_vertex_covers(g)
+
+
+def test_derived_graphs_get_their_own_facts(ex31_pl):
+    from cmgraphs.transform import o_set
+
+    g = Graph.build(edges=[("a", "b"), ("b", "c"), ("c", "d")])
+    _facts(g)
+    derived = [
+        remove_edges(g, [("b", "c")]),
+        add_edges(g, [("a", "d")]),
+    ]
+    _facts(ex31_pl.graph)
+    derived.append(o_set(ex31_pl, {2, 3}))
+    for h in derived:
+        fresh = Graph(h.vertices, h.edges)
+        assert _facts(h) == _facts(fresh)
+        assert set(maximal_independent_sets(h)) == {
+            frozenset(s)
+            for s in brute_maximal_independents(h.vertices, h.edge_list())
+        }
+    assert maximal_independent_sets(derived[0]) != maximal_independent_sets(g)
+    assert maximal_independent_sets(derived[2]) != maximal_independent_sets(
+        ex31_pl.graph
+    )
+
+
+def test_memoized_graph_keeps_identity_semantics(ex31):
+    g = Graph(ex31.vertices, ex31.edges)
+    fresh = Graph(ex31.vertices, ex31.edges)
+    classify(g)
+    _facts(g)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    restored = pickle.loads(pickle.dumps(g))
+    assert restored == g and _facts(restored) == _facts(g)
+
+
+def test_memoized_adjacency_is_read_only(c4):
+    with pytest.raises(TypeError):
+        adjacency(c4)["x1"] = frozenset()
