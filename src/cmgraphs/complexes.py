@@ -292,12 +292,9 @@ def reduced_homology_ranks(
     c: SimplicialComplex, field=2, max_faces: int = HOMOLOGY_FACE_CAP
 ) -> list[int]:
     """Reduced homology ranks of the whole complex, dimensions -1..dim,
-    over F_p (exact modular arithmetic) or the rationals (fractions)."""
+    over F_p (exact modular arithmetic) or the rationals (fraction-free
+    integer elimination)."""
     return _ranks_from_faces(all_faces(c, max_faces), field)
-
-
-def _link_faces(faces: set[frozenset[str]], f: frozenset[str]):
-    return [h for h in faces if not (h & f) and (h | f) in faces]
 
 
 def reisner_cm(
@@ -306,18 +303,30 @@ def reisner_cm(
     """Cohen-Macaulayness oracle: every face's link must have vanishing
     reduced homology strictly below the link's own dimension.
 
-    A false verdict carries the offending face's full homology profile.
+    The link of F is generated by the sets G - F over the facets G
+    containing F; homology is computed once per distinct link.  A false
+    verdict carries the first offending face's full homology profile.
     """
     label = field_label(field)
     face_list = all_faces(c, max_faces)
-    face_set = set(face_list)
+    link_betti: dict[frozenset[frozenset[str]], list[int]] = {}
     for f in face_list:
-        link = _link_faces(face_set, f)
-        betti = _ranks_from_faces(link, field)
-        link_dim = max(len(h) for h in link) - 1
+        link = frozenset(g - f for g in c.facets if f <= g)
+        betti = link_betti.get(link)
+        if betti is None:
+            faces = {
+                frozenset(combo)
+                for h in link
+                for r in range(len(h) + 1)
+                for combo in itertools.combinations(h, r)
+            }
+            betti = link_betti[link] = _ranks_from_faces(list(faces), field)
         if any(b != 0 for b in betti[:-1]):
             profile = HomologyProfile(
-                tuple(sorted(f)), link_dim, tuple(betti), label
+                tuple(sorted(f)),
+                max(len(h) for h in link) - 1,
+                tuple(betti),
+                label,
             )
             return Verdict(
                 False,

@@ -160,10 +160,17 @@ def _route_c(pl: PairedLabeling) -> Verdict:
     except CapacityError as exc:
         return Verdict(None, ROUTE_NAMES["c"], {"inconclusive": str(exc)})
     if order is not None:
-        assert check_shelling(complex_, order)
-        return Verdict(
-            True, ROUTE_NAMES["c"], {"shelling": [sorted(f) for f in order]}
-        )
+        shelling = [sorted(f) for f in order]
+        if not check_shelling(complex_, order):
+            raise RouteDisagreementError(
+                "shelling search and shelling validator disagree",
+                dump={
+                    "graph": pl.graph.edge_list(),
+                    "pairs": [list(p) for p in pl.pairs],
+                    "order": shelling,
+                },
+            )
+        return Verdict(True, ROUTE_NAMES["c"], {"shelling": shelling})
     cycle = find_cycle(pl, max_r=None)
     certificate = {"exhausted": True}
     if cycle is not None:

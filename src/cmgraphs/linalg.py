@@ -2,11 +2,12 @@
 
 Two coefficient domains are supported: the prime field F_p (Gaussian
 elimination with modular inverses, plus a bitmask fast path for p = 2)
-and the rationals (Fraction arithmetic).  Floating point is never used;
-these ranks feed a homology oracle where rounding would be unsound.
+and the rationals (fraction-free integer row reduction).  Floating point
+is never used; these ranks feed a homology oracle where rounding would be
+unsound.
 """
 
-from fractions import Fraction
+from math import gcd, lcm
 
 
 def is_prime(p: int) -> bool:
@@ -69,24 +70,37 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
 
 
 def rank_rational(rows: list[list[int]]) -> int:
-    """Rank over the rationals with exact Fraction arithmetic."""
-    if not rows or not rows[0]:
-        return 0
-    m = [[Fraction(a) for a in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        piv = m[rank][col]
-        m[rank] = [a / piv for a in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    """Rank over the rationals of dense rows of ints or Fractions.
+
+    Each row is scaled by the lcm of its denominators to a sparse
+    `{column: int}` row and reduced against the pivot rows by integer
+    combinations `b*v - a*p` with `b != 0`, which keep the row space over
+    Q; each new pivot row is divided by the gcd of its entries.  Unlike a
+    reduction mod p this never loses rank.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> pivot row
+    for dense in rows:
+        scale = lcm(*(a.denominator for a in dense if a))
+        row = {
+            j: a.numerator * (scale // a.denominator)
+            for j, a in enumerate(dense)
+            if a
+        }
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                g = gcd(*row.values())
+                pivots[col] = {j: a // g for j, a in row.items()}
+                break
+            g = gcd(row[col], pivot[col])
+            a, b = row[col] // g, pivot[col] // g
+            if b != 1:
+                row = {j: b * x for j, x in row.items()}
+            for j, x in pivot.items():
+                y = row.get(j, 0) - a * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return len(pivots)

@@ -14,6 +14,21 @@ FIXTURES = os.path.join(ROOT, "fixtures")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SCHEMA = os.path.join(ROOT, "schema", "analysis-v1.json")
 
+# minimal 6-vertex triangulation of the real projective plane: torsion
+# makes characteristic 2 differ from characteristic 0
+RP2_FACETS = [
+    {"v0", "v1", "v4"},
+    {"v0", "v1", "v5"},
+    {"v0", "v2", "v3"},
+    {"v0", "v2", "v4"},
+    {"v0", "v3", "v5"},
+    {"v1", "v2", "v3"},
+    {"v1", "v2", "v5"},
+    {"v1", "v3", "v4"},
+    {"v2", "v4", "v5"},
+    {"v3", "v4", "v5"},
+]
+
 
 def fixture_path(name):
     return os.path.join(FIXTURES, name)

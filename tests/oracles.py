@@ -6,6 +6,7 @@ implementation.  Only usable at desk scale.
 """
 
 import itertools
+from fractions import Fraction
 
 
 def is_cover_def(edges, s):
@@ -58,3 +59,27 @@ def brute_perfect_matchings(vertices, edges):
 def brute_is_unmixed(vertices, edges):
     sizes = {len(c) for c in brute_minimal_covers(vertices, edges)}
     return len(sizes) <= 1
+
+
+def rank_rational_def(rows):
+    """Rank over Q by Gauss-Jordan elimination in Fraction arithmetic."""
+    if not rows or not rows[0]:
+        return 0
+    m = [[Fraction(a) for a in row] for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        piv = m[rank][col]
+        m[rank] = [a / piv for a in m[rank]]
+        for r in range(n_rows):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -9,7 +12,7 @@ import cmgraphs.invariants as invariants
 from cmgraphs.cli import main
 from cmgraphs.graphio import parse_graph
 from cmgraphs.verdicts import Verdict
-from conftest import SCHEMA, fixture_path, golden_path
+from conftest import ROOT, SCHEMA, fixture_path, golden_path
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +196,37 @@ def test_route_disagreement_exits_three(capsys, monkeypatch):
     )
     assert code == 3
     assert "disagree" in err
+
+
+def test_rejected_shelling_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(criteria, "check_shelling", lambda c, order: False)
+    code, _, err = run_cli(
+        capsys, "check", fixture_path("example3_1.graph"), "--routes", "c"
+    )
+    assert code == 3
+    assert "disagree" in err and '"order": [' in err
+
+
+@pytest.mark.parametrize("name", ["c4.graph", "example3_1.graph"])
+def test_check_output_is_the_same_under_python_O(name):
+    # certificate checks must be real checks, not asserts that -O strips
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    argv = ["-m", "cmgraphs", "check", fixture_path(name),
+            "--routes", "a,b,c,d,e,f", "--field", "Q", "--json"]
+
+    def run(*flags):
+        done = subprocess.run(
+            [sys.executable, *flags, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        return done.returncode, done.stdout
+
+    plain = run()
+    assert plain[0] == 0 and plain[1]
+    assert run("-O") == plain
 
 
 def test_check_enumerates_the_input_graph_once(capsys, monkeypatch, tmp_path):

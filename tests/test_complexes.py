@@ -14,6 +14,8 @@ from cmgraphs.complexes import (
 )
 from cmgraphs.errors import CapacityError, InputFormatError, PreconditionError
 from cmgraphs.graphs import Graph, minimal_vertex_covers, pairs_graph
+from cmgraphs.verdicts import Verdict
+from conftest import RP2_FACETS
 from oracles import brute_maximal_independents
 
 
@@ -204,22 +206,7 @@ def test_homology_of_matching_complex_is_a_sphere():
 
 
 def test_homology_detects_field_dependence():
-    # minimal 6-vertex triangulation of the real projective plane: torsion
-    # makes characteristic 2 differ from characteristic 0
-    rp2 = SimplicialComplex.from_facets(
-        [
-            {"v0", "v1", "v4"},
-            {"v0", "v1", "v5"},
-            {"v0", "v2", "v3"},
-            {"v0", "v2", "v4"},
-            {"v0", "v3", "v5"},
-            {"v1", "v2", "v3"},
-            {"v1", "v2", "v5"},
-            {"v1", "v3", "v4"},
-            {"v2", "v4", "v5"},
-            {"v3", "v4", "v5"},
-        ]
-    )
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
     assert reduced_homology_ranks(rp2, 2) == [0, 0, 1, 1]
     assert reduced_homology_ranks(rp2, "Q") == [0, 0, 0, 0]
     assert reduced_homology_ranks(rp2, 3) == [0, 0, 0, 0]
@@ -251,6 +238,69 @@ def test_reisner_examples(ex31, c4):
 
     for n in (1, 2, 3):
         assert reisner_cm(complementary_complex(pairs_graph(n)), 2).value
+
+
+def _reisner_by_definition(c, field):
+    """Reisner's criterion face by face, each link found by scanning every
+    face of the complex: H is in lk(F) when H and F are disjoint and their
+    union is a face."""
+    from cmgraphs.complexes import _ranks_from_faces
+
+    label = "Q" if field == "Q" else f"F{field}"
+    faces = all_faces(c)
+    face_set = set(faces)
+    for f in faces:
+        link = [h for h in face_set if not (h & f) and (h | f) in face_set]
+        betti = _ranks_from_faces(link, field)
+        if any(b != 0 for b in betti[:-1]):
+            profile = {
+                "face": sorted(f),
+                "link_dim": max(len(h) for h in link) - 1,
+                "reduced_betti": betti,
+                "field": label,
+            }
+            offending = next(d for d, b in enumerate(betti, start=-1) if b)
+            return Verdict(
+                False,
+                "homology",
+                {"profile": profile, "offending_dim": offending},
+            )
+    return Verdict(True, "homology", {"faces_checked": len(faces), "field": label})
+
+
+def test_reisner_link_memo_matches_definition():
+    import json
+    import random
+
+    rng = random.Random(31)
+    verts = ["a", "b", "c", "d", "e", "f"]
+    complexes = [SimplicialComplex.from_facets([{"a", "b", "c"}, {"a", "d", "e"}])]
+    for _ in range(150):
+        sizes = [rng.choice([2, 3])] if rng.random() < 0.5 else [1, 2, 3, 4]
+        facets = [
+            rng.sample(verts, rng.choice(sizes)) for _ in range(rng.randint(1, 6))
+        ]
+        complexes.append(SimplicialComplex.from_facets(facets))
+    values = set()
+    for c in complexes:
+        for field in (2, "Q"):
+            got, want = reisner_cm(c, field), _reisner_by_definition(c, field)
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            values.add((is_pure(c).value, got.value))
+    assert values == {(True, True), (True, False), (False, False)}
+
+    # the empty face passes (two triangles glued at a point are contractible)
+    # and the first offending face is a, whose link is two disjoint edges
+    verdict = reisner_cm(complexes[0], "Q")
+    assert verdict.certificate == {
+        "profile": {
+            "face": ["a"],
+            "link_dim": 1,
+            "reduced_betti": [0, 1, 0],
+            "field": "Q",
+        },
+        "offending_dim": 0,
+    }
 
 
 def test_reisner_rejects_nonpure_complexes():

@@ -1,8 +1,12 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from cmgraphs.linalg import is_prime, rank_gf2, rank_mod_p, rank_rational
+from conftest import RP2_FACETS
+from oracles import rank_rational_def
 
 
 def test_is_prime():
@@ -50,3 +54,70 @@ def test_rank_rational_exactness():
     singular = [row[:] for row in m]
     singular[2] = [a + b for a, b in zip(m[0], m[1])]
     assert rank_rational(singular) == 2
+
+
+def _boundary_rows(facets, d):
+    """Boundary matrix from the d-faces to the (d-1)-faces, one row per
+    (d-1)-face, in sorted face order."""
+    def faces(k):
+        return sorted(
+            {c for f in facets for c in itertools.combinations(sorted(f), k)}
+        )
+
+    cols, index = faces(d + 1), {s: i for i, s in enumerate(faces(d))}
+    rows = [[0] * len(cols) for _ in index]
+    for col, f in enumerate(cols):
+        for pos in range(len(f)):
+            rows[index[f[:pos] + f[pos + 1:]]][col] += (-1) ** pos
+    return rows
+
+
+def _random_matrix(rng):
+    n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+    kind = rng.choice(["int", "big", "fraction", "combination"])
+
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        if kind == "big":
+            return rng.randint(-10**6, 10**6)
+        if kind == "fraction":
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        return rng.randint(-3, 3)
+
+    if kind != "combination":
+        return [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    # rank deficient by construction: duplicates and integer combinations
+    # of a few base rows, shuffled in among them
+    base = [[entry() for _ in range(n_cols)] for _ in range(rng.randint(1, 3))]
+    rows = [row[:] for row in base]
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            rows.append(rng.choice(base)[:])
+        else:
+            coeffs = [rng.randint(-3, 3) for _ in base]
+            rows.append(
+                [sum(k * r[j] for k, r in zip(coeffs, base)) for j in range(n_cols)]
+            )
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_rational_matches_fraction_elimination():
+    rng = random.Random(20260)
+    matrices = [[], [[]], [[], []], [[0]], [[0, 0, 0]] * 4]
+    matrices += [_random_matrix(rng) for _ in range(1500)]
+    for m in matrices:
+        before = [row[:] for row in m]
+        assert rank_rational(m) == rank_rational_def(m), m
+        assert m == before
+
+
+def test_rank_rational_on_rp2_boundaries():
+    # H_2(RP^2) vanishes over Q but not over F_2: the top boundary map
+    # has full rank 10 over Q and rank 9 over F_2
+    d1, d2 = _boundary_rows(RP2_FACETS, 1), _boundary_rows(RP2_FACETS, 2)
+    assert (len(d1), len(d2), len(d2[0])) == (6, 15, 10)
+    for m, over_q, over_f2 in ((d1, 5, 5), (d2, 10, 9)):
+        assert rank_rational(m) == rank_rational_def(m) == over_q
+        assert rank_gf2(m) == over_f2
