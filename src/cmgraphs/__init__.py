@@ -22,7 +22,6 @@ from .criteria import (
     degree_one_exists,
     generator_bounds,
     minimal_prime_shape,
-    unmixed_structural,
     unmixed_verdict,
 )
 from .errors import (

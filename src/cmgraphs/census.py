@@ -18,12 +18,12 @@ import time
 from dataclasses import dataclass
 
 from .criteria import (
+    _structural_scan,
     cm_routes,
     cm_structural_doublestar,
     cm_verdict,
     degree_one_exists,
     minimal_prime_shape,
-    unmixed_structural,
 )
 from .errors import (
     CapacityError,
@@ -142,13 +142,7 @@ class CensusReport:
 
 
 def _bundle(pl: PairedLabeling, index: int, check: str, details) -> dict:
-    return {
-        "index": index,
-        "check": check,
-        "graph": [list(e) for e in pl.graph.edge_list()],
-        "pairs": [list(p) for p in pl.pairs],
-        "details": details,
-    }
+    return {"index": index, "check": check, **pl.dump(details=details)}
 
 
 def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
@@ -163,7 +157,7 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
     summary = {"unmixed": False, "cm": False, "cm_type": None}
 
     brute = is_unmixed_bruteforce(pl.graph)
-    structural = unmixed_structural(pl)
+    structural = _structural_scan(pl)
     unmixed = bool(brute.value)
     summary["unmixed"] = unmixed
     if structural.value != brute.value:
@@ -233,7 +227,7 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
             violations.append(
                 _bundle(pl, index, "cm-route-agreement", exc.dump)
             )
-            cm = find_cycle(pl, max_r=2) is None
+            cm = not has_short
 
         shape = minimal_prime_shape(pl)
         if not shape.value:
@@ -304,10 +298,10 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
         break
 
     if full_oracles:
-        base = (structural.value, find_cycle(pl, max_r=2) is None)
+        base = (structural.value, not has_short)
         for other in all_star_labelings(pl.graph):
             got = (
-                unmixed_structural(other).value,
+                _structural_scan(other).value,
                 find_cycle(other, max_r=2) is None,
             )
             if got != base or (cm and cm_type(other) != summary["cm_type"]):

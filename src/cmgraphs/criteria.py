@@ -59,10 +59,14 @@ def _structural_scan(pl: PairedLabeling) -> Verdict:
     (i)  both of z_i x_j and y_j x_k being edges forces z_i x_k, for
          distinct i, j, k and z_i either of x_i, y_i;
     (ii) a cross edge x_i y_j forbids the cover edge x_i x_j.
+
+    Both read the labeling's pair relations, so the scan is O(n * m).
     """
-    g, n = pl.graph, pl.n
-    for i, j in itertools.permutations(range(1, n + 1), 2):
-        if g.has_edge(pl.x(i), pl.y(j)) and g.has_edge(pl.x(i), pl.x(j)):
+    cross, links, cover = pl.relations
+    for i in range(1, pl.n + 1):
+        both = cross[i] & cover[i]
+        if both:
+            j = min(both)
             return Verdict(
                 False,
                 "structural",
@@ -76,13 +80,14 @@ def _structural_scan(pl: PairedLabeling) -> Verdict:
                     },
                 },
             )
-    for i, j, k in itertools.permutations(range(1, n + 1), 3):
-        for z in (pl.x(i), pl.y(i)):
-            if (
-                g.has_edge(z, pl.x(j))
-                and g.has_edge(pl.y(j), pl.x(k))
-                and not g.has_edge(z, pl.x(k))
-            ):
+    for i in range(1, pl.n + 1):
+        for j in sorted(cover[i] | links[i]):
+            forced = links[j] - {i}
+            fail_x = forced - cover[i] if j in cover[i] else frozenset()
+            fail_y = forced - links[i] if j in links[i] else frozenset()
+            if fail_x or fail_y:
+                k = min(fail_x | fail_y)
+                z = pl.x(i) if k in fail_x else pl.y(i)
                 return Verdict(
                     False,
                     "structural",
@@ -100,23 +105,15 @@ def _structural_scan(pl: PairedLabeling) -> Verdict:
     return Verdict(True, "structural", {"conditions": ["i", "ii"]})
 
 
-def unmixed_structural(pl: PairedLabeling) -> Verdict:
-    """Structural unmixedness test over a valid labeling."""
-    return _structural_scan(pl)
-
-
 def _crosschecked_unmixed(pl: PairedLabeling) -> Verdict:
-    structural = unmixed_structural(pl)
+    structural = _structural_scan(pl)
     brute = is_unmixed_bruteforce(pl.graph)
     if structural.value != brute.value:
         raise RouteDisagreementError(
             "structural and brute-force unmixedness disagree",
-            dump={
-                "graph": pl.graph.edge_list(),
-                "pairs": [list(p) for p in pl.pairs],
-                "structural": structural.to_dict(),
-                "bruteforce": brute.to_dict(),
-            },
+            dump=pl.dump(
+                structural=structural.to_dict(), bruteforce=brute.to_dict()
+            ),
         )
     certificate = dict(structural.certificate or {})
     certificate["cover_sizes"] = (brute.certificate or {}).get("cover_sizes")
@@ -164,11 +161,7 @@ def _route_c(pl: PairedLabeling) -> Verdict:
         if not check_shelling(complex_, order):
             raise RouteDisagreementError(
                 "shelling search and shelling validator disagree",
-                dump={
-                    "graph": pl.graph.edge_list(),
-                    "pairs": [list(p) for p in pl.pairs],
-                    "order": shelling,
-                },
+                dump=pl.dump(order=shelling),
             )
         return Verdict(True, ROUTE_NAMES["c"], {"shelling": shelling})
     cycle = find_cycle(pl, max_r=None)
@@ -261,11 +254,7 @@ def route_agreement(
     if len({v.value for v in decided.values()}) > 1:
         raise RouteDisagreementError(
             "Cohen-Macaulayness routes disagree",
-            dump={
-                "graph": pl.graph.edge_list(),
-                "pairs": [list(p) for p in pl.pairs],
-                "routes": {r: v.to_dict() for r, v in results.items()},
-            },
+            dump=pl.dump(routes={r: v.to_dict() for r, v in results.items()}),
         )
     if not decided:
         return None, None

@@ -38,14 +38,6 @@ def _require_cm(pl: PairedLabeling) -> None:
         )
 
 
-def _dump(pl: PairedLabeling, **details) -> dict:
-    return {
-        "graph": pl.graph.edge_list(),
-        "pairs": [list(p) for p in pl.pairs],
-        **details,
-    }
-
-
 def _socle(restricted: Graph) -> list[tuple[str, ...]]:
     return sorted(tuple(sorted(s)) for s in maximal_independent_sets(restricted))
 
@@ -56,7 +48,7 @@ def _type(pl: PairedLabeling, restricted: Graph) -> int:
     if len(covers) != len(generators):
         raise RouteDisagreementError(
             "type and socle generator count disagree",
-            dump=_dump(pl, covers=len(covers), generators=len(generators)),
+            dump=pl.dump(covers=len(covers), generators=len(generators)),
         )
     return len(covers)
 
@@ -75,7 +67,7 @@ def _gorenstein(pl: PairedLabeling, cm_type_value: int) -> Verdict:
     if value != (cm_type_value == 1):
         raise RouteDisagreementError(
             "matching-only and type one disagree",
-            dump=_dump(pl, extra_edges=extra, cm_type=cm_type_value),
+            dump=pl.dump(extra_edges=extra, cm_type=cm_type_value),
         )
     certificate = {"extra_edges": extra} if extra else None
     return Verdict(value, "matching-only", certificate)

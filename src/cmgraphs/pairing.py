@@ -6,15 +6,24 @@ criterion downstream is phrased in terms of pair indices (1-based).  This
 module discovers such labelings deterministically, detects the alternating
 obstruction cycles through pairs, reorders labelings so cross edges only
 point upward, and decides uniqueness of the perfect matching.
+
+Like a `Graph`, a `PairedLabeling` memoizes what every criterion reads:
+its pair relations (`PairRelations`), built on first use; equality,
+hashing, repr and pickling see only the graph and the pairs.
 """
 
+import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import (
     InputFormatError,
     NotInClassError,
     PreconditionError,
+    RouteDisagreementError,
     StructureError,
 )
 from .graphs import (
@@ -29,10 +38,40 @@ from .graphs import (
 from .verdicts import Verdict
 
 
+class PairRelations(NamedTuple):
+    """Per pair index i (1-based), the indices j != i with x_i y_j
+    (`cross`), y_i x_j (`links`, the transpose) or x_i x_j (`cover`) an
+    edge; defined when the x names and the y names are distinct."""
+
+    cross: Mapping[int, frozenset[int]]
+    links: Mapping[int, frozenset[int]]
+    cover: Mapping[int, frozenset[int]]
+
+
 @dataclass(frozen=True)
 class PairedLabeling:
     graph: Graph
     pairs: tuple[tuple[str, str], ...]
+
+    def __reduce__(self):
+        return PairedLabeling, (self.graph, self.pairs)
+
+    @cached_property
+    def relations(self) -> PairRelations:
+        """The pair relations, read from the adjacency in one pass."""
+        adj = adjacency(self.graph)
+        x_index = {x: i for i, (x, _) in enumerate(self.pairs, start=1)}
+        y_index = {y: i for i, (_, y) in enumerate(self.pairs, start=1)}
+
+        def indices(v, index, i):
+            return frozenset(index[u] for u in adj[v] if u in index) - {i}
+
+        cross, links, cover = {}, {}, {}
+        for i, (x, y) in enumerate(self.pairs, start=1):
+            cross[i] = indices(x, y_index, i)
+            links[i] = indices(y, x_index, i)
+            cover[i] = indices(x, x_index, i)
+        return PairRelations(*map(MappingProxyType, (cross, links, cover)))
 
     @property
     def n(self) -> int:
@@ -59,6 +98,14 @@ class PairedLabeling:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "pairs": [list(p) for p in self.pairs]}
+
+    def dump(self, **details) -> dict:
+        """Graph, pairs and `details`, as dumps and census bundles carry them."""
+        return {
+            "graph": self.graph.edge_list(),
+            "pairs": [list(p) for p in self.pairs],
+            **details,
+        }
 
 
 @dataclass(frozen=True)
@@ -259,19 +306,6 @@ def all_star_labelings(g: Graph):
             yield PairedLabeling(g, pairs)
 
 
-def _arc_map(pl: PairedLabeling) -> dict[int, list[int]]:
-    """arcs[i] lists j != i with the link edge y_i x_j present."""
-    g = pl.graph
-    arcs: dict[int, list[int]] = {}
-    for i in range(1, pl.n + 1):
-        arcs[i] = [
-            j
-            for j in range(1, pl.n + 1)
-            if j != i and g.has_edge(pl.y(i), pl.x(j))
-        ]
-    return arcs
-
-
 def find_cycle(pl: PairedLabeling, max_r: int | None = None) -> CycleWitness | None:
     """Shortest alternating cycle through distinct pairs, or None.
 
@@ -281,14 +315,14 @@ def find_cycle(pl: PairedLabeling, max_r: int | None = None) -> CycleWitness | N
     unmixed in-class graphs; larger r exists to validate that equivalence.
     """
     n = pl.n
-    arcs = _arc_map(pl)
+    links = pl.relations.links
     limit = n if max_r is None else min(max_r, n)
 
     def extend(seq, used, r):
         last = seq[-1]
         if len(seq) == r:
-            return list(seq) if seq[0] in arcs[last] else None
-        for nxt in arcs[last]:
+            return list(seq) if seq[0] in links[last] else None
+        for nxt in sorted(links[last]):
             if nxt > seq[0] and nxt not in used:
                 found = extend(seq + [nxt], used | {nxt}, r)
                 if found:
@@ -300,7 +334,11 @@ def find_cycle(pl: PairedLabeling, max_r: int | None = None) -> CycleWitness | N
             found = extend([start], {start}, r)
             if found:
                 w = CycleWitness(tuple(found))
-                assert cycle_witness_holds(pl, w)
+                if not cycle_witness_holds(pl, w):
+                    raise RouteDisagreementError(
+                        "cycle search and cycle validator disagree",
+                        dump=pl.dump(cycle=w.to_list()),
+                    )
                 return w
     return None
 
@@ -315,60 +353,48 @@ def relabel_for_double_star(pl: PairedLabeling) -> PairedLabeling:
     taken is the lexicographically smallest (by x vertex name) topological
     linear extension.
     """
-    g, n = pl.graph, pl.n
-    rel = {
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if g.has_edge(pl.x(i), pl.y(j))
-    }
-    for i, j in sorted(rel):
-        if i != j and (j, i) in rel:
-            raise PreconditionError(
-                f"antisymmetry fails: both cross edges between pairs {i} "
-                f"and {j} are present",
-                witness={"antisymmetry": [i, j]},
-            )
-    for (i, j), (j2, k) in itertools.product(sorted(rel), repeat=2):
-        if j == j2 and i != j and j != k and i != k and (i, k) not in rel:
-            raise PreconditionError(
-                f"transitivity fails on pairs ({i}, {j}, {k})",
-                witness={"transitivity": [i, j, k]},
-            )
+    n, (cross, links, _) = pl.n, pl.relations
+    for i in range(1, n + 1):
+        for j in sorted(cross[i]):
+            if i in cross[j]:
+                raise PreconditionError(
+                    f"antisymmetry fails: both cross edges between pairs {i} "
+                    f"and {j} are present",
+                    witness={"antisymmetry": [i, j]},
+                )
+    for i in range(1, n + 1):
+        for j in sorted(cross[i]):
+            missing = cross[j] - cross[i] - {i}
+            if missing:
+                k = min(missing)
+                raise PreconditionError(
+                    f"transitivity fails on pairs ({i}, {j}, {k})",
+                    witness={"transitivity": [i, j, k]},
+                )
 
-    succ = {i: {j for (i2, j) in rel if i2 == i and j != i} for i in range(1, n + 1)}
-    pred_count = {i: 0 for i in range(1, n + 1)}
-    for i in succ:
-        for j in succ[i]:
-            pred_count[j] += 1
-    available = sorted(
-        (i for i in range(1, n + 1) if pred_count[i] == 0),
-        key=lambda i: pl.x(i),
-    )
+    pred_count = {j: len(links[j]) for j in range(1, n + 1)}
+    available = [(pl.x(i), i) for i in range(1, n + 1) if pred_count[i] == 0]
+    heapq.heapify(available)
     order: list[int] = []
     while available:
-        i = available.pop(0)
+        _, i = heapq.heappop(available)
         order.append(i)
-        for j in sorted(succ[i]):
+        for j in cross[i]:
             pred_count[j] -= 1
             if pred_count[j] == 0:
-                available.append(j)
-        available.sort(key=lambda k: pl.x(k))
-    assert len(order) == n
-    relabeled = PairedLabeling(g, tuple(pl.pairs[i - 1] for i in order))
-    assert satisfies_double_star(relabeled)
+                heapq.heappush(available, (pl.x(j), j))
+    relabeled = PairedLabeling(pl.graph, tuple(pl.pairs[i - 1] for i in order))
+    if len(order) != n or not satisfies_double_star(relabeled):
+        raise RouteDisagreementError(
+            "relabeling and upward cross-edge validator disagree",
+            dump=pl.dump(order=order),
+        )
     return relabeled
 
 
 def satisfies_double_star(pl: PairedLabeling) -> bool:
     """Does every cross edge x_i y_j have i <= j?"""
-    g = pl.graph
-    return all(
-        i <= j
-        for i in range(1, pl.n + 1)
-        for j in range(1, pl.n + 1)
-        if g.has_edge(pl.x(i), pl.y(j))
-    )
+    return all(j > i for i, js in pl.relations.cross.items() for j in js)
 
 
 def second_matching_from_cycle(pl: PairedLabeling, w: CycleWitness):
@@ -411,7 +437,11 @@ def unique_perfect_matching(pl: PairedLabeling) -> Verdict:
     cycle.reverse()  # x_k matched to y_sigma(k) means the links run backwards
     pos = cycle.index(min(cycle))
     witness = CycleWitness(tuple(cycle[pos:] + cycle[:pos]))
-    assert cycle_witness_holds(pl, witness)
+    if not cycle_witness_holds(pl, witness):
+        raise RouteDisagreementError(
+            "second matching and cycle validator disagree",
+            dump=pl.dump(cycle=witness.to_list()),
+        )
     second = second_matching_from_cycle(pl, witness)
     return Verdict(
         False,

@@ -14,28 +14,19 @@ from .graphs import Graph, adjacency, degrees, induced_subgraph
 from .pairing import PairedLabeling, _lex_min_matching, validate_labeling
 
 
-def _o_once(g: Graph, pl: PairedLabeling, i: int) -> Graph:
-    rewired = [
-        k for k in range(1, pl.n + 1) if k != i and g.has_edge(pl.x(k), pl.y(i))
-    ]
-    edges = set(g.edges)
-    edges -= {frozenset((pl.x(k), pl.y(i))) for k in rewired}
-    edges |= {frozenset((pl.x(k), pl.x(i))) for k in rewired}
-    return Graph(g.vertices, frozenset(edges))
-
-
 def o_operator(pl: PairedLabeling, i: int) -> Graph:
     """Rewire all cross edges into y_i onto x_i; pair index is 1-based."""
     if not 1 <= i <= pl.n:
         raise InputFormatError(f"pair index {i} out of range 1..{pl.n}")
-    return _o_once(pl.graph, pl, i)
+    return o_set(pl, (i,))
 
 
 def o_set(pl: PairedLabeling, t) -> Graph:
     """Compose the rewiring operator over an index set.
 
-    The operators touch disjoint y-stars, so the composition order is
-    irrelevant; added edges are deduplicated by set semantics.
+    The operators touch disjoint y-stars, so the composition is one
+    rewrite of the original edges: each link y_i x_k (i in t) becomes the
+    cover edge x_k x_i.
     """
     t = set(t)
     out_of_range = {i for i in t if not 1 <= i <= pl.n}
@@ -43,10 +34,14 @@ def o_set(pl: PairedLabeling, t) -> Graph:
         raise InputFormatError(
             f"pair indices {sorted(out_of_range)} out of range 1..{pl.n}"
         )
-    g = pl.graph
-    for i in sorted(t):
-        g = _o_once(g, pl, i)
-    return g
+    g, links = pl.graph, pl.relations.links
+    moved = [(pl.x(k), i) for i in t for k in links[i]]
+    if not moved:
+        return g
+    edges = set(g.edges)
+    edges -= {frozenset((x, pl.y(i))) for x, i in moved}
+    edges |= {frozenset((x, pl.x(i))) for x, i in moved}
+    return Graph(g.vertices, frozenset(edges))
 
 
 def restricted_o_full(pl: PairedLabeling) -> Graph:

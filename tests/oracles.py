@@ -1,12 +1,21 @@
 """Definitional brute-force oracles used to derive expected values.
 
-Everything here works on raw (vertices, edges) data and iterates over all
+The oracles work on raw (vertices, edges) data and iterate over all
 subsets, straight from the definitions; nothing is shared with the package
 implementation.  Only usable at desk scale.
+
+The pair-relation references at the end (`*_def` over a `PairedLabeling`)
+probe the graph pair by pair with `has_edge`, as the package did before a
+labeling memoized its pair relations; tests compare the two.
 """
 
 import itertools
 from fractions import Fraction
+
+from cmgraphs.errors import PreconditionError
+from cmgraphs.graphs import Graph
+from cmgraphs.pairing import CycleWitness, PairedLabeling
+from cmgraphs.verdicts import Verdict
 
 
 def is_cover_def(edges, s):
@@ -83,3 +92,141 @@ def rank_rational_def(rows):
         if rank == n_rows:
             break
     return rank
+
+
+def structural_scan_def(pl):
+    """Both unmixedness pair conditions, every ordered pair then triple."""
+    g, n = pl.graph, pl.n
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        if g.has_edge(pl.x(i), pl.y(j)) and g.has_edge(pl.x(i), pl.x(j)):
+            return Verdict(
+                False,
+                "structural",
+                {
+                    "condition": "ii",
+                    "witness": {
+                        "i": i,
+                        "j": j,
+                        "cross_edge": [pl.x(i), pl.y(j)],
+                        "cover_edge": [pl.x(i), pl.x(j)],
+                    },
+                },
+            )
+    for i, j, k in itertools.permutations(range(1, n + 1), 3):
+        for z in (pl.x(i), pl.y(i)):
+            if (
+                g.has_edge(z, pl.x(j))
+                and g.has_edge(pl.y(j), pl.x(k))
+                and not g.has_edge(z, pl.x(k))
+            ):
+                return Verdict(
+                    False,
+                    "structural",
+                    {
+                        "condition": "i",
+                        "witness": {
+                            "i": i,
+                            "j": j,
+                            "k": k,
+                            "edges_present": [[z, pl.x(j)], [pl.y(j), pl.x(k)]],
+                            "edge_missing": [z, pl.x(k)],
+                        },
+                    },
+                )
+    return Verdict(True, "structural", {"conditions": ["i", "ii"]})
+
+
+def find_cycle_def(pl, max_r=None):
+    """Shortest alternating cycle, searched over the link arcs y_i x_j."""
+    g, n = pl.graph, pl.n
+    arcs = {
+        i: [j for j in range(1, n + 1) if j != i and g.has_edge(pl.y(i), pl.x(j))]
+        for i in range(1, n + 1)
+    }
+    limit = n if max_r is None else min(max_r, n)
+
+    def extend(seq, used, r):
+        last = seq[-1]
+        if len(seq) == r:
+            return list(seq) if seq[0] in arcs[last] else None
+        for nxt in arcs[last]:
+            if nxt > seq[0] and nxt not in used:
+                found = extend(seq + [nxt], used | {nxt}, r)
+                if found:
+                    return found
+        return None
+
+    for r in range(2, limit + 1):
+        for start in range(1, n + 1):
+            found = extend([start], {start}, r)
+            if found:
+                return CycleWitness(tuple(found))
+    return None
+
+
+def relabel_for_double_star_def(pl):
+    """Antisymmetry, then transitivity over every pair of related pairs,
+    then the smallest topological order by x name."""
+    g, n = pl.graph, pl.n
+    rel = {
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if g.has_edge(pl.x(i), pl.y(j))
+    }
+    for i, j in sorted(rel):
+        if i != j and (j, i) in rel:
+            raise PreconditionError(
+                f"antisymmetry fails: both cross edges between pairs {i} "
+                f"and {j} are present",
+                witness={"antisymmetry": [i, j]},
+            )
+    for (i, j), (j2, k) in itertools.product(sorted(rel), repeat=2):
+        if j == j2 and i != j and j != k and i != k and (i, k) not in rel:
+            raise PreconditionError(
+                f"transitivity fails on pairs ({i}, {j}, {k})",
+                witness={"transitivity": [i, j, k]},
+            )
+    succ = {i: {j for (i2, j) in rel if i2 == i and j != i} for i in range(1, n + 1)}
+    pred_count = {i: 0 for i in range(1, n + 1)}
+    for i in succ:
+        for j in succ[i]:
+            pred_count[j] += 1
+    available = sorted(
+        (i for i in range(1, n + 1) if pred_count[i] == 0), key=lambda i: pl.x(i)
+    )
+    order = []
+    while available:
+        i = available.pop(0)
+        order.append(i)
+        for j in sorted(succ[i]):
+            pred_count[j] -= 1
+            if pred_count[j] == 0:
+                available.append(j)
+        available.sort(key=lambda k: pl.x(k))
+    return PairedLabeling(g, tuple(pl.pairs[i - 1] for i in order))
+
+
+def satisfies_double_star_def(pl):
+    g = pl.graph
+    return all(
+        i <= j
+        for i in range(1, pl.n + 1)
+        for j in range(1, pl.n + 1)
+        if g.has_edge(pl.x(i), pl.y(j))
+    )
+
+
+def o_set_def(pl, t):
+    """The rewiring operator applied pair by pair, each on the graph the
+    previous one left."""
+    g = pl.graph
+    for i in sorted(set(t)):
+        rewired = [
+            k for k in range(1, pl.n + 1) if k != i and g.has_edge(pl.x(k), pl.y(i))
+        ]
+        edges = set(g.edges)
+        edges -= {frozenset((pl.x(k), pl.y(i))) for k in rewired}
+        edges |= {frozenset((pl.x(k), pl.x(i))) for k in rewired}
+        g = Graph(g.vertices, frozenset(edges))
+    return g

@@ -13,9 +13,9 @@ from cmgraphs.census import cross_validate, enumerate_class
 from cmgraphs.cli import main
 from cmgraphs.complexes import complementary_complex, reisner_cm
 from cmgraphs.criteria import (
+    _structural_scan,
     degree_one_exists,
     minimal_prime_shape,
-    unmixed_structural,
 )
 from cmgraphs.graphs import add_edges, is_unmixed_bruteforce, pairs_graph
 from cmgraphs.invariants import cm_type, invariant_report, is_level, socle_generators
@@ -121,7 +121,7 @@ def test_criterion_4_unmixedness_equivalence(census_small, census_sampled):
     for n in (1, 2, 3):
         for pl in enumerate_class(n):
             assert (
-                unmixed_structural(pl).value
+                _structural_scan(pl).value
                 == is_unmixed_bruteforce(pl.graph).value
             )
     ok(

@@ -9,6 +9,7 @@ import pytest
 import cmgraphs.criteria as criteria
 import cmgraphs.graphs as graphs
 import cmgraphs.invariants as invariants
+import cmgraphs.pairing as pairing
 from cmgraphs.cli import main
 from cmgraphs.graphio import parse_graph
 from cmgraphs.verdicts import Verdict
@@ -205,6 +206,20 @@ def test_rejected_shelling_exits_three(capsys, monkeypatch):
     )
     assert code == 3
     assert "disagree" in err and '"order": [' in err
+
+
+def test_rejected_upward_order_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(pairing, "satisfies_double_star", lambda pl: False)
+    code, _, err = run_cli(capsys, "check", fixture_path("example3_1.graph"))
+    assert code == 3
+    assert "disagree" in err and '"order": [' in err and '"pairs": [' in err
+
+
+def test_rejected_cycle_witness_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(pairing, "cycle_witness_holds", lambda pl, w: False)
+    code, _, err = run_cli(capsys, "check", fixture_path("c4.graph"))
+    assert code == 3
+    assert "disagree" in err and '"cycle": [' in err and '"graph": [' in err
 
 
 @pytest.mark.parametrize("name", ["c4.graph", "example3_1.graph"])

@@ -1,13 +1,13 @@
 import pytest
 
 from cmgraphs.criteria import (
+    _structural_scan,
     cm_routes,
     cm_structural_doublestar,
     cm_verdict,
     degree_one_exists,
     generator_bounds,
     minimal_prime_shape,
-    unmixed_structural,
     unmixed_verdict,
 )
 from cmgraphs.errors import PreconditionError
@@ -28,33 +28,33 @@ def std_pairs(n):
 
 
 def test_unmixed_structural_examples(ex31_pl):
-    verdict = unmixed_structural(ex31_pl)
+    verdict = _structural_scan(ex31_pl)
     assert verdict.value is True
 
     g = add_edges(pairs_graph(3), [("y1", "x2"), ("x1", "x2")])
     pl = make_labeling(g, std_pairs(3))
-    verdict = unmixed_structural(pl)
+    verdict = _structural_scan(pl)
     assert verdict.value is False
     assert verdict.certificate["condition"] == "ii"
     assert verdict.certificate["witness"]["i"] == 2
     assert verdict.certificate["witness"]["j"] == 1
 
     pl = make_labeling(pairs_graph(2), std_pairs(2))
-    assert unmixed_structural(pl).value is True
+    assert _structural_scan(pl).value is True
 
 
 def test_unmixed_structural_condition_i():
     # y3-x2 and y2-x1 present but y3-x1 missing
     g = add_edges(pairs_graph(3), [("y3", "x2"), ("y2", "x1")])
     pl = make_labeling(g, std_pairs(3))
-    verdict = unmixed_structural(pl)
+    verdict = _structural_scan(pl)
     assert verdict.value is False
     assert verdict.certificate["condition"] == "i"
     # adding the forced edge repairs it
     repaired = make_labeling(
         add_edges(g, [("y3", "x1")]), std_pairs(3)
     )
-    assert unmixed_structural(repaired).value is True
+    assert _structural_scan(repaired).value is True
 
 
 def test_unmixed_verdict_merges_routes(ex31, c4):

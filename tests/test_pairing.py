@@ -1,9 +1,11 @@
 import pytest
 
+import cmgraphs.pairing as pairing
 from cmgraphs.errors import (
     InputFormatError,
     NotInClassError,
     PreconditionError,
+    RouteDisagreementError,
     StructureError,
 )
 from cmgraphs.graphs import Graph, add_edges, pairs_graph
@@ -146,6 +148,14 @@ def test_unique_perfect_matching(ex31_pl, c4_pl):
     assert verdict.value is False
     assert verdict.certificate["cycle"] == [1, 2]
     assert verdict.certificate["second_matching"] == [["x1", "y2"], ["x2", "y1"]]
+
+
+def test_rejected_second_matching_cycle_raises(c4_pl, monkeypatch):
+    monkeypatch.setattr(pairing, "cycle_witness_holds", lambda pl, w: False)
+    with pytest.raises(RouteDisagreementError) as err:
+        unique_perfect_matching(c4_pl)
+    assert err.value.dump["cycle"] == [1, 2]
+    assert err.value.dump["pairs"] == [list(p) for p in c4_pl.pairs]
 
 
 def test_second_matching_certificate_is_a_real_matching():
