@@ -21,9 +21,9 @@ from .criteria import (
     _structural_scan,
     cm_routes,
     cm_structural_doublestar,
-    cm_verdict,
     degree_one_exists,
     minimal_prime_shape,
+    route_agreement,
 )
 from .errors import (
     CapacityError,
@@ -37,7 +37,7 @@ from .graphs import (
     is_unmixed_bruteforce,
     iter_perfect_matchings,
 )
-from .invariants import cm_type, socle_generators
+from .invariants import cm_type, invariant_report
 from .pairing import (
     PairedLabeling,
     all_star_labelings,
@@ -207,11 +207,12 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
     if unmixed:
         routes = "abcde" + ("f" if full_oracles else "")
         try:
-            verdict = cm_verdict(pl, routes=routes, field=2)
-            cm = bool(verdict.value)
+            results = cm_routes(pl, routes, 2)
+            value, _ = route_agreement(pl, results)
+            cm = bool(value)
             if full_oracles:
                 rational = cm_routes(pl, "f", "Q")["f"]
-                if rational.value != verdict.value:
+                if rational.value != value:
                     violations.append(
                         _bundle(
                             pl,
@@ -219,7 +220,9 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
                             "cm-route-agreement",
                             {
                                 "rational_homology": rational.to_dict(),
-                                "primary": verdict.to_dict(),
+                                "routes": {
+                                    r: v.to_dict() for r, v in results.items()
+                                },
                             },
                         )
                     )
@@ -252,18 +255,24 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
                 )
         except (PreconditionError, CmGraphsError) as exc:
             violations.append(_bundle(pl, index, "doublestar", str(exc)))
-        t = cm_type(pl)
-        summary["cm_type"] = t
         matching_only = len(pl.graph.edges) == n
-        if (t == 1) != matching_only or len(socle_generators(pl)) != t:
+        try:
+            report = invariant_report(pl)
+        except RouteDisagreementError as exc:
             violations.append(
-                _bundle(
-                    pl,
-                    index,
-                    "gorenstein-iff-type-one",
-                    {"cm_type": t, "matching_only": matching_only},
-                )
+                _bundle(pl, index, "gorenstein-iff-type-one", exc.dump)
             )
+        else:
+            t = summary["cm_type"] = report.cm_type
+            if (t == 1) != matching_only or len(report.socle_monomials) != t:
+                violations.append(
+                    _bundle(
+                        pl,
+                        index,
+                        "gorenstein-iff-type-one",
+                        {"cm_type": t, "matching_only": matching_only},
+                    )
+                )
     elif full_oracles and not unmixed:
         from .complexes import complementary_complex, reisner_cm
 

@@ -7,7 +7,6 @@ Dimension conventions: dim F = |F| - 1, so the empty face has dimension
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapacityError, InputFormatError, PreconditionError
@@ -74,9 +73,10 @@ class HomologyProfile:
 
 def complementary_complex(g: Graph) -> SimplicialComplex:
     """The complex whose faces are the independent sets of the graph;
-    its facets are the maximal independent sets."""
-    return SimplicialComplex.from_facets(
-        maximal_independent_sets(g), vertices=g.vertices
+    its facets are the maximal independent sets, which are already
+    incomparable, sorted, and cover every vertex."""
+    return SimplicialComplex(
+        tuple(sorted(g.vertices)), maximal_independent_sets(g)
     )
 
 
@@ -94,49 +94,40 @@ def _require_pure(c: SimplicialComplex, op: str) -> None:
         )
 
 
-def _facet_adjacency(c: SimplicialComplex) -> dict[int, list[int]]:
-    k = len(c.facets[0]) if c.facets else 0
-    adj: dict[int, list[int]] = {i: [] for i in range(len(c.facets))}
-    for i, j in itertools.combinations(range(len(c.facets)), 2):
-        if len(c.facets[i] & c.facets[j]) == k - 1:
-            adj[i].append(j)
-            adj[j].append(i)
-    return adj
-
-
 def is_strongly_connected(c: SimplicialComplex) -> Verdict:
     """Facets pairwise joined by chains whose consecutive intersections
     have codimension one.  The certificate is a chain between the
-    lexicographically first and last facets, or the component partition."""
+    lexicographically first and last facets, or the component partition.
+
+    Two facets are adjacent when they share a ridge (a facet minus one
+    vertex); a breadth-first search from each unvisited facet in index
+    order, visiting neighbours in ascending index order, yields the
+    components and, from facet 0, the chain.
+    """
     _require_pure(c, "strong connectedness")
     m = len(c.facets)
     if m <= 1:
         chain = [sorted(f) for f in c.facets]
         return Verdict(True, "facet-chain", {"chain": chain})
-    adj = _facet_adjacency(c)
-    parent: dict[int, int | None] = {0: None}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if j not in parent:
-                parent[j] = i
-                queue.append(j)
-    if len(parent) < m:
-        seen = set(parent)
-        components = [sorted(seen)]
-        rest = [i for i in range(m) if i not in seen]
-        while rest:
-            comp = {rest[0]}
-            queue = deque([rest[0]])
-            while queue:
-                i = queue.popleft()
-                for j in adj[i]:
-                    if j not in comp:
-                        comp.add(j)
-                        queue.append(j)
-            components.append(sorted(comp))
-            rest = [i for i in rest if i not in comp]
+    ridges: dict[frozenset[str], list[int]] = {}
+    for i, f in enumerate(c.facets):
+        for v in f:
+            ridges.setdefault(f - {v}, []).append(i)
+    parent: dict[int, int | None] = {}
+    components = []
+    for root in range(m):
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for i in queue:  # the queue grows while it is walked
+            f = c.facets[i]
+            for j in sorted({k for v in f for k in ridges[f - {v}]} - {i}):
+                if j not in parent:
+                    parent[j] = i
+                    queue.append(j)
+        components.append(sorted(queue))
+    if len(components) > 1:
         return Verdict(
             False,
             "facet-chain",
@@ -155,9 +146,7 @@ def is_strongly_connected(c: SimplicialComplex) -> Verdict:
     )
 
 
-def find_shelling(
-    c: SimplicialComplex, max_facets: int = SHELLING_FACET_CAP
-) -> list[frozenset[str]] | None:
+def find_shelling(c: SimplicialComplex) -> list[frozenset[str]] | None:
     """Backtracking search for a shelling order of a pure complex.
 
     Returns the first order found (deterministic) or None once the search
@@ -168,9 +157,9 @@ def find_shelling(
     _require_pure(c, "shelling")
     facets = list(c.facets)
     m = len(facets)
-    if m > max_facets:
+    if m > SHELLING_FACET_CAP:
         raise CapacityError(
-            f"{m} facets exceed the shelling search bound {max_facets}"
+            f"{m} facets exceed the shelling search bound {SHELLING_FACET_CAP}"
         )
     if m <= 1:
         return facets
@@ -239,9 +228,7 @@ def _rank(rows, field) -> int:
     return rank_mod_p(rows, int(field))
 
 
-def all_faces(
-    c: SimplicialComplex, max_faces: int = HOMOLOGY_FACE_CAP
-) -> list[frozenset[str]]:
+def all_faces(c: SimplicialComplex) -> list[frozenset[str]]:
     """Every face, from the empty set up, deduplicated across facets and
     sorted by (dimension, vertex names)."""
     faces: set[frozenset[str]] = set()
@@ -250,9 +237,9 @@ def all_faces(
         for r in range(len(elems) + 1):
             for combo in itertools.combinations(elems, r):
                 faces.add(frozenset(combo))
-        if len(faces) > max_faces:
+        if len(faces) > HOMOLOGY_FACE_CAP:
             raise CapacityError(
-                f"face count exceeds the homology bound {max_faces}"
+                f"face count exceeds the homology bound {HOMOLOGY_FACE_CAP}"
             )
     return sorted(faces, key=lambda f: (len(f), tuple(sorted(f))))
 
@@ -272,12 +259,11 @@ def _ranks_from_faces(faces: list[frozenset[str]], field) -> list[int]:
 
     boundary_rank = {}
     for d in range(0, top + 1):
-        rows_faces, cols_faces = by_dim[d - 1], by_dim[d]
-        rows = [[0] * len(cols_faces) for _ in rows_faces]
-        for col, f in enumerate(cols_faces):
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1:]
-                rows[index[d - 1][sub]][col] += (-1) ** pos
+        below = index[d - 1]
+        rows = [  # one sparse row per d-face: its boundary
+            {below[f[:pos] + f[pos + 1:]]: (-1) ** pos for pos in range(len(f))}
+            for f in by_dim[d]
+        ]
         boundary_rank[d] = _rank(rows, field)
     boundary_rank[top + 1] = 0
 
@@ -288,18 +274,14 @@ def _ranks_from_faces(faces: list[frozenset[str]], field) -> list[int]:
     return betti
 
 
-def reduced_homology_ranks(
-    c: SimplicialComplex, field=2, max_faces: int = HOMOLOGY_FACE_CAP
-) -> list[int]:
+def reduced_homology_ranks(c: SimplicialComplex, field=2) -> list[int]:
     """Reduced homology ranks of the whole complex, dimensions -1..dim,
     over F_p (exact modular arithmetic) or the rationals (fraction-free
     integer elimination)."""
-    return _ranks_from_faces(all_faces(c, max_faces), field)
+    return _ranks_from_faces(all_faces(c), field)
 
 
-def reisner_cm(
-    c: SimplicialComplex, field=2, max_faces: int = HOMOLOGY_FACE_CAP
-) -> Verdict:
+def reisner_cm(c: SimplicialComplex, field=2) -> Verdict:
     """Cohen-Macaulayness oracle: every face's link must have vanishing
     reduced homology strictly below the link's own dimension.
 
@@ -308,7 +290,7 @@ def reisner_cm(
     verdict carries the first offending face's full homology profile.
     """
     label = field_label(field)
-    face_list = all_faces(c, max_faces)
+    face_list = all_faces(c)
     link_betti: dict[frozenset[frozenset[str]], list[int]] = {}
     for f in face_list:
         link = frozenset(g - f for g in c.facets if f <= g)

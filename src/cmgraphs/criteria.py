@@ -178,9 +178,9 @@ def _route_d(pl: PairedLabeling) -> Verdict:
     return Verdict(v.value, ROUTE_NAMES["d"], v.certificate)
 
 
-def _route_e(pl: PairedLabeling, subset_cap: int = DEFORMATION_SUBSET_CAP) -> Verdict:
+def _route_e(pl: PairedLabeling) -> Verdict:
     n = pl.n
-    if n <= subset_cap:
+    if n <= DEFORMATION_SUBSET_CAP:
         subsets = []
         for size in range(n + 1):
             subsets.extend(itertools.combinations(range(1, n + 1), size))

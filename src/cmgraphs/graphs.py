@@ -97,16 +97,6 @@ def isolated_vertices(g: Graph) -> tuple[str, ...]:
     return tuple(v for v in g.vertices if deg[v] == 0)
 
 
-def is_cover(g: Graph, s) -> bool:
-    s = set(s)
-    return all(e & s for e in g.edges)
-
-
-def is_independent(g: Graph, s) -> bool:
-    s = set(s)
-    return all(not e <= s for e in g.edges)
-
-
 def pairs_graph(n: int) -> Graph:
     """The graph x1..xn, y1..yn with only the matching edges x_i y_i."""
     if n < 1:
@@ -186,8 +176,9 @@ def minimal_vertex_covers(g: Graph) -> tuple[frozenset[str], ...]:
 
 
 def height(g: Graph) -> int:
-    """Minimum cardinality of a vertex cover (0 for edgeless graphs)."""
-    return min(len(c) for c in minimal_vertex_covers(g))
+    """Minimum cardinality of a vertex cover (0 for edgeless graphs): the
+    complement of a largest independent set."""
+    return len(g.vertices) - max(len(s) for s in maximal_independent_sets(g))
 
 
 @dataclass(frozen=True)

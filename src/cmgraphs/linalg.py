@@ -1,13 +1,15 @@
-"""Exact rank computation for dense integer matrices.
+"""Exact rank computation for sparse integer matrices.
 
-Two coefficient domains are supported: the prime field F_p (Gaussian
-elimination with modular inverses, plus a bitmask fast path for p = 2)
-and the rationals (fraction-free integer row reduction).  Floating point
-is never used; these ranks feed a homology oracle where rounding would be
-unsound.
+A matrix is a list of rows, each a `{column: int}` map of its nonzero
+entries; rank is the same for a matrix and its transpose, so callers may
+emit whichever side is sparse.  Two coefficient domains are supported:
+the prime field F_p (reduction against monic pivot rows, plus a bitmask
+XOR basis for p = 2) and the rationals (fraction-free integer row
+reduction).  Floating point is never used; these ranks feed a homology
+oracle where rounding would be unsound.  Inputs are not modified.
 """
 
-from math import gcd, lcm
+from math import gcd
 
 
 def is_prime(p: int) -> bool:
@@ -21,71 +23,60 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def rank_gf2(rows: list[list[int]]) -> int:
-    """Rank over F_2; rows are packed into integers as bitmasks."""
-    packed = []
+def rank_gf2(rows: list[dict[int, int]]) -> int:
+    """Rank over F_2.  Each row's odd entries are packed into a bitmask
+    and reduced against the pivots, keyed by their lowest set bit."""
+    pivots: dict[int, int] = {}  # lowest set bit -> pivot mask
     for row in rows:
-        bits = 0
-        for j, a in enumerate(row):
-            if a % 2:
-                bits |= 1 << j
-        if bits:
-            packed.append(bits)
-    rank = 0
-    while packed:
-        pivot = packed.pop()
-        rank += 1
-        low = pivot & -pivot
-        packed = [r ^ pivot if r & low else r for r in packed]
-        packed = [r for r in packed if r]
-    return rank
+        bits = sum(1 << j for j, a in row.items() if a % 2)
+        while bits:
+            low = bits & -bits
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = bits
+                break
+            bits ^= pivot
+    return len(pivots)
 
 
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p.  The input is not modified."""
+def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p.  Each row is reduced against monic pivot rows,
+    keyed by their leading column; p = 2 uses `rank_gf2`."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if not rows or not rows[0]:
-        return 0
     if p == 2:
         return rank_gf2(rows)
-    m = [[a % p for a in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(a * inv) % p for a in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> pivot row
+    for sparse in rows:
+        row = {j: a % p for j, a in sparse.items() if a % p}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], p - 2, p)
+                pivots[col] = {j: a * inv % p for j, a in row.items()}
+                break
+            f = row[col]
+            for j, x in pivot.items():
+                y = (row.get(j, 0) - f * x) % p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return len(pivots)
 
 
-def rank_rational(rows: list[list[int]]) -> int:
-    """Rank over the rationals of dense rows of ints or Fractions.
+def rank_rational(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of integer rows.
 
-    Each row is scaled by the lcm of its denominators to a sparse
-    `{column: int}` row and reduced against the pivot rows by integer
-    combinations `b*v - a*p` with `b != 0`, which keep the row space over
-    Q; each new pivot row is divided by the gcd of its entries.  Unlike a
-    reduction mod p this never loses rank.
+    Each row is reduced against the pivot rows by integer combinations
+    `b*v - a*p` with `b != 0`, which keep the row space over Q; each new
+    pivot row is divided by the gcd of its entries.  Unlike a reduction
+    mod p this never loses rank.
     """
     pivots: dict[int, dict[int, int]] = {}  # leading column -> pivot row
-    for dense in rows:
-        scale = lcm(*(a.denominator for a in dense if a))
-        row = {
-            j: a.numerator * (scale // a.denominator)
-            for j, a in enumerate(dense)
-            if a
-        }
+    for sparse in rows:
+        row = {j: a for j, a in sparse.items() if a}
         while row:
             col = min(row)
             pivot = pivots.get(col)

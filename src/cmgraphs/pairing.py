@@ -30,8 +30,6 @@ from .graphs import (
     Graph,
     adjacency,
     classify,
-    is_cover,
-    is_independent,
     iter_perfect_matchings,
     minimal_vertex_covers,
 )
@@ -132,23 +130,22 @@ def validate_labeling(pl: PairedLabeling) -> list[str]:
     if xs | ys != set(g.vertices):
         problems.append("pairs must partition the vertex set")
         return problems
+    adj = adjacency(g)
     for x, y in pl.pairs:
-        if not g.has_edge(x, y):
+        if y not in adj[x]:
             problems.append(f"matching edge {x}-{y} missing")
-    if not is_cover(g, xs):
+    if any(adj[v] - xs for v in set(g.vertices) - xs):
         problems.append("X is not a vertex cover")
     else:
-        for x in sorted(xs):
-            if is_cover(g, xs - {x}):
-                problems.append(f"X is not minimal: {x} is redundant")
-                break
-    if not is_independent(g, ys):
+        redundant = next((x for x in sorted(xs) if adj[x] <= xs), None)
+        if redundant is not None:
+            problems.append(f"X is not minimal: {redundant} is redundant")
+    if any(adj[y] & ys for y in ys):
         problems.append("Y is not independent")
     else:
-        for v in sorted(xs):
-            if is_independent(g, ys | {v}):
-                problems.append(f"Y is not maximal: {v} extends it")
-                break
+        extends = next((x for x in sorted(xs) if not adj[x] & ys), None)
+        if extends is not None:
+            problems.append(f"Y is not maximal: {extends} extends it")
     return problems
 
 
@@ -273,7 +270,11 @@ def find_star_labeling(g: Graph) -> PairedLabeling:
     pairs = tuple(sorted((x, matching[x]) for x in x_set))
     pl = PairedLabeling(g, pairs)
     problems = validate_labeling(pl)
-    assert not problems, problems
+    if problems:
+        raise RouteDisagreementError(
+            "labeling discovery and labeling validator disagree",
+            dump=pl.dump(problems=problems),
+        )
     return pl
 
 
@@ -416,7 +417,11 @@ def unique_perfect_matching(pl: PairedLabeling) -> Verdict:
     permutation of a second matching, plus the second matching rebuilt
     from that cycle."""
     found = list(itertools.islice(iter_perfect_matchings(pl.graph), 2))
-    assert found, "a paired labeling always yields one perfect matching"
+    if not found:
+        raise RouteDisagreementError(
+            "perfect matching enumeration and labeling disagree",
+            dump=pl.dump(),
+        )
     if len(found) == 1:
         return Verdict(True, "unique-matching", {"matchings_found": 1})
     other = next(

@@ -9,7 +9,7 @@ so the vertex set, the class membership and the labeling all survive.
 
 from dataclasses import dataclass
 
-from .errors import InputFormatError, StructureError
+from .errors import InputFormatError, RouteDisagreementError, StructureError
 from .graphs import Graph, adjacency, degrees, induced_subgraph
 from .pairing import PairedLabeling, _lex_min_matching, validate_labeling
 
@@ -159,5 +159,9 @@ def b_graft(spec: BGraftSpec) -> tuple[Graph, PairedLabeling]:
 
     pl = PairedLabeling(graph, tuple(pairs))
     problems = validate_labeling(pl)
-    assert not problems, problems
+    if problems:
+        raise RouteDisagreementError(
+            "grafted labeling and labeling validator disagree",
+            dump=pl.dump(problems=problems),
+        )
     return graph, pl

@@ -4,12 +4,15 @@ The oracles work on raw (vertices, edges) data and iterate over all
 subsets, straight from the definitions; nothing is shared with the package
 implementation.  Only usable at desk scale.
 
-The pair-relation references at the end (`*_def` over a `PairedLabeling`)
-probe the graph pair by pair with `has_edge`, as the package did before a
-labeling memoized its pair relations; tests compare the two.
+The `*_def` references keep earlier, simpler implementations that the
+package replaced, and tests compare the two: dense Gauss-Jordan ranks
+over F_p and Q, strong connectivity by testing every facet pair, and
+pair relations probed pair by pair with `has_edge`, as the package did
+before a labeling memoized them.
 """
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from cmgraphs.errors import PreconditionError
@@ -92,6 +95,92 @@ def rank_rational_def(rows):
         if rank == n_rows:
             break
     return rank
+
+
+def rank_mod_p_def(rows, p):
+    """Rank of a dense integer matrix over F_p (p prime, 2 included) by
+    Gauss-Jordan elimination."""
+    if not rows or not rows[0]:
+        return 0
+    m = [[a % p for a in row] for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [(a * inv) % p for a in m[rank]]
+        for r in range(n_rows):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def is_strongly_connected_def(c):
+    """Strong connectivity with facets adjacent when every pair is tested
+    for a codimension-one intersection; a BFS from facet 0 gives the
+    chain, further BFS runs the other components."""
+    sizes = sorted(len(f) for f in c.facets)
+    if len(set(sizes)) > 1:
+        raise PreconditionError(
+            "strong connectedness is defined for pure complexes only",
+            witness={"facet_sizes": sizes},
+        )
+    m = len(c.facets)
+    if m <= 1:
+        chain = [sorted(f) for f in c.facets]
+        return Verdict(True, "facet-chain", {"chain": chain})
+    k = len(c.facets[0])
+    adj = {i: [] for i in range(m)}
+    for i, j in itertools.combinations(range(m), 2):
+        if len(c.facets[i] & c.facets[j]) == k - 1:
+            adj[i].append(j)
+            adj[j].append(i)
+    parent = {0: None}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for j in adj[i]:
+            if j not in parent:
+                parent[j] = i
+                queue.append(j)
+    if len(parent) < m:
+        seen = set(parent)
+        components = [sorted(seen)]
+        rest = [i for i in range(m) if i not in seen]
+        while rest:
+            comp = {rest[0]}
+            queue = deque([rest[0]])
+            while queue:
+                i = queue.popleft()
+                for j in adj[i]:
+                    if j not in comp:
+                        comp.add(j)
+                        queue.append(j)
+            components.append(sorted(comp))
+            rest = [i for i in rest if i not in comp]
+        return Verdict(
+            False,
+            "facet-chain",
+            {
+                "components": [
+                    [sorted(c.facets[i]) for i in comp] for comp in components
+                ]
+            },
+        )
+    path = [m - 1]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return Verdict(
+        True, "facet-chain", {"chain": [sorted(c.facets[i]) for i in path]}
+    )
 
 
 def structural_scan_def(pl):

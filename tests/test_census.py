@@ -121,3 +121,27 @@ def test_threads_parallel_matches_serial():
     serial = cross_validate(3, threads=1)
     parallel = cross_validate(3, threads=2)
     assert serial.canonical_json() == parallel.canonical_json()
+
+
+def test_structural_disagreement_is_recorded_once(monkeypatch):
+    import cmgraphs.census as census
+    import cmgraphs.criteria as criteria
+    from cmgraphs.verdicts import Verdict
+
+    # the path y2 - x2 - y1 - x1: unmixed and Cohen-Macaulay; its upward
+    # relabeling swaps the pairs, so only this labeling's scan is flipped
+    member = member_from_mask(2, 0b100)
+    assert member.graph.edge_list() == [("x1", "y1"), ("x2", "y1"), ("x2", "y2")]
+    scan = criteria._structural_scan
+
+    def flipped(pl):
+        v = scan(pl)
+        return Verdict(not v.value, v.route, v.certificate) if pl == member else v
+
+    monkeypatch.setattr(census, "_structural_scan", flipped)
+    monkeypatch.setattr(criteria, "_structural_scan", flipped)
+    outcome = census.check_member(member, 0, full_oracles=False)
+    assert [v["check"] for v in outcome["violations"]] == [
+        "unmixedness-equivalence"
+    ]
+    assert outcome["summary"] == {"unmixed": True, "cm": True, "cm_type": 2}

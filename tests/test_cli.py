@@ -10,6 +10,7 @@ import cmgraphs.criteria as criteria
 import cmgraphs.graphs as graphs
 import cmgraphs.invariants as invariants
 import cmgraphs.pairing as pairing
+import cmgraphs.transform as transform
 from cmgraphs.cli import main
 from cmgraphs.graphio import parse_graph
 from cmgraphs.verdicts import Verdict
@@ -220,6 +221,42 @@ def test_rejected_cycle_witness_exits_three(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "check", fixture_path("c4.graph"))
     assert code == 3
     assert "disagree" in err and '"cycle": [' in err and '"graph": [' in err
+
+
+def test_rejected_discovered_labeling_exits_three(capsys, monkeypatch, tmp_path):
+    # no declared pairs, so the labeling comes from discovery
+    path = tmp_path / "undeclared.graph"
+    path.write_text("edge a b\nedge c d\nedge a c\n")
+    monkeypatch.setattr(pairing, "validate_labeling", lambda pl: ["rejected"])
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 3
+    assert "disagree" in err and '"problems": [' in err and '"pairs": [' in err
+
+
+def test_rejected_graft_labeling_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(transform, "validate_labeling", lambda pl: ["rejected"])
+    code, _, err = run_cli(
+        capsys,
+        "graft",
+        "--h0",
+        fixture_path("example5_1.h0.graph"),
+        *(
+            arg
+            for i in (1, 2, 3)
+            for arg in ("--block", fixture_path(f"example5_1.b{i}.graph"))
+        ),
+    )
+    assert code == 3
+    assert "disagree" in err and '"problems": [' in err and '"pairs": [' in err
+
+
+def test_missing_perfect_matching_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(pairing, "iter_perfect_matchings", lambda g: iter(()))
+    code, _, err = run_cli(
+        capsys, "check", fixture_path("example3_1.graph"), "--routes", "d"
+    )
+    assert code == 3
+    assert "disagree" in err and '"pairs": [' in err
 
 
 @pytest.mark.parametrize("name", ["c4.graph", "example3_1.graph"])

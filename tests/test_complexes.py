@@ -1,3 +1,7 @@
+import itertools
+import json
+import random
+
 import pytest
 
 from cmgraphs.complexes import (
@@ -13,10 +17,26 @@ from cmgraphs.complexes import (
     reisner_cm,
 )
 from cmgraphs.errors import CapacityError, InputFormatError, PreconditionError
-from cmgraphs.graphs import Graph, minimal_vertex_covers, pairs_graph
+from cmgraphs.graphs import (
+    Graph,
+    maximal_independent_sets,
+    minimal_vertex_covers,
+    pairs_graph,
+)
 from cmgraphs.verdicts import Verdict
 from conftest import RP2_FACETS
-from oracles import brute_maximal_independents
+from oracles import brute_maximal_independents, is_strongly_connected_def
+
+
+def _random_graphs(rng, count):
+    """Seeded graphs on up to 7 vertices, isolated vertices included."""
+    graphs = [Graph((), frozenset()), Graph(("b", "a"), frozenset())]
+    for _ in range(count):
+        vs = [f"u{i}" for i in range(rng.randint(1, 7))]
+        p = rng.choice([0.2, 0.4, 0.6])
+        edges = [e for e in itertools.combinations(vs, 2) if rng.random() < p]
+        graphs.append(Graph.build(vertices=vs, edges=edges))
+    return graphs
 
 
 def test_from_facets_keeps_maximal_only():
@@ -41,9 +61,14 @@ def test_complementary_complex_examples(c4, ex31):
     assert complementary_complex(edgeless).facet_lists() == [["a", "b"]]
 
 
-def test_facets_complement_minimal_covers_small_sweep(ex31, c4):
-    import itertools
+def test_complementary_complex_is_the_maximal_independent_sets():
+    for g in _random_graphs(random.Random(53), 300):
+        assert complementary_complex(g) == SimplicialComplex.from_facets(
+            maximal_independent_sets(g), vertices=g.vertices
+        )
 
+
+def test_facets_complement_minimal_covers_small_sweep(ex31, c4):
     graphs = [ex31, c4, pairs_graph(2)]
     vertices = [f"v{i}" for i in range(4)]
     candidates = list(itertools.combinations(vertices, 2))
@@ -100,6 +125,32 @@ def test_strong_connectivity(c4, ex31):
         is_strongly_connected(complementary_complex(path))
 
 
+def test_strong_connectivity_matches_facet_pair_reference():
+    rng = random.Random(47)
+    verts = [f"v{i}" for i in range(7)]
+    cases = [complementary_complex(g) for g in _random_graphs(rng, 300)]
+    for _ in range(300):
+        size = rng.choice([1, 2, 3])
+        facets = {
+            frozenset(rng.sample(verts, size)) for _ in range(rng.randint(1, 9))
+        }
+        cases.append(SimplicialComplex.from_facets(facets))
+    values = []
+    for c in cases:
+        try:
+            want = is_strongly_connected_def(c)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as got:
+                is_strongly_connected(c)
+            assert str(got.value) == str(exc)
+            assert got.value.witness == exc.witness
+            continue
+        got = is_strongly_connected(c)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        values.append(got.value)
+    assert values.count(True) > 100 and values.count(False) > 50
+
+
 def test_find_shelling(ex31, c4):
     complex_ = complementary_complex(ex31)
     order = find_shelling(complex_)
@@ -149,9 +200,6 @@ def test_shelling_search_matches_permutation_bruteforce():
     # random small pure complexes: the memoized search must agree with
     # trying every facet order through the independent checker, and any
     # shellable complex must pass the homology oracle over both fields
-    import itertools
-    import random
-
     rng = random.Random(123)
     verts = ["a", "b", "c", "d", "e", "f"]
     checked = 0
@@ -269,9 +317,6 @@ def _reisner_by_definition(c, field):
 
 
 def test_reisner_link_memo_matches_definition():
-    import json
-    import random
-
     rng = random.Random(31)
     verts = ["a", "b", "c", "d", "e", "f"]
     complexes = [SimplicialComplex.from_facets([{"a", "b", "c"}, {"a", "d", "e"}])]
@@ -308,11 +353,12 @@ def test_reisner_rejects_nonpure_complexes():
     assert reisner_cm(complementary_complex(path), 2).value is False
 
 
-def test_all_faces_capacity():
+def test_all_faces_capacity(monkeypatch):
     c = complementary_complex(pairs_graph(3))
     assert len(all_faces(c)) == 27  # one of x, y or neither per pair
+    monkeypatch.setattr("cmgraphs.complexes.HOMOLOGY_FACE_CAP", 10)
     with pytest.raises(CapacityError):
-        all_faces(c, max_faces=10)
+        all_faces(c)
 
 
 def test_format_complex(ex31):

@@ -1,12 +1,16 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from cmgraphs.linalg import is_prime, rank_gf2, rank_mod_p, rank_rational
 from conftest import RP2_FACETS
-from oracles import rank_rational_def
+from oracles import rank_mod_p_def, rank_rational_def
+
+
+def sparse(dense):
+    """The `{column: value}` rows of a dense matrix, zeros left out."""
+    return [{j: a for j, a in enumerate(row) if a} for row in dense]
 
 
 def test_is_prime():
@@ -15,24 +19,27 @@ def test_is_prime():
 
 def test_rank_empty_and_zero():
     assert rank_mod_p([], 2) == 0
-    assert rank_rational([[0, 0], [0, 0]]) == 0
-    assert rank_gf2([[0, 0]]) == 0
+    assert rank_rational(sparse([[0, 0], [0, 0]])) == 0
+    assert rank_gf2(sparse([[0, 0]])) == 0
+    # explicit zeros, and entries that vanish mod p, carry no rank
+    assert rank_rational([{0: 0}]) == rank_mod_p([{1: 6}], 3) == 0
+    assert rank_gf2([{0: 2, 1: -4}]) == 0
 
 
 def test_rank_identity_and_dependent_rows():
-    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    eye = sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank_mod_p(eye, 2) == 3
     assert rank_mod_p(eye, 5) == 3
     assert rank_rational(eye) == 3
 
-    dep = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    dep = sparse([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank_rational(dep) == 2
     assert rank_mod_p(dep, 5) == 2
 
 
 def test_rank_depends_on_characteristic():
     # 2 is invertible over Q and over F_3 but vanishes over F_2
-    m = [[2, 0], [0, 1]]
+    m = sparse([[2, 0], [0, 1]])
     assert rank_rational(m) == 2
     assert rank_mod_p(m, 3) == 2
     assert rank_mod_p(m, 2) == 1
@@ -40,20 +47,16 @@ def test_rank_depends_on_characteristic():
 
 def test_rank_mod_p_rejects_composites():
     with pytest.raises(ValueError):
-        rank_mod_p([[1]], 4)
+        rank_mod_p([{0: 1}], 4)
 
 
 def test_rank_rational_exactness():
-    # Hilbert-like fragile pivots: floats would misjudge this rank
-    m = [
-        [Fraction(1, 1), Fraction(1, 2), Fraction(1, 3)],
-        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)],
-        [Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)],
-    ]
-    assert rank_rational(m) == 3
-    singular = [row[:] for row in m]
-    singular[2] = [a + b for a, b in zip(m[0], m[1])]
-    assert rank_rational(singular) == 2
+    # the 3x3 Hilbert matrix scaled by 60: fragile pivots that floats
+    # would misjudge
+    m = [[60, 30, 20], [30, 20, 15], [20, 15, 12]]
+    assert rank_rational(sparse(m)) == 3
+    singular = [m[0], m[1], [a + b for a, b in zip(m[0], m[1])]]
+    assert rank_rational(sparse(singular)) == 2
 
 
 def _boundary_rows(facets, d):
@@ -74,15 +77,13 @@ def _boundary_rows(facets, d):
 
 def _random_matrix(rng):
     n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
-    kind = rng.choice(["int", "big", "fraction", "combination"])
+    kind = rng.choice(["int", "big", "combination"])
 
     def entry():
         if rng.random() < 0.4:
             return 0
         if kind == "big":
             return rng.randint(-10**6, 10**6)
-        if kind == "fraction":
-            return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
         return rng.randint(-3, 3)
 
     if kind != "combination":
@@ -103,21 +104,41 @@ def _random_matrix(rng):
     return rows
 
 
+_EDGE_MATRICES = [[], [[]], [[], []], [[0]], [[0, 0, 0]] * 4]
+
+
 def test_rank_rational_matches_fraction_elimination():
     rng = random.Random(20260)
-    matrices = [[], [[]], [[], []], [[0]], [[0, 0, 0]] * 4]
-    matrices += [_random_matrix(rng) for _ in range(1500)]
+    matrices = _EDGE_MATRICES + [_random_matrix(rng) for _ in range(1500)]
     for m in matrices:
-        before = [row[:] for row in m]
-        assert rank_rational(m) == rank_rational_def(m), m
-        assert m == before
+        rows = sparse(m)
+        before = [dict(row) for row in rows]
+        assert rank_rational(rows) == rank_rational_def(m), m
+        assert rows == before
+
+
+def test_rank_mod_p_matches_dense_elimination():
+    rng = random.Random(20261)
+    matrices = _EDGE_MATRICES + [_random_matrix(rng) for _ in range(1000)]
+    for m in matrices:
+        rows = sparse(m)
+        before = [dict(row) for row in rows]
+        for p in (2, 3, 5, 7):
+            assert rank_mod_p(rows, p) == rank_mod_p_def(m, p), (m, p)
+        assert rank_gf2(rows) == rank_mod_p_def(m, 2), m
+        assert rows == before
 
 
 def test_rank_rational_on_rp2_boundaries():
-    # H_2(RP^2) vanishes over Q but not over F_2: the top boundary map
-    # has full rank 10 over Q and rank 9 over F_2
+    # H_2(RP^2) vanishes over Q and F_3 but not over F_2: the top boundary
+    # map has full rank 10 over Q and F_3 and rank 9 over F_2; the
+    # transpose (one row per face of the higher dimension) has the same rank
     d1, d2 = _boundary_rows(RP2_FACETS, 1), _boundary_rows(RP2_FACETS, 2)
     assert (len(d1), len(d2), len(d2[0])) == (6, 15, 10)
     for m, over_q, over_f2 in ((d1, 5, 5), (d2, 10, 9)):
-        assert rank_rational(m) == rank_rational_def(m) == over_q
-        assert rank_gf2(m) == over_f2
+        assert rank_rational_def(m) == over_q
+        assert rank_mod_p_def(m, 3) == over_q
+        assert rank_mod_p_def(m, 2) == over_f2
+        for rows in (sparse(m), sparse(zip(*m))):
+            assert rank_rational(rows) == rank_mod_p(rows, 3) == over_q
+            assert rank_gf2(rows) == rank_mod_p(rows, 2) == over_f2
