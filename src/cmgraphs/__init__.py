@@ -48,14 +48,7 @@ from .graphs import (
     remove_vertices,
 )
 from .graphio import format_graph, parse_graph, parse_graph_file
-from .invariants import (
-    InvariantReport,
-    cm_type,
-    invariant_report,
-    is_gorenstein,
-    is_level,
-    socle_generators,
-)
+from .invariants import InvariantReport, invariant_report
 from .pairing import (
     CycleWitness,
     PairedLabeling,

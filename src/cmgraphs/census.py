@@ -22,6 +22,7 @@ from .criteria import (
     cm_routes,
     cm_structural_doublestar,
     degree_one_exists,
+    generator_bounds,
     minimal_prime_shape,
     route_agreement,
 )
@@ -31,13 +32,8 @@ from .errors import (
     PreconditionError,
     RouteDisagreementError,
 )
-from .graphs import (
-    Graph,
-    classify,
-    is_unmixed_bruteforce,
-    iter_perfect_matchings,
-)
-from .invariants import cm_type, invariant_report
+from .graphs import Graph, classify, is_unmixed_bruteforce
+from .invariants import invariant_report
 from .pairing import (
     PairedLabeling,
     all_star_labelings,
@@ -195,14 +191,6 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
             )
         )
 
-    edge_count = len(pl.graph.edges)
-    if unmixed and edge_count > n * n:
-        violations.append(
-            _bundle(pl, index, "generator-bound", {"edges": edge_count})
-        )
-    if unmixed and not any(True for _ in iter_perfect_matchings(pl.graph)):
-        violations.append(_bundle(pl, index, "matching-existence", {}))
-
     cm = False
     if unmixed:
         routes = "abcde" + ("f" if full_oracles else "")
@@ -237,13 +225,14 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
             violations.append(
                 _bundle(pl, index, "cover-shape", shape.certificate)
             )
+        bounds = generator_bounds(pl)
+        if not bounds.value:
+            violations.append(
+                _bundle(pl, index, "generator-bound", bounds.certificate)
+            )
     summary["cm"] = cm
 
     if cm:
-        if edge_count > n * (n + 1) // 2:
-            violations.append(
-                _bundle(pl, index, "generator-bound", {"edges": edge_count})
-            )
         if not degree_one_exists(pl).value:
             violations.append(_bundle(pl, index, "degree-one", {}))
         try:
@@ -255,24 +244,12 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
                 )
         except (PreconditionError, CmGraphsError) as exc:
             violations.append(_bundle(pl, index, "doublestar", str(exc)))
-        matching_only = len(pl.graph.edges) == n
         try:
-            report = invariant_report(pl)
+            summary["cm_type"] = invariant_report(pl).cm_type
         except RouteDisagreementError as exc:
             violations.append(
                 _bundle(pl, index, "gorenstein-iff-type-one", exc.dump)
             )
-        else:
-            t = summary["cm_type"] = report.cm_type
-            if (t == 1) != matching_only or len(report.socle_monomials) != t:
-                violations.append(
-                    _bundle(
-                        pl,
-                        index,
-                        "gorenstein-iff-type-one",
-                        {"cm_type": t, "matching_only": matching_only},
-                    )
-                )
     elif full_oracles and not unmixed:
         from .complexes import complementary_complex, reisner_cm
 
@@ -313,7 +290,9 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
                 _structural_scan(other).value,
                 find_cycle(other, max_r=2) is None,
             )
-            if got != base or (cm and cm_type(other) != summary["cm_type"]):
+            if got != base or (
+                cm and invariant_report(other).cm_type != summary["cm_type"]
+            ):
                 violations.append(
                     _bundle(
                         pl,
@@ -339,7 +318,16 @@ def _run_chunk(args):
         if not classify(pl.graph).in_class:
             results.append((index, None))
             continue
-        results.append((index, check_member(pl, index, full_oracles)))
+        try:
+            outcome = check_member(pl, index, full_oracles)
+        except RouteDisagreementError as exc:
+            outcome = {
+                "summary": {"unmixed": False, "cm": False, "cm_type": None},
+                "violations": [
+                    _bundle(pl, index, "internal-disagreement", exc.dump)
+                ],
+            }
+        results.append((index, outcome))
     return results
 
 

@@ -24,7 +24,6 @@ from .errors import (
     CapacityError,
     CmGraphsError,
     InputFormatError,
-    NotInClassError,
     RouteDisagreementError,
     StructureError,
 )
@@ -367,7 +366,7 @@ def main(argv=None) -> int:
         if exc.dump is not None:
             print(json.dumps(exc.dump, indent=2), file=sys.stderr)
         return EXIT_DISAGREEMENT
-    except (InputFormatError, NotInClassError, StructureError, CmGraphsError) as exc:
+    except CmGraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -87,10 +87,11 @@ def is_pure(c: SimplicialComplex) -> Verdict:
 
 
 def _require_pure(c: SimplicialComplex, op: str) -> None:
-    if not is_pure(c).value:
+    pure = is_pure(c)
+    if not pure.value:
         raise PreconditionError(
             f"{op} is defined for pure complexes only",
-            witness={"facet_sizes": sorted(len(f) for f in c.facets)},
+            witness=pure.certificate,
         )
 
 

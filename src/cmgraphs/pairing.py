@@ -32,6 +32,7 @@ from .graphs import (
     classify,
     iter_perfect_matchings,
     minimal_vertex_covers,
+    perfect_matchings,
 )
 from .verdicts import Verdict
 
@@ -281,29 +282,25 @@ def find_star_labeling(g: Graph) -> PairedLabeling:
 def all_star_labelings(g: Graph):
     """Every valid labeling: minimum covers crossed with all matchings.
 
+    For a minimum cover X, Y = V - X is independent and |Y| = |X|, so
+    every perfect matching of the graph pairs X with Y; orienting each
+    one by X gives that cover's labelings, in sorted order.
+
     Exponential; used only for cross-validation at small sizes.
     """
     membership = classify(g)
     if not membership.in_class:
         return
     n = membership.height
-    adj = adjacency(g)
+    matchings = perfect_matchings(g)
     for cover in minimal_vertex_covers(g):
         if len(cover) != n:
             continue
-        y_set = frozenset(g.vertices) - cover
-        xs = sorted(cover)
-
-        def rec(pos, used, acc):
-            if pos == len(xs):
-                yield tuple(sorted(acc))
-                return
-            x = xs[pos]
-            for y in sorted(adj[x] & y_set):
-                if y not in used:
-                    yield from rec(pos + 1, used | {y}, acc + [(x, y)])
-
-        for pairs in rec(0, frozenset(), []):
+        oriented = sorted(
+            tuple(sorted((a, b) if a in cover else (b, a) for a, b in m))
+            for m in matchings
+        )
+        for pairs in oriented:
             yield PairedLabeling(g, pairs)
 
 

@@ -30,6 +30,11 @@ RP2_FACETS = [
 ]
 
 
+def std_pairs(n):
+    """The standard pairing (x1, y1), ..., (xn, yn)."""
+    return [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
+
+
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
 

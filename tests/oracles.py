@@ -6,9 +6,10 @@ implementation.  Only usable at desk scale.
 
 The `*_def` references keep earlier, simpler implementations that the
 package replaced, and tests compare the two: dense Gauss-Jordan ranks
-over F_p and Q, strong connectivity by testing every facet pair, and
+over F_p and Q, strong connectivity by testing every facet pair,
 pair relations probed pair by pair with `has_edge`, as the package did
-before a labeling memoized them.
+before a labeling memoized them, and every labeling by a matching search
+of its own per minimum cover.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from collections import deque
 from fractions import Fraction
 
 from cmgraphs.errors import PreconditionError
-from cmgraphs.graphs import Graph
+from cmgraphs.graphs import Graph, adjacency, classify, minimal_vertex_covers
 from cmgraphs.pairing import CycleWitness, PairedLabeling
 from cmgraphs.verdicts import Verdict
 
@@ -319,3 +320,30 @@ def o_set_def(pl, t):
         edges |= {frozenset((pl.x(k), pl.x(i))) for k in rewired}
         g = Graph(g.vertices, frozenset(edges))
     return g
+
+
+def all_star_labelings_def(g):
+    """Per minimum cover X, in cover order, every matching of X into
+    V - X by recursion over the sorted x names."""
+    membership = classify(g)
+    if not membership.in_class:
+        return
+    n = membership.height
+    adj = adjacency(g)
+    for cover in minimal_vertex_covers(g):
+        if len(cover) != n:
+            continue
+        y_set = frozenset(g.vertices) - cover
+        xs = sorted(cover)
+
+        def rec(pos, used, acc):
+            if pos == len(xs):
+                yield tuple(sorted(acc))
+                return
+            x = xs[pos]
+            for y in sorted(adj[x] & y_set):
+                if y not in used:
+                    yield from rec(pos + 1, used | {y}, acc + [(x, y)])
+
+        for pairs in rec(0, frozenset(), []):
+            yield PairedLabeling(g, pairs)

@@ -18,15 +18,11 @@ from cmgraphs.criteria import (
     minimal_prime_shape,
 )
 from cmgraphs.graphs import add_edges, is_unmixed_bruteforce, pairs_graph
-from cmgraphs.invariants import cm_type, invariant_report, is_level, socle_generators
+from cmgraphs.invariants import invariant_report
 from cmgraphs.pairing import find_cycle, make_labeling
 from cmgraphs.transform import restricted_o_full
-from conftest import fixture_path, golden_path
+from conftest import fixture_path, golden_path, std_pairs
 from oracles import brute_maximal_independents, brute_minimal_covers
-
-
-def std_pairs(n):
-    return [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
 
 
 def read(path):
@@ -170,8 +166,13 @@ def test_criterion_6_invariant_formulas(ex31_pl):
         )
     ]
     assert oracle_type == 3
-    assert cm_type(ex31_pl) == oracle_type
-    assert socle_generators(ex31_pl) == oracle_socle == [("x1",), ("x2",), ("x3",)]
+    ex31_report = invariant_report(ex31_pl)
+    assert ex31_report.cm_type == oracle_type
+    assert list(ex31_report.socle_monomials) == oracle_socle == [
+        ("x1",),
+        ("x2",),
+        ("x3",),
+    ]
 
     for n in range(1, 7):
         pl = make_labeling(pairs_graph(n), std_pairs(n))
@@ -179,7 +180,7 @@ def test_criterion_6_invariant_formulas(ex31_pl):
         assert report.cm_type == 1
         assert report.gorenstein is True
 
-    assert is_level(ex31_pl).value is True
+    assert ex31_report.level is True
     level_false = make_labeling(
         add_edges(pairs_graph(3), [("x1", "y3"), ("x2", "y3")]), std_pairs(3)
     )
@@ -189,7 +190,7 @@ def test_criterion_6_invariant_formulas(ex31_pl):
         for c in brute_minimal_covers(restricted.vertices, restricted.edge_list())
     )
     assert sizes == [1, 2]
-    assert is_level(level_false).value is False
+    assert invariant_report(level_false).level is False
     ok(
         6,
         "type/socle/level/Gorenstein formulas agree with the subset oracle "

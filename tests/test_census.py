@@ -10,7 +10,12 @@ from cmgraphs.census import (
 from cmgraphs.errors import CapacityError, CmGraphsError
 from cmgraphs.graphs import classify
 from cmgraphs.pairing import validate_labeling
-from oracles import brute_height, brute_is_unmixed, is_independent_def
+from oracles import (
+    brute_height,
+    brute_is_unmixed,
+    find_cycle_def,
+    is_independent_def,
+)
 
 
 def test_optional_edges_exclude_independent_side():
@@ -123,15 +128,21 @@ def test_threads_parallel_matches_serial():
     assert serial.canonical_json() == parallel.canonical_json()
 
 
+def _cm_member():
+    # the path y2 - x2 - y1 - x1: unmixed and Cohen-Macaulay, type two
+    member = member_from_mask(2, 0b100)
+    assert member.graph.edge_list() == [("x1", "y1"), ("x2", "y1"), ("x2", "y2")]
+    return member
+
+
 def test_structural_disagreement_is_recorded_once(monkeypatch):
     import cmgraphs.census as census
     import cmgraphs.criteria as criteria
     from cmgraphs.verdicts import Verdict
 
-    # the path y2 - x2 - y1 - x1: unmixed and Cohen-Macaulay; its upward
-    # relabeling swaps the pairs, so only this labeling's scan is flipped
-    member = member_from_mask(2, 0b100)
-    assert member.graph.edge_list() == [("x1", "y1"), ("x2", "y1"), ("x2", "y2")]
+    # the upward relabeling swaps the pairs, so only this labeling's scan
+    # is flipped
+    member = _cm_member()
     scan = criteria._structural_scan
 
     def flipped(pl):
@@ -145,3 +156,59 @@ def test_structural_disagreement_is_recorded_once(monkeypatch):
         "unmixedness-equivalence"
     ]
     assert outcome["summary"] == {"unmixed": True, "cm": True, "cm_type": 2}
+
+
+def test_cycle_validator_disagreement_is_recorded(monkeypatch, capsys):
+    import cmgraphs.pairing as pairing
+    from cmgraphs.cli import main
+
+    with_cycle = [
+        mask for mask in range(8) if find_cycle_def(member_from_mask(2, mask))
+    ]
+    assert with_cycle
+    monkeypatch.setattr(pairing, "cycle_witness_holds", lambda pl, w: False)
+    report = cross_validate(2)
+    assert report.population == 8
+    assert [v["index"] for v in report.violations] == with_cycle
+    for v in report.violations:
+        assert v["check"] == "internal-disagreement"
+        assert v["details"]["cycle"] == [1, 2]
+
+    assert main(["census", "--n", "2"]) == 0
+    out = capsys.readouterr().out
+    assert '"internal-disagreement"' in out
+
+
+def test_invariant_disagreement_is_recorded_once(monkeypatch):
+    import cmgraphs.census as census
+    from cmgraphs.errors import RouteDisagreementError
+
+    member = _cm_member()
+
+    def rejecting(pl):
+        raise RouteDisagreementError("patched", dump=pl.dump(patched=True))
+
+    monkeypatch.setattr(census, "invariant_report", rejecting)
+    outcome = census.check_member(member, 0, full_oracles=False)
+    assert [v["check"] for v in outcome["violations"]] == [
+        "gorenstein-iff-type-one"
+    ]
+    assert outcome["violations"][0]["details"]["patched"] is True
+    assert outcome["summary"] == {"unmixed": True, "cm": True, "cm_type": None}
+
+
+def test_generator_bound_violation_is_recorded_once(monkeypatch):
+    import cmgraphs.census as census
+    from cmgraphs.verdicts import Verdict
+
+    member = _cm_member()
+    bounds = census.generator_bounds
+
+    def failing(pl):
+        v = bounds(pl)
+        return Verdict(False, v.route, v.certificate)
+
+    monkeypatch.setattr(census, "generator_bounds", failing)
+    outcome = census.check_member(member, 0, full_oracles=False)
+    assert [v["check"] for v in outcome["violations"]] == ["generator-bound"]
+    assert outcome["violations"][0]["details"]["edges"] == 3

@@ -20,11 +20,7 @@ from cmgraphs.graphs import (
 from cmgraphs.graphio import parse_graph_file
 from cmgraphs.pairing import make_labeling
 from cmgraphs.transform import b_graft
-from conftest import fixture_path
-
-
-def std_pairs(n):
-    return [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
+from conftest import fixture_path, std_pairs
 
 
 def test_unmixed_structural_examples(ex31_pl):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 import cmgraphs.pairing as pairing
@@ -23,11 +26,8 @@ from cmgraphs.pairing import (
     unique_perfect_matching,
     validate_labeling,
 )
-from conftest import fixture_path
-
-
-def std_pairs(n):
-    return [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
+from conftest import fixture_path, std_pairs
+from oracles import all_star_labelings_def
 
 
 def test_find_star_labeling_examples(ex31, c4):
@@ -70,6 +70,38 @@ def test_validator_accepts_all_discovered_labelings(ex31, c4):
     for g in (ex31, c4, pairs_graph(2)):
         for pl in all_star_labelings(g):
             assert validate_labeling(pl) == []
+
+
+def _renamed_members(rng, count):
+    """Random class members (matching plus random cover-side and cross
+    edges) under random vertex names, so x and y names interleave."""
+    names = [f"{c}{k}" for c in "abvwxyz" for k in range(1, 5)]
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        edges = [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            if i < j and rng.random() < 0.4:
+                edges.append((f"x{i}", f"x{j}"))
+            if rng.random() < 0.4:
+                edges.append((f"x{i}", f"y{j}"))
+        old = sorted({v for e in edges for v in e})
+        rename = dict(zip(old, rng.sample(names, len(old))))
+        yield Graph.build(edges=[(rename[a], rename[b]) for a, b in edges])
+
+
+def test_all_star_labelings_matches_reference(ex31, c4):
+    rng = random.Random(41)
+    graphs = [ex31, c4, pairs_graph(3)] + list(_renamed_members(rng, 400))
+    for k in range(200):
+        vs = [f"v{i}" for i in range(rng.randint(2, 7))]
+        edges = [e for e in itertools.combinations(vs, 2) if rng.random() < 0.4]
+        graphs.append(Graph.build(vertices=vs, edges=edges))
+    labelings = 0
+    for g in graphs:
+        got = list(all_star_labelings(g))
+        assert got == list(all_star_labelings_def(g)), g
+        labelings += len(got)
+    assert labelings > 1000
 
 
 def test_find_cycle_examples(ex31_pl, c4_pl):

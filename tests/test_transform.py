@@ -14,10 +14,7 @@ from cmgraphs.transform import (
     o_set,
     restricted_o_full,
 )
-
-
-def std_pairs(n):
-    return [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
+from conftest import std_pairs
 
 
 def test_o_operator_examples(ex31_pl):
