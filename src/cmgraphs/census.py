@@ -11,8 +11,8 @@ full reproduction bundle.  Violations are data, not errors: a clean run
 returns an empty list.
 """
 
-import itertools
 import json
+import multiprocessing
 import random
 import time
 from dataclasses import dataclass
@@ -26,12 +26,7 @@ from .criteria import (
     minimal_prime_shape,
     route_agreement,
 )
-from .errors import (
-    CapacityError,
-    CmGraphsError,
-    PreconditionError,
-    RouteDisagreementError,
-)
+from .errors import CapacityError, CmGraphsError, RouteDisagreementError
 from .graphs import Graph, classify, is_unmixed_bruteforce
 from .invariants import invariant_report
 from .pairing import (
@@ -42,7 +37,7 @@ from .pairing import (
     unique_perfect_matching,
     validate_labeling,
 )
-from .transform import o_set
+from .transform import index_subsets, o_set
 
 EXHAUSTIVE_PAIR_CAP = 4
 
@@ -70,6 +65,10 @@ def member_from_mask(n: int, mask: int) -> PairedLabeling:
 
 
 def _masks(n: int, mode: str, seed, count):
+    if n < 1:
+        raise CmGraphsError(f"pair count must be positive, got {n}")
+    if count is not None and count < 1:
+        raise CmGraphsError(f"sample count must be positive, got {count}")
     if mode == "exhaustive":
         if n > EXHAUSTIVE_PAIR_CAP:
             raise CapacityError(
@@ -242,7 +241,7 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
                 violations.append(
                     _bundle(pl, index, "doublestar", doublestar.certificate)
                 )
-        except (PreconditionError, CmGraphsError) as exc:
+        except CmGraphsError as exc:
             violations.append(_bundle(pl, index, "doublestar", str(exc)))
         try:
             summary["cm_type"] = invariant_report(pl).cm_type
@@ -251,11 +250,8 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
                 _bundle(pl, index, "gorenstein-iff-type-one", exc.dump)
             )
     elif full_oracles and not unmixed:
-        from .complexes import complementary_complex, reisner_cm
-
-        complex_ = complementary_complex(pl.graph)
         for fld in (2, "Q"):
-            oracle = reisner_cm(complex_, fld)
+            oracle = cm_routes(pl, "f", fld)["f"]
             if oracle.value:
                 violations.append(
                     _bundle(
@@ -266,22 +262,15 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
                     )
                 )
 
-    for size in range(n + 1):
-        for t in itertools.combinations(range(1, n + 1), size):
-            deformed = pl.with_graph(o_set(pl, t))
-            if not classify(deformed.graph).in_class or validate_labeling(deformed):
-                violations.append(
-                    _bundle(
-                        pl,
-                        index,
-                        "transform-preserves-class",
-                        {"subset": list(t)},
-                    )
+    for t in index_subsets(n):
+        deformed = pl.with_graph(o_set(pl, t))
+        if not classify(deformed.graph).in_class or validate_labeling(deformed):
+            violations.append(
+                _bundle(
+                    pl, index, "transform-preserves-class", {"subset": list(t)}
                 )
-                break
-        else:
-            continue
-        break
+            )
+            break
 
     if full_oracles:
         base = (structural.value, not has_short)
@@ -353,8 +342,6 @@ def cross_validate(
         chunks = [(n, indexed, full_oracles)]
         chunk_results = [_run_chunk(c) for c in chunks]
     else:
-        import multiprocessing
-
         workers = threads if threads > 0 else (multiprocessing.cpu_count() or 1)
         step = max(1, len(indexed) // (workers * 8))
         chunks = [

@@ -2,8 +2,9 @@
 
 Subcommands: classify, check, transform, graft, invariants, census,
 complex.  Exit codes: 0 completed (verdicts may be true or false), 1
-input or format error, 2 capacity bailout (inconclusive), 3 internal
-disagreement between provably equivalent criteria.
+input, format or usage error, 2 capacity bailout (inconclusive), 3
+internal disagreement between provably equivalent criteria, or any other
+unexpected exception (reported with the argv that raised it).
 """
 
 import argparse
@@ -33,8 +34,8 @@ from .invariants import invariant_report
 from .pairing import (
     PairedLabeling,
     find_star_labeling,
+    make_labeling,
     relabel_for_double_star,
-    validate_labeling,
 )
 from .transform import BGraftSpec, BipartiteBlock, b_graft, o_set
 
@@ -54,14 +55,7 @@ def _load(path):
 def _labeling_for(parsed) -> PairedLabeling:
     """Prefer the labeling declared in the file; fall back to discovery."""
     if parsed.pairs is not None:
-        pl = PairedLabeling(parsed.graph, parsed.pairs)
-        problems = validate_labeling(pl)
-        if problems:
-            raise InputFormatError(
-                "declared pairing is not a valid labeling: "
-                + "; ".join(problems)
-            )
-        return pl
+        return make_labeling(parsed.graph, parsed.pairs)
     return find_star_labeling(parsed.graph)
 
 
@@ -212,6 +206,8 @@ def _cmd_check(args) -> int:
     unknown = set(routes) - set(ROUTE_NAMES)
     if unknown:
         raise InputFormatError(f"unknown routes: {sorted(unknown)}")
+    if not routes:
+        raise InputFormatError("no routes selected")
     if args.field.upper() == "Q":
         field = "Q"
     else:
@@ -293,8 +289,16 @@ def _cmd_complex(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise `InputFormatError` (exit 1) instead of exiting
+    2, which means a capacity bailout here; subparsers share the class."""
+
+    def error(self, message):
+        raise InputFormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cmgraphs",
         description=(
             "Unmixedness, Cohen-Macaulayness, type, level and Gorenstein "
@@ -354,9 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CapacityError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
@@ -369,6 +372,11 @@ def main(argv=None) -> int:
     except CmGraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        print(json.dumps({"argv": argv}, indent=2), file=sys.stderr)
+        return EXIT_DISAGREEMENT
 
 
 if __name__ == "__main__":

@@ -53,24 +53,6 @@ class SimplicialComplex:
         return [sorted(f) for f in self.facets]
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Reduced homology ranks of one face's link, dimension -1 upward."""
-
-    face: tuple[str, ...]
-    link_dim: int
-    reduced_betti: tuple[int, ...]
-    field: str
-
-    def to_dict(self) -> dict:
-        return {
-            "face": list(self.face),
-            "link_dim": self.link_dim,
-            "reduced_betti": list(self.reduced_betti),
-            "field": self.field,
-        }
-
-
 def complementary_complex(g: Graph) -> SimplicialComplex:
     """The complex whose faces are the independent sets of the graph;
     its facets are the maximal independent sets, which are already
@@ -305,17 +287,17 @@ def reisner_cm(c: SimplicialComplex, field=2) -> Verdict:
             }
             betti = link_betti[link] = _ranks_from_faces(list(faces), field)
         if any(b != 0 for b in betti[:-1]):
-            profile = HomologyProfile(
-                tuple(sorted(f)),
-                max(len(h) for h in link) - 1,
-                tuple(betti),
-                label,
-            )
+            profile = {  # reduced homology of the link, dimension -1 upward
+                "face": sorted(f),
+                "link_dim": max(len(h) for h in link) - 1,
+                "reduced_betti": list(betti),
+                "field": label,
+            }
             return Verdict(
                 False,
                 "homology",
                 {
-                    "profile": profile.to_dict(),
+                    "profile": profile,
                     "offending_dim": next(
                         d for d, b in enumerate(betti, start=-1) if b != 0
                     ),

@@ -18,7 +18,6 @@ Route a is the default; the others exist for cross-validation and richer
 certificates.  All computed routes must agree.
 """
 
-import itertools
 import random
 
 from .complexes import (
@@ -34,10 +33,23 @@ from .errors import (
     CmGraphsError,
     PreconditionError,
     RouteDisagreementError,
+    StructureError,
 )
-from .graphs import Graph, classify, degrees, is_unmixed_bruteforce
-from .pairing import PairedLabeling, find_cycle, find_star_labeling, satisfies_double_star
-from .transform import o_set
+from .graphs import (
+    Graph,
+    classify,
+    degrees,
+    is_unmixed_bruteforce,
+    minimal_vertex_covers,
+)
+from .pairing import (
+    PairedLabeling,
+    find_cycle,
+    find_star_labeling,
+    satisfies_double_star,
+    unique_perfect_matching,
+)
+from .transform import index_subsets, o_set
 from .verdicts import Verdict
 
 ROUTE_NAMES = {
@@ -132,7 +144,7 @@ def unmixed_verdict(g: Graph) -> Verdict:
     if classify(g).in_class:
         try:
             pl = find_star_labeling(g)
-        except CmGraphsError:
+        except StructureError:
             return is_unmixed_bruteforce(g)
         return _crosschecked_unmixed(pl)
     return is_unmixed_bruteforce(g)
@@ -172,18 +184,13 @@ def _route_c(pl: PairedLabeling) -> Verdict:
 
 
 def _route_d(pl: PairedLabeling) -> Verdict:
-    from .pairing import unique_perfect_matching
-
-    v = unique_perfect_matching(pl)
-    return Verdict(v.value, ROUTE_NAMES["d"], v.certificate)
+    return unique_perfect_matching(pl)
 
 
 def _route_e(pl: PairedLabeling) -> Verdict:
     n = pl.n
     if n <= DEFORMATION_SUBSET_CAP:
-        subsets = []
-        for size in range(n + 1):
-            subsets.extend(itertools.combinations(range(1, n + 1), size))
+        subsets = list(index_subsets(n))
         exhaustive = True
     else:
         rng = random.Random(0)  # falsification only; fixed seed, no proof
@@ -294,8 +301,6 @@ def cm_structural_doublestar(pl: PairedLabeling) -> Verdict:
 
 def minimal_prime_shape(pl: PairedLabeling) -> Verdict:
     """Every minimal vertex cover picks exactly one vertex per pair."""
-    from .graphs import minimal_vertex_covers
-
     for cover in minimal_vertex_covers(pl.graph):
         for i in range(1, pl.n + 1):
             hits = len({pl.x(i), pl.y(i)} & cover)

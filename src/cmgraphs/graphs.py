@@ -11,7 +11,7 @@ across graphs or calls; equality, hashing, repr and pickling see only the
 vertices and edges.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -189,12 +189,7 @@ class ClassMembership:
     in_class: bool
 
     def to_dict(self) -> dict:
-        return {
-            "vertex_count": self.vertex_count,
-            "height": self.height,
-            "has_isolated": self.has_isolated,
-            "in_class": self.in_class,
-        }
+        return asdict(self)
 
 
 def classify(g: Graph) -> ClassMembership:
@@ -255,3 +250,68 @@ def iter_perfect_matchings(g: Graph):
 def perfect_matchings(g: Graph) -> tuple[tuple[tuple[str, str], ...], ...]:
     """All matchings covering every vertex; empty when none exist."""
     return tuple(iter_perfect_matchings(g))
+
+
+def lex_min_matching(g: Graph, left, right):
+    """Lexicographically smallest matching of `left` into `right` that
+    covers every vertex of `left`, along edges of `g`.
+
+    Returns a dict, or None together with a deficient set
+    (sorted S, sorted N(S)) violating Hall's condition when no such
+    matching exists.
+    """
+    adj, right, lefts = adjacency(g), frozenset(right), sorted(left)
+    allowed = {l: adj[l] & right for l in lefts}
+
+    def max_matching(lefts, used_right):
+        match_of_left: dict[str, str] = {}
+        match_of_right: dict[str, str] = {}
+
+        def augment(l, seen):
+            for r in sorted(allowed[l]):
+                if r in used_right or r in seen:
+                    continue
+                seen.add(r)
+                if r not in match_of_right or augment(match_of_right[r], seen):
+                    match_of_left[l] = r
+                    match_of_right[r] = l
+                    return True
+            return False
+
+        for l in sorted(lefts):
+            augment(l, set())
+        return match_of_left, match_of_right
+
+    def feasible(lefts, used_right):
+        match_of_left, _ = max_matching(lefts, used_right)
+        return len(match_of_left) == len(lefts)
+
+    if not feasible(lefts, set()):
+        match_of_left, match_of_right = max_matching(lefts, set())
+        start = next(l for l in lefts if l not in match_of_left)
+        # alternating reachability from an unmatched left vertex
+        s, ns = {start}, set()
+        frontier = [start]
+        while frontier:
+            l = frontier.pop()
+            for r in allowed[l]:
+                if r not in ns:
+                    ns.add(r)
+                    owner = match_of_right.get(r)
+                    if owner is not None and owner not in s:
+                        s.add(owner)
+                        frontier.append(owner)
+        return None, (sorted(s), sorted(ns))
+
+    chosen: dict[str, str] = {}
+    used: set[str] = set()
+    for pos, l in enumerate(lefts):
+        rest = lefts[pos + 1:]
+        for r in sorted(allowed[l]):
+            if r in used:
+                continue
+            if feasible(rest, used | {r}):
+                chosen[l] = r
+                used.add(r)
+                break
+    return chosen, None

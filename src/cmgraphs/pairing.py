@@ -31,6 +31,7 @@ from .graphs import (
     adjacency,
     classify,
     iter_perfect_matchings,
+    lex_min_matching,
     minimal_vertex_covers,
     perfect_matchings,
 )
@@ -174,69 +175,6 @@ def cycle_witness_holds(pl: PairedLabeling, w: CycleWitness) -> bool:
     return True
 
 
-def _lex_min_matching(left, right, allowed):
-    """Lexicographically smallest perfect matching of `left` into `right`.
-
-    `allowed[l]` is the set of permitted partners.  Returns a dict, or
-    None together with a deficient set (S, N(S)) violating Hall's
-    condition when no perfect matching exists.
-    """
-
-    def max_matching(lefts, used_right):
-        match_of_left: dict[str, str] = {}
-        match_of_right: dict[str, str] = {}
-
-        def augment(l, seen):
-            for r in sorted(allowed[l]):
-                if r in used_right or r in seen:
-                    continue
-                seen.add(r)
-                if r not in match_of_right or augment(match_of_right[r], seen):
-                    match_of_left[l] = r
-                    match_of_right[r] = l
-                    return True
-            return False
-
-        for l in sorted(lefts):
-            augment(l, set())
-        return match_of_left, match_of_right
-
-    def feasible(lefts, used_right):
-        match_of_left, _ = max_matching(lefts, used_right)
-        return len(match_of_left) == len(lefts)
-
-    lefts = sorted(left)
-    if not feasible(lefts, set()):
-        match_of_left, match_of_right = max_matching(lefts, set())
-        start = next(l for l in lefts if l not in match_of_left)
-        # alternating reachability from an unmatched left vertex
-        s, ns = {start}, set()
-        frontier = [start]
-        while frontier:
-            l = frontier.pop()
-            for r in allowed[l]:
-                if r not in ns:
-                    ns.add(r)
-                    owner = match_of_right.get(r)
-                    if owner is not None and owner not in s:
-                        s.add(owner)
-                        frontier.append(owner)
-        return None, (sorted(s), sorted(ns))
-
-    chosen: dict[str, str] = {}
-    used: set[str] = set()
-    for pos, l in enumerate(lefts):
-        rest = lefts[pos + 1:]
-        for r in sorted(allowed[l]):
-            if r in used:
-                continue
-            if feasible(rest, used | {r}):
-                chosen[l] = r
-                used.add(r)
-                break
-    return chosen, None
-
-
 def find_star_labeling(g: Graph) -> PairedLabeling:
     """Deterministic paired labeling of an in-class graph.
 
@@ -254,12 +192,8 @@ def find_star_labeling(g: Graph) -> PairedLabeling:
             + ("; it has isolated vertices" if membership.has_isolated else "")
         )
     n = membership.height
-    covers = [c for c in minimal_vertex_covers(g) if len(c) == n]
-    x_set = min(covers, key=lambda c: tuple(sorted(c)))
-    y_set = frozenset(g.vertices) - x_set
-    adj = adjacency(g)
-    allowed = {x: set(adj[x] & y_set) for x in x_set}
-    matching, deficiency = _lex_min_matching(x_set, y_set, allowed)
+    x_set = next(c for c in minimal_vertex_covers(g) if len(c) == n)
+    matching, deficiency = lex_min_matching(g, x_set, frozenset(g.vertices) - x_set)
     if matching is None:
         s, ns = deficiency
         raise StructureError(

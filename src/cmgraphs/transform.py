@@ -7,17 +7,16 @@ The rewiring operator for pair i detaches every cross edge x_k y_i
 so the vertex set, the class membership and the labeling all survive.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InputFormatError, RouteDisagreementError, StructureError
-from .graphs import Graph, adjacency, degrees, induced_subgraph
-from .pairing import PairedLabeling, _lex_min_matching, validate_labeling
+from .graphs import Graph, induced_subgraph, isolated_vertices, lex_min_matching
+from .pairing import PairedLabeling, validate_labeling
 
 
 def o_operator(pl: PairedLabeling, i: int) -> Graph:
     """Rewire all cross edges into y_i onto x_i; pair index is 1-based."""
-    if not 1 <= i <= pl.n:
-        raise InputFormatError(f"pair index {i} out of range 1..{pl.n}")
     return o_set(pl, (i,))
 
 
@@ -42,6 +41,13 @@ def o_set(pl: PairedLabeling, t) -> Graph:
     edges -= {frozenset((x, pl.y(i))) for x, i in moved}
     edges |= {frozenset((x, pl.x(i))) for x, i in moved}
     return Graph(g.vertices, frozenset(edges))
+
+
+def index_subsets(n: int):
+    """Every subset of the pair indices 1..n as a sorted tuple, by size
+    and then lexicographically."""
+    for size in range(n + 1):
+        yield from itertools.combinations(range(1, n + 1), size)
 
 
 def restricted_o_full(pl: PairedLabeling) -> Graph:
@@ -79,10 +85,9 @@ class BipartiteBlock:
                 raise InputFormatError(
                     f"block edge {a}-{b} does not join the two sides"
                 )
-        deg = degrees(self.graph)
-        isolated = [v for v in self.graph.vertices if deg[v] == 0]
+        isolated = isolated_vertices(self.graph)
         if isolated:
-            raise InputFormatError(f"block has isolated vertices: {isolated}")
+            raise InputFormatError(f"block has isolated vertices: {list(isolated)}")
 
 
 @dataclass(frozen=True)
@@ -142,11 +147,7 @@ def b_graft(spec: BGraftSpec) -> tuple[Graph, PairedLabeling]:
 
     pairs: list[tuple[str, str]] = []
     for idx, b in enumerate(spec.blocks, start=1):
-        adj = adjacency(b.graph)
-        allowed = {x: set(adj[x]) for x in b.x_side}
-        matching, deficiency = _lex_min_matching(
-            set(b.x_side), set(b.y_side), allowed
-        )
+        matching, deficiency = lex_min_matching(b.graph, b.x_side, b.y_side)
         if matching is None:
             s, ns = deficiency
             raise StructureError(

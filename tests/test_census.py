@@ -1,5 +1,6 @@
 import pytest
 
+import cmgraphs.census as census
 from cmgraphs.census import (
     CensusReport,
     cross_validate,
@@ -16,6 +17,8 @@ from oracles import (
     find_cycle_def,
     is_independent_def,
 )
+
+_EMPTY_SUMMARY = {"unmixed": False, "cm": False, "cm_type": None}
 
 
 def test_optional_edges_exclude_independent_side():
@@ -61,6 +64,31 @@ def test_enumerate_class_capacity():
 def test_sample_mode_requires_seed():
     with pytest.raises(CmGraphsError):
         list(enumerate_class(2, mode="sample", count=5))
+
+
+def test_census_arguments_are_bounded():
+    for kwargs in (
+        {"n": 0},
+        {"n": -1, "mode": "sample", "seed": 1},
+        {"n": 2, "mode": "sample", "seed": 1, "count": 0},
+        {"n": 2, "mode": "sample", "seed": 1, "count": -3},
+    ):
+        with pytest.raises(CmGraphsError, match="must be positive"):
+            list(enumerate_class(**kwargs))
+        with pytest.raises(CmGraphsError, match="must be positive"):
+            cross_validate(**kwargs)
+
+
+def test_omitted_count_draws_ten_thousand(monkeypatch):
+    # the draws, not the checks, are under test: stub the per-member work
+    monkeypatch.setattr(
+        census,
+        "check_member",
+        lambda pl, index, full: {"summary": _EMPTY_SUMMARY, "violations": []},
+    )
+    report = cross_validate(1, mode="sample", seed=1)
+    assert report.population == 10000 and report.sample_count is None
+    assert sum(1 for _ in enumerate_class(2, mode="sample", seed=1)) == 10000
 
 
 def test_member_from_mask_is_deterministic():
@@ -136,7 +164,6 @@ def _cm_member():
 
 
 def test_structural_disagreement_is_recorded_once(monkeypatch):
-    import cmgraphs.census as census
     import cmgraphs.criteria as criteria
     from cmgraphs.verdicts import Verdict
 
@@ -180,7 +207,6 @@ def test_cycle_validator_disagreement_is_recorded(monkeypatch, capsys):
 
 
 def test_invariant_disagreement_is_recorded_once(monkeypatch):
-    import cmgraphs.census as census
     from cmgraphs.errors import RouteDisagreementError
 
     member = _cm_member()
@@ -198,7 +224,6 @@ def test_invariant_disagreement_is_recorded_once(monkeypatch):
 
 
 def test_generator_bound_violation_is_recorded_once(monkeypatch):
-    import cmgraphs.census as census
     from cmgraphs.verdicts import Verdict
 
     member = _cm_member()
@@ -212,3 +237,25 @@ def test_generator_bound_violation_is_recorded_once(monkeypatch):
     outcome = census.check_member(member, 0, full_oracles=False)
     assert [v["check"] for v in outcome["violations"]] == ["generator-bound"]
     assert outcome["violations"][0]["details"]["edges"] == 3
+
+
+def test_homology_of_a_mixed_member_is_route_f(monkeypatch):
+    import cmgraphs.criteria as criteria
+    from cmgraphs.complexes import field_label
+    from cmgraphs.verdicts import Verdict
+
+    mixed = next(
+        pl for pl in enumerate_class(2)
+        if not brute_is_unmixed(pl.graph.vertices, pl.graph.edge_list())
+    )
+    assert census.check_member(mixed, 0, full_oracles=True)["violations"] == []
+    monkeypatch.setattr(
+        criteria,
+        "_route_f",
+        lambda pl, field: Verdict(True, "homology", {"field": field_label(field)}),
+    )
+    violations = census.check_member(mixed, 0, full_oracles=True)["violations"]
+    assert [(v["check"], v["details"]["field"]) for v in violations] == [
+        ("cm-implies-unmixed", "2"),
+        ("cm-implies-unmixed", "Q"),
+    ]

@@ -6,6 +6,7 @@ import sys
 import jsonschema
 import pytest
 
+import cmgraphs.cli as cli
 import cmgraphs.criteria as criteria
 import cmgraphs.graphs as graphs
 import cmgraphs.invariants as invariants
@@ -170,6 +171,29 @@ def test_exit_codes(capsys, tmp_path):
     bad.write_text("frobnicate\n")
     assert run_cli(capsys, "check", str(bad))[0] == 1
     assert run_cli(capsys, "check", fixture_path("c4.graph"), "--routes", "z")[0] == 1
+
+
+def test_usage_and_argument_errors_exit_one(capsys):
+    # argparse would exit 2, the capacity code; usage errors are input errors
+    assert run_cli(capsys)[0] == 1
+    assert run_cli(capsys, "check")[0] == 1
+    code, _, err = run_cli(capsys, "census", "--n", "x")
+    assert code == 1 and "invalid int value" in err
+    for routes in ("", ","):
+        code, out, err = run_cli(
+            capsys, "check", fixture_path("example3_1.graph"), "--routes", routes
+        )
+        assert (code, out) == (1, "") and "no routes selected" in err
+    for argv in (
+        ("--n", "2", "--mode", "sample", "--seed", "1", "--count", "0"),
+        ("--n", "2", "--mode", "sample", "--seed", "1", "--count", "-3"),
+        ("--n", "0"),
+    ):
+        code, out, err = run_cli(capsys, "census", *argv)
+        assert (code, out) == (1, "") and "must be positive" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
 
 
 def test_inconclusive_only_routes_exit_two(capsys, tmp_path, schema):
@@ -374,3 +398,30 @@ def test_transform_rejects_bad_set(capsys):
         capsys, "transform", "--set", "9", fixture_path("example3_1.graph")
     )
     assert code == 1
+
+
+def test_declared_labeling_errors_name_the_validator(capsys, tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_text("pairs 2\nedge y1 y2\n")
+    for command in ("check", "invariants", "transform"):
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == 1
+        assert err == (
+            "error: invalid labeling: X is not a vertex cover; "
+            "Y is not independent\n"
+        )
+
+
+def test_stray_exception_exits_three(capsys, monkeypatch):
+    def overflow(g):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "classify", overflow)
+    path = fixture_path("example3_1.graph")
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out) == (3, "")
+    head, dump = err.split("\n", 1)
+    assert head == (
+        "internal error: RecursionError: maximum recursion depth exceeded"
+    )
+    assert json.loads(dump) == {"argv": ["check", path]}

@@ -10,7 +10,9 @@ from cmgraphs.criteria import (
     minimal_prime_shape,
     unmixed_verdict,
 )
-from cmgraphs.errors import PreconditionError
+import cmgraphs.criteria as criteria
+import cmgraphs.pairing as pairing
+from cmgraphs.errors import PreconditionError, RouteDisagreementError
 from cmgraphs.graphs import (
     Graph,
     add_edges,
@@ -19,7 +21,7 @@ from cmgraphs.graphs import (
 )
 from cmgraphs.graphio import parse_graph_file
 from cmgraphs.pairing import make_labeling
-from cmgraphs.transform import b_graft
+from cmgraphs.transform import b_graft, o_set
 from conftest import fixture_path, std_pairs
 
 
@@ -65,6 +67,28 @@ def test_unmixed_verdict_merges_routes(ex31, c4):
     no_matching = parse_graph_file(fixture_path("no_matching.graph")).graph
     verdict = unmixed_verdict(no_matching)
     assert verdict.value is False and verdict.route == "cover-sizes"
+
+
+def test_unmixed_verdict_reports_a_rejected_labeling(ex31, monkeypatch):
+    # only a missing matching falls back to brute force; a labeling the
+    # validator rejects is an internal disagreement
+    monkeypatch.setattr(pairing, "validate_labeling", lambda pl: ["rejected"])
+    with pytest.raises(RouteDisagreementError):
+        unmixed_verdict(ex31)
+
+
+def test_route_e_samples_above_the_subset_cap(ex31_pl, c4_pl, monkeypatch):
+    exhaustive = cm_routes(c4_pl, "e")["e"]
+    monkeypatch.setattr(criteria, "DEFORMATION_SUBSET_CAP", 0)
+    sampled = cm_routes(ex31_pl, "e")["e"]
+    assert sampled.value is None
+    assert sampled.certificate == {"subsets_sampled": 256}
+
+    sampled = cm_routes(c4_pl, "e")["e"]
+    assert sampled.value is False and exhaustive.value is False
+    deformed = is_unmixed_bruteforce(o_set(c4_pl, sampled.certificate["subset"]))
+    assert deformed.value is False
+    assert sampled.certificate["deformed"] == deformed.certificate
 
 
 def test_cm_verdict_all_routes_true(ex31_pl):

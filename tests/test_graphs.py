@@ -13,6 +13,7 @@ from cmgraphs.graphs import (
     height,
     induced_subgraph,
     is_unmixed_bruteforce,
+    lex_min_matching,
     maximal_independent_sets,
     minimal_vertex_covers,
     pairs_graph,
@@ -282,3 +283,35 @@ def test_memoized_graph_keeps_identity_semantics(ex31):
 def test_memoized_adjacency_is_read_only(c4):
     with pytest.raises(TypeError):
         adjacency(c4)["x1"] = frozenset()
+
+
+def test_lex_min_matching_matches_a_permutation_search():
+    # every injective choice of partners in sorted-left order, first
+    # valid one wins; Hall's condition fails exactly when none exists
+    rng = random.Random(11)
+    for _ in range(400):
+        k, extra = rng.randint(1, 4), rng.randint(0, 2)
+        left = [f"a{i}" for i in range(k)]
+        right = [f"b{i}" for i in range(k + extra)]
+        outside = ["c0"]
+        edges = [
+            (l, r) for l in left for r in right + outside if rng.random() < 0.45
+        ]
+        g = Graph.build(vertices=left + right + outside, edges=edges)
+        adj = adjacency(g)
+        expected = next(
+            (
+                dict(zip(left, perm))
+                for perm in itertools.permutations(right, k)
+                if all(r in adj[l] for l, r in zip(left, perm))
+            ),
+            None,
+        )
+        matching, deficiency = lex_min_matching(g, reversed(left), set(right))
+        assert matching == expected
+        if expected is None:
+            s, ns = deficiency
+            assert s == sorted(s) and ns == sorted(ns) and len(ns) < len(s)
+            assert set(ns) == {r for l in s for r in adj[l] if r in right}
+        else:
+            assert deficiency is None
