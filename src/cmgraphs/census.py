@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .criteria import (
+    _crosschecked_unmixed,
     _structural_scan,
     cm_routes,
     cm_structural_doublestar,
@@ -34,7 +35,6 @@ from .pairing import (
     all_star_labelings,
     find_cycle,
     relabel_for_double_star,
-    unique_perfect_matching,
     validate_labeling,
 )
 from .transform import index_subsets, o_set
@@ -70,6 +70,8 @@ def _masks(n: int, mode: str, seed, count):
     if count is not None and count < 1:
         raise CmGraphsError(f"sample count must be positive, got {count}")
     if mode == "exhaustive":
+        if count is not None or seed is not None:
+            raise CmGraphsError("a count or a seed applies only to sample mode")
         if n > EXHAUSTIVE_PAIR_CAP:
             raise CapacityError(
                 f"exhaustive enumeration is capped at {EXHAUSTIVE_PAIR_CAP} "
@@ -147,133 +149,85 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
     runs the homology routes (both fields) and the labeling-invariance
     sweep; it is meant for graphs with at most six vertices.
     """
-    n = pl.n
     violations: list[dict] = []
     summary = {"unmixed": False, "cm": False, "cm_type": None}
 
-    brute = is_unmixed_bruteforce(pl.graph)
-    structural = _structural_scan(pl)
-    unmixed = bool(brute.value)
-    summary["unmixed"] = unmixed
-    if structural.value != brute.value:
-        violations.append(
-            _bundle(
-                pl,
-                index,
-                "unmixedness-equivalence",
-                {
-                    "structural": structural.to_dict(),
-                    "bruteforce": brute.to_dict(),
-                },
-            )
-        )
+    def record(check, details):
+        violations.append(_bundle(pl, index, check, details))
 
-    has_short = find_cycle(pl, max_r=2) is not None
+    try:
+        unmixed = bool(_crosschecked_unmixed(pl).value)
+    except RouteDisagreementError as exc:
+        record("unmixedness-equivalence", exc.dump)
+        unmixed = bool(is_unmixed_bruteforce(pl.graph).value)
+    summary["unmixed"] = unmixed
+
+    routes = cm_routes(pl, "ad")
+    has_short = not routes["a"].value
     has_any = find_cycle(pl, max_r=None) is not None
-    unique = bool(unique_perfect_matching(pl).value)
+    unique = bool(routes["d"].value)
     if unique != (not has_any):
-        violations.append(
-            _bundle(
-                pl,
-                index,
-                "matching-cycle-duality",
-                {"unique_matching": unique, "cycle_free": not has_any},
-            )
+        record(
+            "matching-cycle-duality",
+            {"unique_matching": unique, "cycle_free": not has_any},
         )
     if unmixed and has_short != has_any:
-        violations.append(
-            _bundle(
-                pl,
-                index,
-                "short-cycle-sufficiency",
-                {"short_cycle": has_short, "any_cycle": has_any},
-            )
+        record(
+            "short-cycle-sufficiency",
+            {"short_cycle": has_short, "any_cycle": has_any},
         )
+    if full_oracles:
+        routes["f"] = cm_routes(pl, "f", 2)["f"]
+        routes["fQ"] = cm_routes(pl, "f", "Q")["f"]
 
     cm = False
     if unmixed:
-        routes = "abcde" + ("f" if full_oracles else "")
+        routes.update(cm_routes(pl, "bce"))
         try:
-            results = cm_routes(pl, routes, 2)
-            value, _ = route_agreement(pl, results)
-            cm = bool(value)
-            if full_oracles:
-                rational = cm_routes(pl, "f", "Q")["f"]
-                if rational.value != value:
-                    violations.append(
-                        _bundle(
-                            pl,
-                            index,
-                            "cm-route-agreement",
-                            {
-                                "rational_homology": rational.to_dict(),
-                                "routes": {
-                                    r: v.to_dict() for r, v in results.items()
-                                },
-                            },
-                        )
-                    )
+            cm = bool(route_agreement(pl, routes).value)
         except RouteDisagreementError as exc:
-            violations.append(
-                _bundle(pl, index, "cm-route-agreement", exc.dump)
-            )
+            record("cm-route-agreement", exc.dump)
             cm = not has_short
 
         shape = minimal_prime_shape(pl)
         if not shape.value:
-            violations.append(
-                _bundle(pl, index, "cover-shape", shape.certificate)
-            )
+            record("cover-shape", shape.certificate)
         bounds = generator_bounds(pl)
         if not bounds.value:
-            violations.append(
-                _bundle(pl, index, "generator-bound", bounds.certificate)
-            )
+            record("generator-bound", bounds.certificate)
     summary["cm"] = cm
 
     if cm:
         if not degree_one_exists(pl).value:
-            violations.append(_bundle(pl, index, "degree-one", {}))
+            record("degree-one", {})
         try:
             upward = relabel_for_double_star(pl)
             doublestar = cm_structural_doublestar(upward)
             if not doublestar.value:
-                violations.append(
-                    _bundle(pl, index, "doublestar", doublestar.certificate)
-                )
+                record("doublestar", doublestar.certificate)
         except CmGraphsError as exc:
-            violations.append(_bundle(pl, index, "doublestar", str(exc)))
+            record("doublestar", str(exc))
         try:
             summary["cm_type"] = invariant_report(pl).cm_type
         except RouteDisagreementError as exc:
-            violations.append(
-                _bundle(pl, index, "gorenstein-iff-type-one", exc.dump)
-            )
+            record("gorenstein-iff-type-one", exc.dump)
     elif full_oracles and not unmixed:
-        for fld in (2, "Q"):
-            oracle = cm_routes(pl, "f", fld)["f"]
+        for fld, route in ((2, "f"), ("Q", "fQ")):
+            oracle = routes[route]
             if oracle.value:
-                violations.append(
-                    _bundle(
-                        pl,
-                        index,
-                        "cm-implies-unmixed",
-                        {"field": str(fld), "oracle": oracle.to_dict()},
-                    )
+                record(
+                    "cm-implies-unmixed",
+                    {"field": str(fld), "oracle": oracle.to_dict()},
                 )
 
-    for t in index_subsets(n):
+    for t in index_subsets(pl.n):
         deformed = pl.with_graph(o_set(pl, t))
         if not classify(deformed.graph).in_class or validate_labeling(deformed):
-            violations.append(
-                _bundle(
-                    pl, index, "transform-preserves-class", {"subset": list(t)}
-                )
-            )
+            record("transform-preserves-class", {"subset": list(t)})
             break
 
     if full_oracles:
-        base = (structural.value, not has_short)
+        base = (unmixed, not has_short)
         for other in all_star_labelings(pl.graph):
             got = (
                 _structural_scan(other).value,
@@ -282,42 +236,33 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
             if got != base or (
                 cm and invariant_report(other).cm_type != summary["cm_type"]
             ):
-                violations.append(
-                    _bundle(
-                        pl,
-                        index,
-                        "labeling-invariance",
-                        {
-                            "other_pairs": [list(p) for p in other.pairs],
-                            "expected": list(base),
-                            "got": list(got),
-                        },
-                    )
+                record(
+                    "labeling-invariance",
+                    {
+                        "other_pairs": [list(p) for p in other.pairs],
+                        "expected": list(base),
+                        "got": list(got),
+                    },
                 )
                 break
 
     return {"summary": summary, "violations": violations}
 
 
-def _run_chunk(args):
-    n, indexed_masks, full_oracles = args
-    results = []
-    for index, mask in indexed_masks:
-        pl = member_from_mask(n, mask)
-        if not classify(pl.graph).in_class:
-            results.append((index, None))
-            continue
-        try:
-            outcome = check_member(pl, index, full_oracles)
-        except RouteDisagreementError as exc:
-            outcome = {
-                "summary": {"unmixed": False, "cm": False, "cm_type": None},
-                "violations": [
-                    _bundle(pl, index, "internal-disagreement", exc.dump)
-                ],
-            }
-        results.append((index, outcome))
-    return results
+def _check_draw(args):
+    """`check_member` on one drawn mask; None when the draw is out of
+    class.  A disagreement escaping the checks becomes a bundle."""
+    n, index, mask, full_oracles = args
+    pl = member_from_mask(n, mask)
+    if not classify(pl.graph).in_class:
+        return None
+    try:
+        return check_member(pl, index, full_oracles)
+    except RouteDisagreementError as exc:
+        return {
+            "summary": {"unmixed": False, "cm": False, "cm_type": None},
+            "violations": [_bundle(pl, index, "internal-disagreement", exc.dump)],
+        }
 
 
 def cross_validate(
@@ -333,41 +278,38 @@ def cross_validate(
     graphs have at most six vertices; all cheaper equivalences always run.
     Same arguments, same report (wall-clock runtime aside).
     """
+    if threads < 0:
+        raise CmGraphsError(f"thread count must be 0 (one per CPU) or more, got {threads}")
     started = time.monotonic()
     masks = _masks(n, mode, seed, count)
     full_oracles = 2 * n <= 6
-    indexed = list(enumerate(masks))
+    jobs = [(n, index, mask, full_oracles) for index, mask in enumerate(masks)]
+    cpus = multiprocessing.cpu_count() or 1
+    workers = min(threads, cpus) if threads else cpus
 
-    if threads == 1 or len(indexed) < 64:
-        chunks = [(n, indexed, full_oracles)]
-        chunk_results = [_run_chunk(c) for c in chunks]
+    if workers == 1 or len(jobs) < 64:
+        outcomes = map(_check_draw, jobs)
     else:
-        workers = threads if threads > 0 else (multiprocessing.cpu_count() or 1)
-        step = max(1, len(indexed) // (workers * 8))
-        chunks = [
-            (n, indexed[i : i + step], full_oracles)
-            for i in range(0, len(indexed), step)
-        ]
+        chunksize = max(1, len(jobs) // (workers * 8))
         try:
             with multiprocessing.Pool(workers) as pool:
-                chunk_results = pool.map(_run_chunk, chunks)
+                outcomes = pool.map(_check_draw, jobs, chunksize=chunksize)
         except OSError:
-            chunk_results = [_run_chunk(c) for c in chunks]
+            outcomes = map(_check_draw, jobs)
 
     population = unmixed_count = cm_count = 0
     histogram: dict[int, int] = {}
     violations: list[dict] = []
-    for results in chunk_results:
-        for _index, outcome in results:
-            if outcome is None:
-                continue
-            population += 1
-            s = outcome["summary"]
-            unmixed_count += bool(s["unmixed"])
-            cm_count += bool(s["cm"])
-            if s["cm_type"] is not None:
-                histogram[s["cm_type"]] = histogram.get(s["cm_type"], 0) + 1
-            violations.extend(outcome["violations"])
+    for outcome in outcomes:
+        if outcome is None:
+            continue
+        population += 1
+        s = outcome["summary"]
+        unmixed_count += bool(s["unmixed"])
+        cm_count += bool(s["cm"])
+        if s["cm_type"] is not None:
+            histogram[s["cm_type"]] = histogram.get(s["cm_type"], 0) + 1
+        violations.extend(outcome["violations"])
     violations.sort(key=lambda v: (v["index"], v["check"]))
 
     return CensusReport(

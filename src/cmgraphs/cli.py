@@ -31,6 +31,7 @@ from .errors import (
 from .graphs import classify, is_unmixed_bruteforce
 from .graphio import format_graph, parse_graph_file
 from .invariants import invariant_report
+from .linalg import is_prime
 from .pairing import (
     PairedLabeling,
     find_star_labeling,
@@ -118,20 +119,19 @@ def _analysis_document(path, routes: str, field) -> tuple[dict, int]:
         }
         return document, exit_code
 
-    results = cm_routes(pl, routes=routes, field=field)
-    cm_value, primary = route_agreement(pl, results)
+    cm = route_agreement(pl, cm_routes(pl, routes=routes, field=field))
     document["cm"] = {
         "applicable": True,
-        "value": cm_value,
-        "primary": ROUTE_NAMES[primary] if primary else None,
-        "routes": {r: v.to_dict() for r, v in sorted(results.items())},
+        "value": cm.value,
+        "primary": None if cm.value is None else cm.route,
+        "routes": cm.certificate["routes"],
     }
-    if cm_value is None:
+    if cm.value is None:
         document["warnings"].append(
             "all selected routes were inconclusive (capacity bounds)"
         )
         exit_code = EXIT_CAPACITY
-    if cm_value:
+    if cm.value:
         upward = relabel_for_double_star(pl)
         order = [pl.pairs.index(p) + 1 for p in upward.pairs]
         document["labeling"]["double_star_order"] = order
@@ -211,8 +211,6 @@ def _cmd_check(args) -> int:
     if args.field.upper() == "Q":
         field = "Q"
     else:
-        from .linalg import is_prime
-
         try:
             field = int(args.field)
         except ValueError as exc:
@@ -344,10 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="cross-validation census")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--count", type=int, default=None, help="sample mode only")
+    p.add_argument("--seed", type=int, default=None, help="sample mode only")
     p.add_argument("--csv", default=None, help="write the type histogram here")
-    p.add_argument("--threads", type=int, default=1, help="0 = auto")
+    p.add_argument(
+        "--threads", type=int, default=1, help="at most one per CPU (0 = one per CPU)"
+    )
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("complex", help="export the independence complex facets")

@@ -200,13 +200,13 @@ def check_shelling(c: SimplicialComplex, order) -> bool:
 
 
 def field_label(field) -> str:
-    if field in ("Q", "q", "rational", 0):
+    if field == "Q":
         return "Q"
     return f"F{int(field)}"
 
 
 def _rank(rows, field) -> int:
-    if field_label(field) == "Q":
+    if field == "Q":
         return rank_rational(rows)
     return rank_mod_p(rows, int(field))
 

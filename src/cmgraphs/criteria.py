@@ -249,13 +249,13 @@ def cm_routes(pl: PairedLabeling, routes="a", field=2) -> dict[str, Verdict]:
     return results
 
 
-def route_agreement(
-    pl: PairedLabeling, results: dict[str, Verdict]
-) -> tuple[bool | None, str | None]:
-    """The agreed value of the computed routes and the primary route id:
-    route a when it decided, otherwise the first decided route in id
-    order; `(None, None)` when every route was inconclusive.  Decided
-    routes that disagree raise `RouteDisagreementError`.
+def route_agreement(pl: PairedLabeling, results: dict[str, Verdict]) -> Verdict:
+    """The Cohen-Macaulay verdict of the computed routes.
+
+    Its route is the primary route: route a when it decided, otherwise
+    the first decided route in id order, or "inconclusive" when every
+    route was.  The certificate holds every route's verdict in id order.
+    Decided routes that disagree raise `RouteDisagreementError`.
     """
     decided = {r: v for r, v in results.items() if v.value is not None}
     if len({v.value for v in decided.values()}) > 1:
@@ -263,10 +263,11 @@ def route_agreement(
             "Cohen-Macaulayness routes disagree",
             dump=pl.dump(routes={r: v.to_dict() for r, v in results.items()}),
         )
+    certificate = {"routes": {r: results[r].to_dict() for r in sorted(results)}}
     if not decided:
-        return None, None
+        return Verdict(None, "inconclusive", certificate)
     primary = "a" if "a" in decided else sorted(decided)[0]
-    return decided[primary].value, primary
+    return Verdict(decided[primary].value, ROUTE_NAMES[primary], certificate)
 
 
 def cm_verdict(pl: PairedLabeling, routes="a", field=2) -> Verdict:
@@ -280,12 +281,7 @@ def cm_verdict(pl: PairedLabeling, routes="a", field=2) -> Verdict:
         raise PreconditionError(
             "graph is not unmixed", witness=unmixed.certificate
         )
-    results = cm_routes(pl, routes, field)
-    value, primary = route_agreement(pl, results)
-    certificate = {"routes": {r: v.to_dict() for r, v in results.items()}}
-    if primary is None:
-        return Verdict(None, "inconclusive", certificate)
-    return Verdict(value, ROUTE_NAMES[primary], certificate)
+    return route_agreement(pl, cm_routes(pl, routes, field))
 
 
 def cm_structural_doublestar(pl: PairedLabeling) -> Verdict:

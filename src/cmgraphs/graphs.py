@@ -278,7 +278,7 @@ def lex_min_matching(g: Graph, left, right):
                     return True
             return False
 
-        for l in sorted(lefts):
+        for l in lefts:
             augment(l, set())
         return match_of_left, match_of_right
 
@@ -286,8 +286,8 @@ def lex_min_matching(g: Graph, left, right):
         match_of_left, _ = max_matching(lefts, used_right)
         return len(match_of_left) == len(lefts)
 
-    if not feasible(lefts, set()):
-        match_of_left, match_of_right = max_matching(lefts, set())
+    match_of_left, match_of_right = max_matching(lefts, set())
+    if len(match_of_left) < len(lefts):
         start = next(l for l in lefts if l not in match_of_left)
         # alternating reachability from an unmatched left vertex
         s, ns = {start}, set()

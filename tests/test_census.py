@@ -1,6 +1,8 @@
 import pytest
 
 import cmgraphs.census as census
+import cmgraphs.criteria as criteria
+import cmgraphs.pairing as pairing
 from cmgraphs.census import (
     CensusReport,
     cross_validate,
@@ -8,9 +10,11 @@ from cmgraphs.census import (
     member_from_mask,
     optional_edges,
 )
+from cmgraphs.cli import main
 from cmgraphs.errors import CapacityError, CmGraphsError
 from cmgraphs.graphs import classify
 from cmgraphs.pairing import validate_labeling
+from cmgraphs.verdicts import Verdict
 from oracles import (
     brute_height,
     brute_is_unmixed,
@@ -79,13 +83,54 @@ def test_census_arguments_are_bounded():
             cross_validate(**kwargs)
 
 
-def test_omitted_count_draws_ten_thousand(monkeypatch):
-    # the draws, not the checks, are under test: stub the per-member work
+def test_exhaustive_mode_rejects_sample_flags(capsys):
+    for kwargs in ({"count": 5}, {"seed": 9}):
+        with pytest.raises(CmGraphsError, match="only to sample mode"):
+            list(enumerate_class(1, **kwargs))
+        with pytest.raises(CmGraphsError, match="only to sample mode"):
+            cross_validate(1, **kwargs)
+    for flags in (("--count", "5"), ("--seed", "9")):
+        assert main(["census", "--n", "1", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "only to sample mode" in err
+
+
+def _stub_check_member(monkeypatch):
+    # the draws and the pool, not the checks, are under test
     monkeypatch.setattr(
         census,
         "check_member",
         lambda pl, index, full: {"summary": _EMPTY_SUMMARY, "violations": []},
     )
+
+
+def test_worker_count_is_bounded(monkeypatch, capsys):
+    requested = []
+
+    class RefusingPool:
+        # records the request and starts nothing; the census then falls
+        # back to its serial path
+        def __init__(self, processes):
+            requested.append(processes)
+            raise OSError("no worker processes here")
+
+    monkeypatch.setattr(census.multiprocessing, "Pool", RefusingPool)
+    monkeypatch.setattr(census.multiprocessing, "cpu_count", lambda: 4)
+    _stub_check_member(monkeypatch)
+    for threads in (100000, 0, 3, 1):
+        report = cross_validate(2, mode="sample", seed=1, count=64, threads=threads)
+        assert report.population == 64
+    assert requested == [4, 4, 3]
+
+    with pytest.raises(CmGraphsError, match="thread count"):
+        cross_validate(2, mode="sample", seed=1, count=64, threads=-7)
+    assert main(["census", "--n", "3", "--threads", "-1"]) == 1
+    assert "thread count" in capsys.readouterr().err
+    assert requested == [4, 4, 3]
+
+
+def test_omitted_count_draws_ten_thousand(monkeypatch):
+    _stub_check_member(monkeypatch)
     report = cross_validate(1, mode="sample", seed=1)
     assert report.population == 10000 and report.sample_count is None
     assert sum(1 for _ in enumerate_class(2, mode="sample", seed=1)) == 10000
@@ -186,9 +231,6 @@ def test_structural_disagreement_is_recorded_once(monkeypatch):
 
 
 def test_cycle_validator_disagreement_is_recorded(monkeypatch, capsys):
-    import cmgraphs.pairing as pairing
-    from cmgraphs.cli import main
-
     with_cycle = [
         mask for mask in range(8) if find_cycle_def(member_from_mask(2, mask))
     ]
@@ -224,8 +266,6 @@ def test_invariant_disagreement_is_recorded_once(monkeypatch):
 
 
 def test_generator_bound_violation_is_recorded_once(monkeypatch):
-    from cmgraphs.verdicts import Verdict
-
     member = _cm_member()
     bounds = census.generator_bounds
 
@@ -240,9 +280,7 @@ def test_generator_bound_violation_is_recorded_once(monkeypatch):
 
 
 def test_homology_of_a_mixed_member_is_route_f(monkeypatch):
-    import cmgraphs.criteria as criteria
     from cmgraphs.complexes import field_label
-    from cmgraphs.verdicts import Verdict
 
     mixed = next(
         pl for pl in enumerate_class(2)
@@ -259,3 +297,36 @@ def test_homology_of_a_mixed_member_is_route_f(monkeypatch):
         ("cm-implies-unmixed", "2"),
         ("cm-implies-unmixed", "Q"),
     ]
+
+
+def test_unmixed_member_enumerates_its_matchings_once(monkeypatch):
+    # route d is the one caller of iter_perfect_matchings in pairing
+    calls = []
+    iterate = pairing.iter_perfect_matchings
+
+    def counted(g):
+        calls.append(g)
+        return iterate(g)
+
+    monkeypatch.setattr(pairing, "iter_perfect_matchings", counted)
+    outcome = census.check_member(_cm_member(), 0, full_oracles=True)
+    assert outcome["violations"] == []
+    assert len(calls) == 1
+
+
+def test_rational_homology_disagreement_is_recorded_once(monkeypatch):
+    member = _cm_member()
+    clean = census.check_member(member, 0, full_oracles=True)
+    assert clean["violations"] == []
+    route_f = criteria._route_f
+
+    def flipped_over_q(pl, field):
+        v = route_f(pl, field)
+        return Verdict(not v.value, v.route, v.certificate) if field == "Q" else v
+
+    monkeypatch.setattr(criteria, "_route_f", flipped_over_q)
+    outcome = census.check_member(member, 0, full_oracles=True)
+    assert [v["check"] for v in outcome["violations"]] == ["cm-route-agreement"]
+    assert outcome["summary"] == clean["summary"]
+    routes = outcome["violations"][0]["details"]["routes"]
+    assert (routes["f"]["value"], routes["fQ"]["value"]) == (True, False)

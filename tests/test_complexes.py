@@ -9,6 +9,7 @@ from cmgraphs.complexes import (
     all_faces,
     check_shelling,
     complementary_complex,
+    field_label,
     find_shelling,
     format_complex,
     is_pure,
@@ -258,6 +259,14 @@ def test_homology_detects_field_dependence():
     assert reduced_homology_ranks(rp2, 2) == [0, 0, 1, 1]
     assert reduced_homology_ranks(rp2, "Q") == [0, 0, 0, 0]
     assert reduced_homology_ranks(rp2, 3) == [0, 0, 0, 0]
+
+
+def test_field_label_spells_the_rationals_one_way():
+    assert field_label("Q") == "Q"
+    assert [field_label(p) for p in (2, 3)] == ["F2", "F3"]
+    for other in ("q", "rational"):
+        with pytest.raises(ValueError):
+            field_label(other)
 
 
 def test_boundary_composition_vanishes():
