@@ -231,7 +231,7 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
         for other in all_star_labelings(pl.graph):
             got = (
                 _structural_scan(other).value,
-                find_cycle(other, max_r=2) is None,
+                other.short_cycle is None,
             )
             if got != base or (
                 cm and invariant_report(other).cm_type != summary["cm_type"]

@@ -8,6 +8,7 @@ unexpected exception (reported with the argv that raised it).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -295,7 +296,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `main` call reuses it."""
     parser = _Parser(
         prog="cmgraphs",
         description=(

@@ -151,7 +151,7 @@ def unmixed_verdict(g: Graph) -> Verdict:
 
 
 def _route_a(pl: PairedLabeling) -> Verdict:
-    cycle = find_cycle(pl, max_r=2)
+    cycle = pl.short_cycle
     if cycle is None:
         return Verdict(True, ROUTE_NAMES["a"], {"max_r_searched": 2})
     return Verdict(False, ROUTE_NAMES["a"], {"cycle": cycle.to_list()})

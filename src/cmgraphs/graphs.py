@@ -4,17 +4,28 @@ and perfect matchings.
 Vertex names are opaque strings.  Every enumeration returns a fixed
 deterministic order (lexicographic on sorted vertex names) so reports and
 golden files are byte-stable.  A `Graph` is immutable, so the facts every
-analysis needs (adjacency, maximal independent sets, minimal vertex
-covers) are computed on first use and memoized on that instance.  The
-memo holds only immutable values, dies with the graph and is never shared
-across graphs or calls; equality, hashing, repr and pickling see only the
-vertices and edges.
+analysis needs (adjacency, the bitset view, maximal independent sets,
+minimal vertex covers) are computed on first use and memoized on that
+instance.  The memo holds only immutable values, dies with the graph and
+is never shared across graphs or calls; equality, hashing, repr and
+pickling see only the vertices and edges.
+
+The bitset view numbers the vertices by sorted name: bit i of a mask
+stands for the i-th name, which is `vertices[i]` for every graph the
+package builds.  It is memoized alongside the adjacency: one neighbour
+mask per vertex.  The maximal independent sets are enumerated once per
+graph as masks, by an iterative pivoted Bron-Kerbosch with an explicit
+stack.  The height, class membership and isolated vertices read the
+masks and build no name sets.  `maximal_independent_sets` turns the
+masks into names once, ordered by their bit positions, which is the
+order of their sorted names; the minimal vertex covers are the
+complements of those sets.
 """
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InputFormatError
 from .verdicts import Verdict
@@ -30,6 +41,14 @@ def edge_key(a: str, b: str) -> frozenset[str]:
 def edge_pair(e: frozenset[str]) -> tuple[str, str]:
     a, b = sorted(e)
     return a, b
+
+
+class VertexBits(NamedTuple):
+    """A graph's bitset view: bit i stands for `names[i]`."""
+
+    names: tuple[str, ...]  # the vertex names, sorted
+    position: Mapping[str, int]  # name -> bit position
+    neighbours: tuple[int, ...]  # per position, the mask of its neighbours
 
 
 @dataclass(frozen=True)
@@ -74,8 +93,23 @@ class Graph:
         return MappingProxyType({v: frozenset(nb) for v, nb in adj.items()})
 
     @cached_property
+    def _vertex_bits(self) -> VertexBits:
+        names = tuple(sorted(self.vertices))
+        position = dict(zip(names, range(len(names))))
+        neighbours = [0] * len(names)
+        for a, b in self.edges:
+            i, j = position[a], position[b]
+            neighbours[i] |= 1 << j
+            neighbours[j] |= 1 << i
+        return VertexBits(names, MappingProxyType(position), tuple(neighbours))
+
+    @cached_property
+    def _independent_masks(self) -> tuple[int, ...]:
+        return _bron_kerbosch(self)
+
+    @cached_property
     def _maximal_independent_sets(self) -> tuple[frozenset[str], ...]:
-        return _sorted_sets(_bron_kerbosch(self))
+        return _named_sets(self._vertex_bits.names, self._independent_masks)
 
     @cached_property
     def _minimal_vertex_covers(self) -> tuple[frozenset[str], ...]:
@@ -88,13 +122,29 @@ def adjacency(g: Graph) -> Mapping[str, frozenset[str]]:
     return g._adjacency
 
 
+def vertex_bits(g: Graph) -> VertexBits:
+    """The bitset view (names, positions, neighbour masks), memoized on
+    the graph."""
+    return g._vertex_bits
+
+
+def bit_positions(mask: int) -> list[int]:
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def degrees(g: Graph) -> dict[str, int]:
     return {v: len(nb) for v, nb in adjacency(g).items()}
 
 
 def isolated_vertices(g: Graph) -> tuple[str, ...]:
-    deg = degrees(g)
-    return tuple(v for v in g.vertices if deg[v] == 0)
+    names, _, neighbours = vertex_bits(g)
+    return tuple(v for v, nb in zip(names, neighbours) if not nb)
 
 
 def pairs_graph(n: int) -> Graph:
@@ -138,26 +188,46 @@ def _sorted_sets(sets) -> tuple[frozenset[str], ...]:
     return tuple(sorted(sets, key=lambda s: tuple(sorted(s))))
 
 
-def _bron_kerbosch(g: Graph) -> list[frozenset[str]]:
-    """Bron-Kerbosch with pivoting over the non-adjacency relation: an
-    independent set of g is a clique of the complement graph."""
-    adj = adjacency(g)
-    verts = frozenset(g.vertices)
-    nonadj = {v: verts - adj[v] - {v} for v in verts}
-    out: list[frozenset[str]] = []
+def _named_sets(names, masks) -> tuple[frozenset[str], ...]:
+    """Masks as name sets, ordered by their bit positions."""
+    keys = sorted(tuple(bit_positions(m)) for m in masks)
+    return tuple(frozenset(names[i] for i in key) for key in keys)
 
-    def extend(r: frozenset, p: frozenset, x: frozenset) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        pivot = max(sorted(p | x), key=lambda u: len(p & nonadj[u]))
-        for v in sorted(p - nonadj[pivot]):
-            extend(r | {v}, p & nonadj[v], x & nonadj[v])
-            p = p - {v}
-            x = x | {v}
 
-    extend(frozenset(), verts, frozenset())
-    return out
+def _bron_kerbosch(g: Graph) -> tuple[int, ...]:
+    """Maximal independent sets as masks: the maximal cliques of the
+    complement graph, by Bron-Kerbosch with Tomita pivoting.  The pivot
+    is the first vertex of P | X, in ascending bit order, with the most
+    non-neighbours in P.  An explicit stack replaces recursion, so the
+    depth of the search is not bounded by the interpreter's stack."""
+    neighbours = vertex_bits(g).neighbours
+    full = (1 << len(neighbours)) - 1
+    nonadj = [full & ~nb & ~(1 << i) for i, nb in enumerate(neighbours)]
+    out: list[int] = []
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
+        pivot, best, rest = 0, -1, p | x
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            count = (p & nonadj[u]).bit_count()
+            if count > best:
+                pivot, best = u, count
+            rest ^= low
+        branch = p & ~nonadj[pivot]
+        while branch:
+            low = branch & -branch
+            stay = nonadj[low.bit_length() - 1]
+            stack.append((r | low, p & stay, x & stay))
+            p ^= low
+            x |= low
+            branch ^= low
+    return tuple(out)
 
 
 def maximal_independent_sets(g: Graph) -> tuple[frozenset[str], ...]:
@@ -178,7 +248,7 @@ def minimal_vertex_covers(g: Graph) -> tuple[frozenset[str], ...]:
 def height(g: Graph) -> int:
     """Minimum cardinality of a vertex cover (0 for edgeless graphs): the
     complement of a largest independent set."""
-    return len(g.vertices) - max(len(s) for s in maximal_independent_sets(g))
+    return len(g.vertices) - max(map(int.bit_count, g._independent_masks))
 
 
 @dataclass(frozen=True)
@@ -200,7 +270,7 @@ def classify(g: Graph) -> ClassMembership:
     """
     n_vertices = len(g.vertices)
     h = height(g)
-    isolated = bool(isolated_vertices(g))
+    isolated = 0 in vertex_bits(g).neighbours
     in_class = n_vertices > 0 and n_vertices == 2 * h and not isolated
     return ClassMembership(n_vertices, h, isolated, in_class)
 

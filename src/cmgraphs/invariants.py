@@ -17,7 +17,7 @@ from .graphs import (
     maximal_independent_sets,
     minimal_vertex_covers,
 )
-from .pairing import PairedLabeling, find_cycle
+from .pairing import PairedLabeling
 from .transform import restricted_o_full
 
 
@@ -29,7 +29,7 @@ def _require_cm(pl: PairedLabeling) -> None:
             "not even unmixed",
             witness=unmixed.certificate,
         )
-    cycle = find_cycle(pl, max_r=2)
+    cycle = pl.short_cycle
     if cycle is not None:
         raise PreconditionError(
             "invariants are defined for Cohen-Macaulay graphs only",

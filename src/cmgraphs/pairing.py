@@ -8,8 +8,10 @@ obstruction cycles through pairs, reorders labelings so cross edges only
 point upward, and decides uniqueness of the perfect matching.
 
 Like a `Graph`, a `PairedLabeling` memoizes what every criterion reads:
-its pair relations (`PairRelations`), built on first use; equality,
-hashing, repr and pickling see only the graph and the pairs.
+its pair relations (`PairRelations`), read from the graph's neighbour
+masks, and its 2-pair cycle search (`short_cycle`), each built on first
+use; equality, hashing, repr and pickling see only the graph and the
+pairs.
 """
 
 import heapq
@@ -28,12 +30,13 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    adjacency,
+    bit_positions,
     classify,
     iter_perfect_matchings,
     lex_min_matching,
     minimal_vertex_covers,
     perfect_matchings,
+    vertex_bits,
 )
 from .verdicts import Verdict
 
@@ -58,20 +61,32 @@ class PairedLabeling:
 
     @cached_property
     def relations(self) -> PairRelations:
-        """The pair relations, read from the adjacency in one pass."""
-        adj = adjacency(self.graph)
-        x_index = {x: i for i, (x, _) in enumerate(self.pairs, start=1)}
-        y_index = {y: i for i, (_, y) in enumerate(self.pairs, start=1)}
+        """The pair relations, read from the neighbour masks in one pass."""
+        _, position, neighbours = vertex_bits(self.graph)
+        x_index, y_index = {}, {}
+        x_mask = y_mask = 0
+        for i, (x, y) in enumerate(self.pairs, start=1):
+            px, py = position[x], position[y]
+            x_index[px] = y_index[py] = i
+            x_mask |= 1 << px
+            y_mask |= 1 << py
 
-        def indices(v, index, i):
-            return frozenset(index[u] for u in adj[v] if u in index) - {i}
+        def indices(v, index, side, i):
+            found = bit_positions(neighbours[position[v]] & side)
+            return frozenset(index[p] for p in found) - {i}
 
         cross, links, cover = {}, {}, {}
         for i, (x, y) in enumerate(self.pairs, start=1):
-            cross[i] = indices(x, y_index, i)
-            links[i] = indices(y, x_index, i)
-            cover[i] = indices(x, x_index, i)
+            cross[i] = indices(x, y_index, y_mask, i)
+            links[i] = indices(y, x_index, x_mask, i)
+            cover[i] = indices(x, x_index, x_mask, i)
         return PairRelations(*map(MappingProxyType, (cross, links, cover)))
+
+    @cached_property
+    def short_cycle(self) -> "CycleWitness | None":
+        """The 2-pair alternating cycle route a looks for, or None;
+        searched once per labeling."""
+        return find_cycle(self, max_r=2)
 
     @property
     def n(self) -> int:
@@ -132,22 +147,28 @@ def validate_labeling(pl: PairedLabeling) -> list[str]:
     if xs | ys != set(g.vertices):
         problems.append("pairs must partition the vertex set")
         return problems
-    adj = adjacency(g)
+    names, position, neighbours = vertex_bits(g)
+    x_mask = y_mask = 0
     for x, y in pl.pairs:
-        if y not in adj[x]:
+        px, py = position[x], position[y]
+        if not neighbours[px] >> py & 1:
             problems.append(f"matching edge {x}-{y} missing")
-    if any(adj[v] - xs for v in set(g.vertices) - xs):
+        x_mask |= 1 << px
+        y_mask |= 1 << py
+    outside = ((1 << len(names)) - 1) & ~x_mask
+    x_bits = bit_positions(x_mask)
+    if any(neighbours[p] & outside for p in bit_positions(outside)):
         problems.append("X is not a vertex cover")
     else:
-        redundant = next((x for x in sorted(xs) if adj[x] <= xs), None)
+        redundant = next((p for p in x_bits if not neighbours[p] & outside), None)
         if redundant is not None:
-            problems.append(f"X is not minimal: {redundant} is redundant")
-    if any(adj[y] & ys for y in ys):
+            problems.append(f"X is not minimal: {names[redundant]} is redundant")
+    if any(neighbours[p] & y_mask for p in bit_positions(y_mask)):
         problems.append("Y is not independent")
     else:
-        extends = next((x for x in sorted(xs) if not adj[x] & ys), None)
+        extends = next((p for p in x_bits if not neighbours[p] & y_mask), None)
         if extends is not None:
-            problems.append(f"Y is not maximal: {extends} extends it")
+            problems.append(f"Y is not maximal: {names[extends]} extends it")
     return problems
 
 

@@ -5,11 +5,12 @@ subsets, straight from the definitions; nothing is shared with the package
 implementation.  Only usable at desk scale.
 
 The `*_def` references keep earlier, simpler implementations that the
-package replaced, and tests compare the two: dense Gauss-Jordan ranks
-over F_p and Q, strong connectivity by testing every facet pair,
-pair relations probed pair by pair with `has_edge`, as the package did
-before a labeling memoized them, and every labeling by a matching search
-of its own per minimum cover.
+package replaced, and tests compare the two: the recursive frozenset
+Bron-Kerbosch enumerator, dense Gauss-Jordan ranks over F_p and Q,
+strong connectivity by testing every facet pair, pair relations probed
+pair by pair with `has_edge`, as the package did before a labeling
+memoized them, the labeling validator on adjacency name sets, and every
+labeling by a matching search of its own per minimum cover.
 """
 
 import itertools
@@ -52,6 +53,30 @@ def brute_maximal_independents(vertices, edges):
     ]
     maximal = [a for a in indep if not any(a < other for other in indep)]
     return sorted({frozenset(a) for a in maximal}, key=lambda a: tuple(sorted(a)))
+
+
+def maximal_independent_sets_def(g):
+    """Bron-Kerbosch with pivoting on frozensets of names, recursive:
+    an independent set of g is a clique of the complement graph.  The
+    pivot is the first vertex of P | X, in sorted order, with the most
+    non-neighbours in P; the sets come back sorted by their sorted names."""
+    adj = adjacency(g)
+    verts = frozenset(g.vertices)
+    nonadj = {v: verts - adj[v] - {v} for v in verts}
+    out = []
+
+    def extend(r, p, x):
+        if not p and not x:
+            out.append(r)
+            return
+        pivot = max(sorted(p | x), key=lambda u: len(p & nonadj[u]))
+        for v in sorted(p - nonadj[pivot]):
+            extend(r | {v}, p & nonadj[v], x & nonadj[v])
+            p = p - {v}
+            x = x | {v}
+
+    extend(frozenset(), verts, frozenset())
+    return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
 
 def brute_height(vertices, edges):
@@ -295,6 +320,37 @@ def relabel_for_double_star_def(pl):
                 available.append(j)
         available.sort(key=lambda k: pl.x(k))
     return PairedLabeling(g, tuple(pl.pairs[i - 1] for i in order))
+
+
+def validate_labeling_def(pl):
+    """Every labeling invariant, read off the adjacency name sets."""
+    g = pl.graph
+    problems = []
+    xs, ys = set(pl.x_names), set(pl.y_names)
+    if pl.n < 1:
+        problems.append("labeling must have at least one pair")
+    if len(xs) != pl.n or len(ys) != pl.n or xs & ys:
+        problems.append("pair names must be distinct and the sides disjoint")
+    if xs | ys != set(g.vertices):
+        problems.append("pairs must partition the vertex set")
+        return problems
+    adj = adjacency(g)
+    for x, y in pl.pairs:
+        if y not in adj[x]:
+            problems.append(f"matching edge {x}-{y} missing")
+    if any(adj[v] - xs for v in set(g.vertices) - xs):
+        problems.append("X is not a vertex cover")
+    else:
+        redundant = next((x for x in sorted(xs) if adj[x] <= xs), None)
+        if redundant is not None:
+            problems.append(f"X is not minimal: {redundant} is redundant")
+    if any(adj[y] & ys for y in ys):
+        problems.append("Y is not independent")
+    else:
+        extends = next((x for x in sorted(xs) if not adj[x] & ys), None)
+        if extends is not None:
+            problems.append(f"Y is not maximal: {extends} extends it")
+    return problems
 
 
 def satisfies_double_star_def(pl):

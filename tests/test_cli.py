@@ -196,6 +196,58 @@ def test_usage_and_argument_errors_exit_one(capsys):
     assert exc.value.code == 0
 
 
+def test_main_reuses_one_parser(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    calls = (
+        ("classify", fixture_path("example3_1.graph"), "--json"),
+        ("census", "--n", "x"),
+        ("check", fixture_path("c4.graph")),
+    )
+    first = [run_cli(capsys, *argv) for argv in calls]
+    second = [run_cli(capsys, *argv) for argv in calls]
+    assert first == second
+    assert [code for code, _, _ in first] == [0, 1, 0]
+    assert "invalid int value" in first[1][2]
+
+
+def star_file(tmp_path, leaves):
+    path = tmp_path / "star.graph"
+    path.write_text("".join(f"edge c l{i:04d}\n" for i in range(leaves)))
+    return path
+
+
+def test_classify_on_a_large_star_exits_zero(capsys, tmp_path):
+    # K_{1,1100}: deeper than the interpreter's default recursion limit
+    code, out, err = run_cli(capsys, "classify", str(star_file(tmp_path, 1100)))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "vertex_count: 1101",
+        "height: 1",
+        "has_isolated: False",
+        "in_class: False",
+    ]
+
+
+def test_check_searches_short_cycles_once_per_labeling(capsys, monkeypatch):
+    # route a, the generator bounds and the invariants' precondition all
+    # read the labeling's one r = 2 search
+    searched = []
+    real = pairing.find_cycle
+
+    def counted(pl, max_r=None):
+        searched.append((id(pl), max_r))
+        return real(pl, max_r)
+
+    monkeypatch.setattr(pairing, "find_cycle", counted)
+    for name, cm in (("example3_1.graph", True), ("c4.graph", False)):
+        searched.clear()
+        code, out, _ = run_cli(capsys, "check", fixture_path(name), "--json")
+        document = json.loads(out)
+        assert code == 0 and document["cm"]["value"] is cm
+        assert (document["invariants"] is not None) is cm
+        assert len(searched) == 1 and searched[0][1] == 2
+
+
 def test_inconclusive_only_routes_exit_two(capsys, tmp_path, schema):
     # 5 bare pairs: 32 facets exceed the shelling cap, so a shelling-only
     # check is honestly inconclusive

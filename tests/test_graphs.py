@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cmgraphs.census import member_from_mask, optional_edges
 from cmgraphs.errors import InputFormatError
 from cmgraphs.graphs import (
     Graph,
@@ -13,6 +14,7 @@ from cmgraphs.graphs import (
     height,
     induced_subgraph,
     is_unmixed_bruteforce,
+    isolated_vertices,
     lex_min_matching,
     maximal_independent_sets,
     minimal_vertex_covers,
@@ -22,10 +24,12 @@ from cmgraphs.graphs import (
     remove_vertices,
 )
 from oracles import (
+    brute_height,
     brute_is_unmixed,
     brute_maximal_independents,
     brute_minimal_covers,
     brute_perfect_matchings,
+    maximal_independent_sets_def,
 )
 
 
@@ -315,3 +319,76 @@ def test_lex_min_matching_matches_a_permutation_search():
             assert set(ns) == {r for l in s for r in adj[l] if r in right}
         else:
             assert deficiency is None
+
+
+def _named_random_graphs(rng, count):
+    """Seeded graphs on up to 9 vertices whose names sort differently as
+    strings and as numbers (x10 before x2), isolated vertices included,
+    after the empty graph and a few edgeless ones."""
+    graphs = [Graph.build(), Graph.build(vertices=["a"])]
+    graphs += [Graph.build(vertices=[f"x{i}" for i in range(k)]) for k in (2, 11)]
+    for _ in range(count):
+        vs = rng.sample([f"x{i}" for i in range(1, 13)], rng.randint(1, 9))
+        p = rng.choice([0.15, 0.3, 0.5, 0.8])
+        edges = [e for e in itertools.combinations(vs, 2) if rng.random() < p]
+        graphs.append(Graph.build(vertices=vs, edges=edges))
+    return graphs
+
+
+def test_bitset_enumerator_matches_the_frozenset_reference():
+    rng = random.Random(20091023)
+    graphs = _named_random_graphs(rng, 320)
+    assert any(isolated_vertices(g) and g.edges for g in graphs)
+    assert any(g.vertices.index("x10") < g.vertices.index("x2")
+               for g in graphs if {"x10", "x2"} <= set(g.vertices))
+    for g in graphs:
+        expected = maximal_independent_sets_def(g)
+        assert maximal_independent_sets(g) == expected
+        assert list(expected) == brute_maximal_independents(
+            g.vertices, g.edge_list()
+        )
+
+
+def _class_population(max_pairs):
+    for n in range(1, max_pairs + 1):
+        for mask in range(1 << len(optional_edges(n))):
+            yield member_from_mask(n, mask).graph
+
+
+def test_classify_from_masks_matches_brute_force():
+    rng = random.Random(4368)
+    graphs = list(_class_population(3)) + _named_random_graphs(rng, 200)
+    assert len(graphs) > 700
+    for g in graphs:
+        edges = g.edge_list()
+        isolated = tuple(v for v in g.vertices if not any(v in e for e in edges))
+        h = brute_height(g.vertices, edges)
+        k = len(g.vertices)
+        assert isolated_vertices(g) == isolated
+        assert classify(g).to_dict() == {
+            "vertex_count": k,
+            "height": h,
+            "has_isolated": bool(isolated),
+            "in_class": k > 0 and k == 2 * h and not isolated,
+        }
+
+
+def test_graph_identity_ignores_the_mask_memo(ex31):
+    g = Graph(ex31.vertices, ex31.edges)
+    fresh = Graph(ex31.vertices, ex31.edges)
+    classify(g)
+    assert {"_vertex_bits", "_independent_masks"} <= set(vars(g))
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    restored = pickle.loads(pickle.dumps(g))
+    assert restored == g and not set(vars(restored)) - {"vertices", "edges"}
+    assert classify(restored) == classify(g)
+
+
+def test_enumerating_a_large_star_needs_no_recursion():
+    # K_{1,1100}: the search is deeper than the default recursion limit
+    leaves = [f"l{i:04d}" for i in range(1100)]
+    g = Graph.build(edges=[("c", leaf) for leaf in leaves])
+    assert maximal_independent_sets(g) == (frozenset(["c"]), frozenset(leaves))
+    membership = classify(g)
+    assert (membership.height, membership.has_isolated) == (1, False)

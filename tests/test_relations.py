@@ -9,13 +9,20 @@ import pytest
 import cmgraphs.pairing as pairing
 from cmgraphs.criteria import _structural_scan
 from cmgraphs.errors import PreconditionError
-from cmgraphs.graphs import Graph, add_edges, induced_subgraph, pairs_graph
+from cmgraphs.graphs import (
+    Graph,
+    add_edges,
+    induced_subgraph,
+    pairs_graph,
+    remove_edges,
+)
 from cmgraphs.pairing import (
     PairedLabeling,
     find_cycle,
     make_labeling,
     relabel_for_double_star,
     satisfies_double_star,
+    validate_labeling,
 )
 from cmgraphs.transform import o_set, restricted_o_full
 from oracles import (
@@ -24,6 +31,7 @@ from oracles import (
     relabel_for_double_star_def,
     satisfies_double_star_def,
     structural_scan_def,
+    validate_labeling_def,
 )
 
 CASES = 5000
@@ -78,6 +86,25 @@ def test_relations_match_the_has_edge_scans():
         assert restricted_o_full(pl) == induced_subgraph(full, pl.x_names)
 
 
+def test_validator_reads_the_masks_as_the_adjacency_did():
+    # each labeling also without one of its edges, with its last pair
+    # dropped or its first pair repeated, and with its first pair's sides
+    # swapped
+    rng = random.Random(9094368)
+    for _ in range(CASES // 5):
+        pl = random_labeling(rng)
+        g, pairs = pl.graph, pl.pairs
+        variants = [
+            pl,
+            pl.with_graph(remove_edges(g, [rng.choice(g.edge_list())])),
+            PairedLabeling(g, pairs[:-1]),
+            PairedLabeling(g, pairs + pairs[:1]),
+            PairedLabeling(g, (pairs[0][::-1],) + pairs[1:]),
+        ]
+        for v in variants:
+            assert validate_labeling(v) == validate_labeling_def(v)
+
+
 def std_labeling():
     # x1 -> x2 -> x3 upward cross edges plus one cover edge
     g = add_edges(pairs_graph(3), [("x1", "y2"), ("x2", "y3"), ("x1", "y3"), ("x2", "x3")])
@@ -87,13 +114,13 @@ def std_labeling():
 def test_relations_are_built_once_per_labeling(monkeypatch):
     pl = std_labeling()
     read = []
-    real = pairing.adjacency
+    real = pairing.vertex_bits
 
     def counted(g):
         read.append(g)
         return real(g)
 
-    monkeypatch.setattr(pairing, "adjacency", counted)
+    monkeypatch.setattr(pairing, "vertex_bits", counted)
     _structural_scan(pl)
     _structural_scan(pl)
     upward = relabel_for_double_star(pl)
@@ -121,7 +148,8 @@ def test_labeling_identity_ignores_the_memo():
     pl = std_labeling()
     fresh = PairedLabeling(pl.graph, pl.pairs)
     pl.relations
+    assert pl.short_cycle is None and "short_cycle" in vars(pl)
     assert pl == fresh and hash(pl) == hash(fresh) and repr(pl) == repr(fresh)
     assert pickle.dumps(pl) == pickle.dumps(fresh)
     restored = pickle.loads(pickle.dumps(pl))
-    assert restored == pl and "relations" not in vars(restored)
+    assert restored == pl and not {"relations", "short_cycle"} & set(vars(restored))
