@@ -13,13 +13,15 @@ pickling see only the vertices and edges.
 The bitset view numbers the vertices by sorted name: bit i of a mask
 stands for the i-th name, which is `vertices[i]` for every graph the
 package builds.  It is memoized alongside the adjacency: one neighbour
-mask per vertex.  The maximal independent sets are enumerated once per
-graph as masks, by an iterative pivoted Bron-Kerbosch with an explicit
-stack.  The height, class membership and isolated vertices read the
-masks and build no name sets.  `maximal_independent_sets` turns the
-masks into names once, ordered by their bit positions, which is the
-order of their sorted names; the minimal vertex covers are the
-complements of those sets.
+mask per vertex.  The height and class membership read only the
+neighbour masks: the independence number comes from an exact
+reduce-and-branch search, so deciding membership lists no independent
+set.  The maximal independent sets are enumerated only when the sets
+themselves are asked for (covers, complexes, invariants), once per
+graph, as masks, by an iterative pivoted Bron-Kerbosch with an explicit
+stack.  `maximal_independent_sets` turns the masks into names once,
+ordered by their bit positions, which is the order of their sorted
+names; the minimal vertex covers are the complements of those sets.
 """
 
 from dataclasses import asdict, dataclass
@@ -102,6 +104,10 @@ class Graph:
             neighbours[i] |= 1 << j
             neighbours[j] |= 1 << i
         return VertexBits(names, MappingProxyType(position), tuple(neighbours))
+
+    @cached_property
+    def _independence_number(self) -> int:
+        return _independence_number(self._vertex_bits.neighbours)
 
     @cached_property
     def _independent_masks(self) -> tuple[int, ...]:
@@ -230,6 +236,49 @@ def _bron_kerbosch(g: Graph) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _independence_number(neighbours) -> int:
+    """The size of a largest independent set, by reduce and branch on
+    the neighbour masks (Tarjan-Trojanowski 1977), with an explicit stack.
+
+    Reduce: a vertex with at most one neighbour left lies in some largest
+    independent set of what is left, so it is taken and its neighbour
+    dropped; after the first pass over every vertex, only the neighbours
+    of a dropped vertex are looked at again.
+    Bound: a state holding `size` vertices with `p` left to decide is cut
+    when `size + popcount(p)` cannot beat the best found.  Branch: on the
+    first vertex, in ascending bit order, of largest remaining degree,
+    which is either dropped or taken together with dropping its
+    neighbours."""
+    best = 0
+    stack = [((1 << len(neighbours)) - 1, 0)]
+    while stack:
+        p, size = stack.pop()
+        work = p  # the vertices to look at, lowest bit first
+        while work:
+            low = work & -work
+            work ^= low
+            nb = neighbours[low.bit_length() - 1] & p
+            if nb & (nb - 1):  # two or more neighbours left
+                continue
+            p ^= low | nb
+            size += 1
+            if nb:
+                work = (work | neighbours[nb.bit_length() - 1]) & p
+        if size + p.bit_count() <= best:
+            continue
+        if not p:
+            best = size
+            continue
+        pivot, top = 0, -1
+        for v in bit_positions(p):
+            degree = (neighbours[v] & p).bit_count()
+            if degree > top:
+                pivot, top = v, degree
+        stack.append((p & ~(1 << pivot | neighbours[pivot]), size + 1))
+        stack.append((p & ~(1 << pivot), size))
+    return best
+
+
 def maximal_independent_sets(g: Graph) -> tuple[frozenset[str], ...]:
     """All inclusion-maximal independent sets, lexicographically ordered;
     enumerated once per graph."""
@@ -247,8 +296,10 @@ def minimal_vertex_covers(g: Graph) -> tuple[frozenset[str], ...]:
 
 def height(g: Graph) -> int:
     """Minimum cardinality of a vertex cover (0 for edgeless graphs): the
-    complement of a largest independent set."""
-    return len(g.vertices) - max(map(int.bit_count, g._independent_masks))
+    complement of a largest independent set, whose size is searched for
+    directly on the neighbour masks (memoized on the graph), without
+    enumerating the maximal independent sets."""
+    return len(g.vertices) - g._independence_number
 
 
 @dataclass(frozen=True)
@@ -300,21 +351,34 @@ def is_unmixed_bruteforce(g: Graph) -> Verdict:
 
 def iter_perfect_matchings(g: Graph):
     """Yield all perfect matchings by backtracking on the smallest
-    uncovered vertex; each matching is a sorted tuple of sorted pairs."""
+    uncovered vertex; each matching is a sorted tuple of sorted pairs.
+    An explicit stack holds, per depth, the uncovered vertices and the
+    partners of the smallest one still to try, so depth is unbounded."""
     adj = adjacency(g)
 
-    def rec(uncovered: frozenset[str], acc: list[tuple[str, str]]):
-        if not uncovered:
-            yield tuple(sorted(acc))
-            return
+    def choices(uncovered):
         v = min(uncovered)
-        for w in sorted(adj[v]):
-            if w in uncovered:
-                acc.append((min(v, w), max(v, w)))
-                yield from rec(uncovered - {v, w}, acc)
-                acc.pop()
+        return uncovered, iter([(v, w) for w in sorted(adj[v] & uncovered)])
 
-    yield from rec(frozenset(g.vertices), [])
+    if not g.vertices:
+        yield ()
+        return
+    acc: list[tuple[str, str]] = []  # the pair chosen at each open depth
+    stack = [choices(frozenset(g.vertices))]
+    while stack:
+        uncovered, pairs = stack[-1]
+        pair = next(pairs, None)
+        if pair is None:
+            stack.pop()
+            if acc:
+                acc.pop()
+            continue
+        rest = uncovered.difference(pair)
+        if not rest:
+            yield tuple(sorted([*acc, pair]))
+            continue
+        acc.append(pair)
+        stack.append(choices(rest))
 
 
 def perfect_matchings(g: Graph) -> tuple[tuple[tuple[str, str], ...], ...]:
@@ -329,34 +393,49 @@ def lex_min_matching(g: Graph, left, right):
     Returns a dict, or None together with a deficient set
     (sorted S, sorted N(S)) violating Hall's condition when no such
     matching exists.
+
+    A maximum matching is grown first, by augmenting paths from each
+    left vertex in sorted order.  The left vertices are then fixed in
+    sorted order, each to its smallest partner that still leaves a
+    matching of the rest: giving l a partner r held by l' frees l's old
+    partner, and r is possible exactly when an augmenting path leads
+    from l' to a free right vertex without the partners already fixed.
     """
     adj, right, lefts = adjacency(g), frozenset(right), sorted(left)
-    allowed = {l: adj[l] & right for l in lefts}
+    allowed = {l: sorted(adj[l] & right) for l in lefts}
+    match_of_left: dict[str, str] = {}
+    match_of_right: dict[str, str] = {}
 
-    def max_matching(lefts, used_right):
-        match_of_left: dict[str, str] = {}
-        match_of_right: dict[str, str] = {}
-
-        def augment(l, seen):
-            for r in sorted(allowed[l]):
-                if r in used_right or r in seen:
-                    continue
-                seen.add(r)
-                if r not in match_of_right or augment(match_of_right[r], seen):
+    def augment(start, blocked) -> bool:
+        """Depth-first search for an augmenting path from `start` that
+        avoids `blocked`, trying partners in sorted order; the matching
+        changes only when a path is found.  An explicit stack holds the
+        left vertices of the path and the partners they still have to
+        try, `path` the right vertex each one reached through."""
+        seen: set[str] = set()
+        stack = [(start, iter(allowed[start]))]
+        path: list[str] = []
+        while stack:
+            options = stack[-1][1]
+            r = next((r for r in options if r not in blocked and r not in seen), None)
+            if r is None:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            seen.add(r)
+            path.append(r)
+            owner = match_of_right.get(r)
+            if owner is None:
+                for (l, _), r in zip(stack, path):
                     match_of_left[l] = r
                     match_of_right[r] = l
-                    return True
-            return False
+                return True
+            stack.append((owner, iter(allowed[owner])))
+        return False
 
-        for l in lefts:
-            augment(l, set())
-        return match_of_left, match_of_right
-
-    def feasible(lefts, used_right):
-        match_of_left, _ = max_matching(lefts, used_right)
-        return len(match_of_left) == len(lefts)
-
-    match_of_left, match_of_right = max_matching(lefts, set())
+    for l in lefts:
+        augment(l, ())
     if len(match_of_left) < len(lefts):
         start = next(l for l in lefts if l not in match_of_left)
         # alternating reachability from an unmatched left vertex
@@ -373,15 +452,23 @@ def lex_min_matching(g: Graph, left, right):
                         frontier.append(owner)
         return None, (sorted(s), sorted(ns))
 
-    chosen: dict[str, str] = {}
     used: set[str] = set()
-    for pos, l in enumerate(lefts):
-        rest = lefts[pos + 1:]
-        for r in sorted(allowed[l]):
+    for l in lefts:
+        old = match_of_left[l]
+        for r in allowed[l]:
             if r in used:
                 continue
-            if feasible(rest, used | {r}):
-                chosen[l] = r
-                used.add(r)
+            owner = match_of_right.get(r)
+            if owner == l:  # l keeps its partner
                 break
-    return chosen, None
+            del match_of_right[old]  # l lets its partner go
+            if owner is None:  # r was free: nothing else moves
+                break
+            del match_of_left[owner], match_of_right[r]
+            if augment(owner, used | {r}):  # r's owner moves along a path
+                break
+            match_of_right[old] = l  # r is not possible: undo
+            match_of_left[owner], match_of_right[r] = r, owner
+        match_of_left[l], match_of_right[r] = r, l
+        used.add(r)
+    return {l: match_of_left[l] for l in lefts}, None

@@ -9,8 +9,9 @@ package replaced, and tests compare the two: the recursive frozenset
 Bron-Kerbosch enumerator, dense Gauss-Jordan ranks over F_p and Q,
 strong connectivity by testing every facet pair, pair relations probed
 pair by pair with `has_edge`, as the package did before a labeling
-memoized them, the labeling validator on adjacency name sets, and every
-labeling by a matching search of its own per minimum cover.
+memoized them, the labeling validator on adjacency name sets, every
+labeling by a matching search of its own per minimum cover, and the
+recursive perfect-matching backtracker and lexicographic matcher.
 """
 
 import itertools
@@ -80,7 +81,8 @@ def maximal_independent_sets_def(g):
 
 
 def brute_height(vertices, edges):
-    return min(len(c) for c in brute_minimal_covers(vertices, edges))
+    """The smallest size of a vertex cover, trying subsets by size."""
+    return next(len(s) for s in all_subsets(vertices) if is_cover_def(edges, s))
 
 
 def brute_perfect_matchings(vertices, edges):
@@ -92,6 +94,75 @@ def brute_perfect_matchings(vertices, edges):
         if len(touched) == len(set(touched)) and set(touched) == vertices:
             out.append(tuple(sorted(tuple(sorted(e)) for e in subset)))
     return sorted(out)
+
+
+def iter_perfect_matchings_def(g):
+    """Perfect matchings by recursive backtracking on the smallest
+    uncovered vertex; each is a sorted tuple of sorted pairs."""
+    adj = adjacency(g)
+
+    def rec(uncovered, acc):
+        if not uncovered:
+            yield tuple(sorted(acc))
+            return
+        v = min(uncovered)
+        for w in sorted(adj[v]):
+            if w in uncovered:
+                acc.append((min(v, w), max(v, w)))
+                yield from rec(uncovered - {v, w}, acc)
+                acc.pop()
+
+    yield from rec(frozenset(g.vertices), [])
+
+
+def lex_min_matching_def(g, left, right):
+    """The lexicographically smallest matching of `left` into `right`,
+    each feasibility test a maximum matching grown by recursive augmenting
+    paths; None and Hall's deficient set (sorted S, sorted N(S)) when no
+    matching covers `left`."""
+    adj, right, lefts = adjacency(g), frozenset(right), sorted(left)
+    allowed = {l: adj[l] & right for l in lefts}
+
+    def max_matching(lefts, used_right):
+        match_of_left, match_of_right = {}, {}
+
+        def augment(l, seen):
+            for r in sorted(allowed[l]):
+                if r in used_right or r in seen:
+                    continue
+                seen.add(r)
+                if r not in match_of_right or augment(match_of_right[r], seen):
+                    match_of_left[l] = r
+                    match_of_right[r] = l
+                    return True
+            return False
+
+        for l in lefts:
+            augment(l, set())
+        return match_of_left, match_of_right
+
+    match_of_left, match_of_right = max_matching(lefts, set())
+    if len(match_of_left) < len(lefts):
+        start = next(l for l in lefts if l not in match_of_left)
+        s, ns, frontier = {start}, set(), [start]
+        while frontier:
+            for r in allowed[frontier.pop()]:
+                if r not in ns:
+                    ns.add(r)
+                    owner = match_of_right.get(r)
+                    if owner is not None and owner not in s:
+                        s.add(owner)
+                        frontier.append(owner)
+        return None, (sorted(s), sorted(ns))
+    chosen, used = {}, set()
+    for pos, l in enumerate(lefts):
+        rest = lefts[pos + 1:]
+        for r in sorted(allowed[l]):
+            if r not in used and len(max_matching(rest, used | {r})[0]) == len(rest):
+                chosen[l] = r
+                used.add(r)
+                break
+    return chosen, None
 
 
 def brute_is_unmixed(vertices, edges):

@@ -228,6 +228,19 @@ def test_classify_on_a_large_star_exits_zero(capsys, tmp_path):
     ]
 
 
+def test_classify_json_on_twelve_hundred_pairs_exits_zero(capsys, tmp_path):
+    path = tmp_path / "pairs1200.graph"
+    path.write_text("pairs 1200\n")
+    code, out, err = run_cli(capsys, "classify", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "vertex_count": 2400,
+        "height": 1200,
+        "has_isolated": False,
+        "in_class": True,
+    }
+
+
 def test_check_searches_short_cycles_once_per_labeling(capsys, monkeypatch):
     # route a, the generator bounds and the invariants' precondition all
     # read the labeling's one r = 2 search

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cmgraphs.census import member_from_mask, optional_edges
+from cmgraphs.census import enumerate_class, member_from_mask, optional_edges
 from cmgraphs.errors import InputFormatError
 from cmgraphs.graphs import (
     Graph,
@@ -15,6 +15,7 @@ from cmgraphs.graphs import (
     induced_subgraph,
     is_unmixed_bruteforce,
     isolated_vertices,
+    iter_perfect_matchings,
     lex_min_matching,
     maximal_independent_sets,
     minimal_vertex_covers,
@@ -23,12 +24,17 @@ from cmgraphs.graphs import (
     remove_edges,
     remove_vertices,
 )
+from cmgraphs.pairing import make_labeling, unique_perfect_matching
+from cmgraphs.transform import index_subsets, o_set
+from conftest import std_pairs
 from oracles import (
     brute_height,
     brute_is_unmixed,
     brute_maximal_independents,
     brute_minimal_covers,
     brute_perfect_matchings,
+    iter_perfect_matchings_def,
+    lex_min_matching_def,
     maximal_independent_sets_def,
 )
 
@@ -250,8 +256,6 @@ def _facts(g):
 
 
 def test_derived_graphs_get_their_own_facts(ex31_pl):
-    from cmgraphs.transform import o_set
-
     g = Graph.build(edges=[("a", "b"), ("b", "c"), ("c", "d")])
     _facts(g)
     derived = [
@@ -289,9 +293,44 @@ def test_memoized_adjacency_is_read_only(c4):
         adjacency(c4)["x1"] = frozenset()
 
 
+def test_iterative_perfect_matchings_match_the_recursive_reference():
+    rng = random.Random(1977)
+    graphs = _named_random_graphs(rng, 200, largest=10)
+    graphs += [g for g in _class_population(3)]
+    for g in graphs:
+        assert list(iter_perfect_matchings(g)) == list(iter_perfect_matchings_def(g))
+
+
+def test_uniqueness_of_a_long_matching_needs_no_recursion():
+    pl = make_labeling(pairs_graph(1200), std_pairs(1200))
+    assert unique_perfect_matching(pl).value is True
+
+
+def test_lex_min_matching_follows_a_long_augmenting_path():
+    # z, matched last, displaces every l_i onto r_{i+1}: the augmenting
+    # path is longer than the default recursion limit
+    k = 1500
+    lefts = [f"l{i:05d}" for i in range(1, k + 1)]
+    right = {f"r{j:05d}" for j in range(1, k + 2)}
+    edges = [(l, f"r{j:05d}") for i, l in enumerate(lefts, 1) for j in (i, i + 1)]
+    g = Graph.build(edges=edges + [("z", "r00001")])
+    matching, deficiency = lex_min_matching(g, lefts + ["z"], right)
+    assert deficiency is None
+    assert matching == {
+        **{l: f"r{i + 1:05d}" for i, l in enumerate(lefts, 1)},
+        "z": "r00001",
+    }
+    g = Graph.build(edges=edges + [("w", "r00001"), ("z", "r00001")])
+    assert lex_min_matching(g, lefts + ["w", "z"], right) == (
+        None,
+        (["w", "z"], ["r00001"]),
+    )
+
+
 def test_lex_min_matching_matches_a_permutation_search():
     # every injective choice of partners in sorted-left order, first
-    # valid one wins; Hall's condition fails exactly when none exists
+    # valid one wins; Hall's condition fails exactly when none exists,
+    # and the recursive matcher finds the same matching or deficient set
     rng = random.Random(11)
     for _ in range(400):
         k, extra = rng.randint(1, 4), rng.randint(0, 2)
@@ -313,6 +352,7 @@ def test_lex_min_matching_matches_a_permutation_search():
         )
         matching, deficiency = lex_min_matching(g, reversed(left), set(right))
         assert matching == expected
+        assert (matching, deficiency) == lex_min_matching_def(g, left, right)
         if expected is None:
             s, ns = deficiency
             assert s == sorted(s) and ns == sorted(ns) and len(ns) < len(s)
@@ -321,14 +361,15 @@ def test_lex_min_matching_matches_a_permutation_search():
             assert deficiency is None
 
 
-def _named_random_graphs(rng, count):
-    """Seeded graphs on up to 9 vertices whose names sort differently as
-    strings and as numbers (x10 before x2), isolated vertices included,
-    after the empty graph and a few edgeless ones."""
+def _named_random_graphs(rng, count, largest=9):
+    """Seeded graphs on up to `largest` vertices whose names sort
+    differently as strings and as numbers (x10 before x2), isolated
+    vertices included, after the empty graph and a few edgeless ones."""
     graphs = [Graph.build(), Graph.build(vertices=["a"])]
     graphs += [Graph.build(vertices=[f"x{i}" for i in range(k)]) for k in (2, 11)]
+    names = [f"x{i}" for i in range(1, max(12, largest) + 1)]
     for _ in range(count):
-        vs = rng.sample([f"x{i}" for i in range(1, 13)], rng.randint(1, 9))
+        vs = rng.sample(names, rng.randint(1, largest))
         p = rng.choice([0.15, 0.3, 0.5, 0.8])
         edges = [e for e in itertools.combinations(vs, 2) if rng.random() < p]
         graphs.append(Graph.build(vertices=vs, edges=edges))
@@ -377,12 +418,63 @@ def test_graph_identity_ignores_the_mask_memo(ex31):
     g = Graph(ex31.vertices, ex31.edges)
     fresh = Graph(ex31.vertices, ex31.edges)
     classify(g)
+    maximal_independent_sets(g)
     assert {"_vertex_bits", "_independent_masks"} <= set(vars(g))
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
     assert pickle.dumps(g) == pickle.dumps(fresh)
     restored = pickle.loads(pickle.dumps(g))
     assert restored == g and not set(vars(restored)) - {"vertices", "edges"}
     assert classify(restored) == classify(g)
+
+
+def test_classify_enumerates_no_independent_set(ex31):
+    for g in (Graph(ex31.vertices, ex31.edges), Graph.build(), pairs_graph(3)):
+        classify(g)
+        assert "_vertex_bits" in vars(g)
+        assert "_independent_masks" not in vars(g)
+        assert "_maximal_independent_sets" not in vars(g)
+
+
+def test_height_search_matches_both_references():
+    # every member with n <= 3, seeded graphs on up to 14 vertices, and
+    # the 16 deformations of each draw of a seeded n = 4 sample
+    rng = random.Random(19770601)
+    graphs = list(_class_population(3)) + _named_random_graphs(rng, 320, largest=14)
+    assert len(graphs) == 521 + 324
+    assert any(len(g.vertices) == 14 for g in graphs)
+    members = list(enumerate_class(4, mode="sample", seed=2010, count=40))
+    assert len(members) == 40
+    graphs += [o_set(pl, t) for pl in members for t in index_subsets(pl.n)]
+    for g in graphs:
+        expected = brute_height(g.vertices, g.edge_list())
+        assert classify(g).height == expected
+        assert len(g.vertices) - max(map(int.bit_count, g._independent_masks)) == expected
+
+
+def _chain(n):
+    """The upward chain on n pairs: the matching plus every x_i y_j, i < j."""
+    edges = [(f"x{i}", f"y{j}") for i in range(1, n + 1) for j in range(i, n + 1)]
+    return Graph.build(edges=edges)
+
+
+def _whiskered_path(n):
+    """The path x1 .. xn with a whisker y_i on every x_i."""
+    edges = [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
+    return Graph.build(edges=edges + [(f"x{i}", f"x{i + 1}") for i in range(1, n)])
+
+
+def test_height_of_large_families_needs_no_enumeration():
+    star = Graph.build(edges=[("c", f"l{i:04d}") for i in range(1100)])
+    cases = (
+        (pairs_graph(1200), 1200, True),
+        (_chain(600), 600, True),
+        (_whiskered_path(40), 40, True),
+        (star, 1, False),
+    )
+    for g, h, in_class in cases:
+        membership = classify(g)
+        assert (membership.height, membership.in_class) == (h, in_class)
+        assert "_independent_masks" not in vars(g)
 
 
 def test_enumerating_a_large_star_needs_no_recursion():
