@@ -11,6 +11,7 @@ full reproduction bundle.  Violations are data, not errors: a clean run
 returns an empty list.
 """
 
+import functools
 import json
 import multiprocessing
 import random
@@ -44,6 +45,12 @@ EXHAUSTIVE_PAIR_CAP = 4
 
 def optional_edges(n: int) -> list[tuple[str, str]]:
     """Candidate extra edges in a fixed deterministic order."""
+    return list(_candidate_edges(n))
+
+
+@functools.cache
+def _candidate_edges(n: int) -> tuple[tuple[str, str], ...]:
+    """The candidate extra edges, built once per pair count."""
     edges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -52,15 +59,14 @@ def optional_edges(n: int) -> list[tuple[str, str]]:
         for j in range(1, n + 1):
             if i != j:
                 edges.append((f"x{i}", f"y{j}"))
-    return sorted(edges)
+    return tuple(sorted(edges))
 
 
 def member_from_mask(n: int, mask: int) -> PairedLabeling:
-    opts = optional_edges(n)
-    edges = [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
-    edges += [opts[b] for b in range(len(opts)) if mask >> b & 1]
-    graph = Graph.build(edges=edges)
     pairs = tuple((f"x{i}", f"y{i}") for i in range(1, n + 1))
+    opts = _candidate_edges(n)
+    extra = [opts[b] for b in range(len(opts)) if mask >> b & 1]
+    graph = Graph.build(edges=[*pairs, *extra])
     return PairedLabeling(graph, pairs)
 
 
@@ -77,12 +83,12 @@ def _masks(n: int, mode: str, seed, count):
                 f"exhaustive enumeration is capped at {EXHAUSTIVE_PAIR_CAP} "
                 f"pairs; got {n}"
             )
-        return list(range(1 << len(optional_edges(n))))
+        return list(range(1 << len(_candidate_edges(n))))
     if mode == "sample":
         if seed is None:
             raise CmGraphsError("sampled mode requires an explicit seed")
         rng = random.Random(seed)
-        bits = len(optional_edges(n))
+        bits = len(_candidate_edges(n))
         return [rng.getrandbits(bits) if bits else 0 for _ in range(count or 10000)]
     raise CmGraphsError(f"unknown census mode {mode!r}")
 

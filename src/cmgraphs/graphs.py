@@ -6,14 +6,18 @@ deterministic order (lexicographic on sorted vertex names) so reports and
 golden files are byte-stable.  A `Graph` is immutable, so the facts every
 analysis needs (adjacency, the bitset view, maximal independent sets,
 minimal vertex covers) are computed on first use and memoized on that
-instance.  The memo holds only immutable values, dies with the graph and
-is never shared across graphs or calls; equality, hashing, repr and
-pickling see only the vertices and edges.
+instance.  The memo holds only immutable values and dies with the graph;
+equality, hashing, repr and pickling see only the vertices and edges.
+One thing in it can come from another graph: a deformed graph is handed
+its bitset view by `transform.o_set` (through `rewired`), which shares
+the parent's immutable names and positions and carries neighbour masks
+of its own, so it never builds the view from its edges.
 
 The bitset view numbers the vertices by sorted name: bit i of a mask
 stands for the i-th name, which is `vertices[i]` for every graph the
 package builds.  It is memoized alongside the adjacency: one neighbour
-mask per vertex.  The height and class membership read only the
+mask per vertex.  The perfect-matching backtracker (route d) runs on the
+neighbour masks too.  The height and class membership read only the
 neighbour masks: the independence number comes from an exact
 reduce-and-branch search, so deciding membership lists no independent
 set.  The maximal independent sets are enumerated only when the sets
@@ -121,6 +125,16 @@ class Graph:
     def _minimal_vertex_covers(self) -> tuple[frozenset[str], ...]:
         verts = frozenset(self.vertices)
         return _sorted_sets(verts - m for m in maximal_independent_sets(self))
+
+
+def rewired(g: Graph, edges: frozenset[frozenset[str]], neighbours) -> Graph:
+    """A graph on `g`'s vertices with `edges`, handed its bitset view
+    instead of building one: `g`'s names and positions with
+    `neighbours`, which must be the neighbour masks of `edges`."""
+    out = Graph(g.vertices, edges)
+    names, position, _ = vertex_bits(g)
+    out.__dict__["_vertex_bits"] = VertexBits(names, position, tuple(neighbours))
+    return out
 
 
 def adjacency(g: Graph) -> Mapping[str, frozenset[str]]:
@@ -350,32 +364,39 @@ def is_unmixed_bruteforce(g: Graph) -> Verdict:
 
 
 def iter_perfect_matchings(g: Graph):
-    """Yield all perfect matchings by backtracking on the smallest
-    uncovered vertex; each matching is a sorted tuple of sorted pairs.
-    An explicit stack holds, per depth, the uncovered vertices and the
-    partners of the smallest one still to try, so depth is unbounded."""
-    adj = adjacency(g)
+    """Yield all perfect matchings by backtracking on the neighbour masks:
+    the lowest uncovered bit is matched to each uncovered neighbour in
+    ascending bit order.  Bit order is sorted-name order, so the pairs
+    chosen down one branch come out sorted, and each matching is a sorted
+    tuple of sorted pairs.  An explicit stack holds, per depth, the
+    uncovered bits left after that depth's lowest one and the partners
+    still to try, so depth is unbounded."""
+    names, _, neighbours = vertex_bits(g)
 
     def choices(uncovered):
-        v = min(uncovered)
-        return uncovered, iter([(v, w) for w in sorted(adj[v] & uncovered)])
+        low = uncovered & -uncovered
+        v = low.bit_length() - 1
+        return [uncovered ^ low, v, neighbours[v] & uncovered]
 
-    if not g.vertices:
+    if not names:
         yield ()
         return
     acc: list[tuple[str, str]] = []  # the pair chosen at each open depth
-    stack = [choices(frozenset(g.vertices))]
+    stack = [choices((1 << len(names)) - 1)]
     while stack:
-        uncovered, pairs = stack[-1]
-        pair = next(pairs, None)
-        if pair is None:
+        top = stack[-1]
+        rest, v, partners = top
+        if not partners:
             stack.pop()
             if acc:
                 acc.pop()
             continue
-        rest = uncovered.difference(pair)
+        low = partners & -partners
+        top[2] = partners ^ low
+        pair = (names[v], names[low.bit_length() - 1])
+        rest ^= low
         if not rest:
-            yield tuple(sorted([*acc, pair]))
+            yield (*acc, pair)
             continue
         acc.append(pair)
         stack.append(choices(rest))

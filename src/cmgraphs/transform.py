@@ -11,7 +11,14 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputFormatError, RouteDisagreementError, StructureError
-from .graphs import Graph, induced_subgraph, isolated_vertices, lex_min_matching
+from .graphs import (
+    Graph,
+    induced_subgraph,
+    isolated_vertices,
+    lex_min_matching,
+    rewired,
+    vertex_bits,
+)
 from .pairing import PairedLabeling, validate_labeling
 
 
@@ -25,7 +32,12 @@ def o_set(pl: PairedLabeling, t) -> Graph:
 
     The operators touch disjoint y-stars, so the composition is one
     rewrite of the original edges: each link y_i x_k (i in t) becomes the
-    cover edge x_k x_i.
+    cover edge x_k x_i.  The deformed graph's neighbour masks are the
+    parent's with the same rewrite applied: the bits y_i and x_k are
+    cleared on each other and x_i and x_k set on each other.  The masks
+    are set and cleared, never toggled, so a cover edge x_k x_i that is
+    already there, or that two links produce, stays one edge.  The new
+    graph gets them as its bitset view and builds none from its edges.
     """
     t = set(t)
     out_of_range = {i for i in t if not 1 <= i <= pl.n}
@@ -33,14 +45,21 @@ def o_set(pl: PairedLabeling, t) -> Graph:
         raise InputFormatError(
             f"pair indices {sorted(out_of_range)} out of range 1..{pl.n}"
         )
-    g, links = pl.graph, pl.relations.links
-    moved = [(pl.x(k), i) for i in t for k in links[i]]
+    g, links, pairs = pl.graph, pl.relations.links, pl.pairs
+    moved = [(pairs[k - 1][0], *pairs[i - 1]) for i in t for k in links[i]]
     if not moved:
         return g
     edges = set(g.edges)
-    edges -= {frozenset((x, pl.y(i))) for x, i in moved}
-    edges |= {frozenset((x, pl.x(i))) for x, i in moved}
-    return Graph(g.vertices, frozenset(edges))
+    edges -= {frozenset((xk, yi)) for xk, _, yi in moved}
+    edges |= {frozenset((xk, xi)) for xk, xi, _ in moved}
+    _, position, neighbours = vertex_bits(g)
+    masks = list(neighbours)
+    for xk, xi, yi in moved:
+        k, i, y = position[xk], position[xi], position[yi]  # bit positions
+        masks[k] = masks[k] & ~(1 << y) | 1 << i
+        masks[y] &= ~(1 << k)
+        masks[i] |= 1 << k
+    return rewired(g, frozenset(edges), masks)
 
 
 def index_subsets(n: int):

@@ -1,7 +1,10 @@
+from functools import cached_property
+
 import pytest
 
 import cmgraphs.census as census
 import cmgraphs.criteria as criteria
+import cmgraphs.graphs as graphs
 import cmgraphs.pairing as pairing
 from cmgraphs.census import (
     CensusReport,
@@ -12,7 +15,7 @@ from cmgraphs.census import (
 )
 from cmgraphs.cli import main
 from cmgraphs.errors import CapacityError, CmGraphsError
-from cmgraphs.graphs import classify
+from cmgraphs.graphs import Graph, classify
 from cmgraphs.pairing import validate_labeling
 from cmgraphs.verdicts import Verdict
 from oracles import (
@@ -138,8 +141,9 @@ def test_omitted_count_draws_ten_thousand(monkeypatch):
 
 def test_member_from_mask_is_deterministic():
     a = member_from_mask(3, 0b101)
+    optional_edges(3).clear()  # a fresh list: the candidates it copies stay
     b = member_from_mask(3, 0b101)
-    assert a == b
+    assert a == b and len(optional_edges(3)) == 9
 
 
 def test_cross_validate_exhaustive_counts():
@@ -330,3 +334,47 @@ def test_rational_homology_disagreement_is_recorded_once(monkeypatch):
     assert outcome["summary"] == clean["summary"]
     routes = outcome["violations"][0]["details"]["routes"]
     assert (routes["f"]["value"], routes["fQ"]["value"]) == (True, False)
+
+
+def _count_graph_work(monkeypatch):
+    """Record each call of `graphs.adjacency` and each graph that builds
+    its bitset view from its edges."""
+    adjacency_calls, views_built = [], []
+    adjacency, build_view = graphs.adjacency, Graph.__dict__["_vertex_bits"].func
+
+    def counted_adjacency(g):
+        adjacency_calls.append(g)
+        return adjacency(g)
+
+    def counted_view(g):
+        views_built.append(g)
+        return build_view(g)
+
+    view = cached_property(counted_view)
+    view.__set_name__(Graph, "_vertex_bits")
+    monkeypatch.setattr(graphs, "adjacency", counted_adjacency)
+    monkeypatch.setattr(Graph, "_vertex_bits", view)
+    return adjacency_calls, views_built
+
+
+def test_a_draw_that_is_not_cm_builds_one_view_and_no_adjacency(monkeypatch):
+    # every deformation is handed its view by o_set and route d matches on
+    # the masks, so only the drawn graph reads its edges
+    adjacency_calls, views_built = _count_graph_work(monkeypatch)
+    for mask, unmixed in ((264, True), (9, False)):
+        adjacency_calls.clear()
+        views_built.clear()
+        outcome = census._check_draw((4, 0, mask, False))
+        assert outcome == {
+            "summary": {"unmixed": unmixed, "cm": False, "cm_type": None},
+            "violations": [],
+        }
+        assert adjacency_calls == []
+        assert views_built == [member_from_mask(4, mask).graph]
+
+
+def test_a_cm_draw_reads_the_adjacency_for_its_degrees(monkeypatch):
+    adjacency_calls, _ = _count_graph_work(monkeypatch)
+    outcome = census._check_draw((4, 0, 0, False))
+    assert outcome["summary"]["cm"] and outcome["violations"] == []
+    assert adjacency_calls == [member_from_mask(4, 0).graph]

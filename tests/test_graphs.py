@@ -301,6 +301,29 @@ def test_iterative_perfect_matchings_match_the_recursive_reference():
         assert list(iter_perfect_matchings(g)) == list(iter_perfect_matchings_def(g))
 
 
+def test_mask_matchings_ignore_the_declared_vertex_order():
+    # vertices declared in shuffled order, names x1..x12 (x10 sorts
+    # before x2): bits follow sorted names, whatever the declared order
+    rng = random.Random(41)
+    names = [f"x{i}" for i in range(1, 13)]
+    unsorted = 0
+    for _ in range(150):
+        vs = rng.sample(names, rng.choice([2, 4, 6, 8, 10, 12, 5, 7]))
+        p = rng.choice([0.3, 0.5, 0.8])
+        edges = [frozenset(e) for e in itertools.combinations(vs, 2) if rng.random() < p]
+        g = Graph(tuple(vs), frozenset(edges))
+        unsorted += list(g.vertices) != sorted(g.vertices)
+        assert list(iter_perfect_matchings(g)) == list(iter_perfect_matchings_def(g))
+    assert unsorted > 100
+    full = Graph(tuple(reversed(names)), frozenset(
+        frozenset(e) for e in itertools.combinations(names, 2)
+    ))
+    found = list(iter_perfect_matchings(full))
+    assert len(found) == 10395  # 11!!
+    assert found == list(iter_perfect_matchings_def(full))
+    assert found[0][:2] == (("x1", "x10"), ("x11", "x12"))
+
+
 def test_uniqueness_of_a_long_matching_needs_no_recursion():
     pl = make_labeling(pairs_graph(1200), std_pairs(1200))
     assert unique_perfect_matching(pl).value is True

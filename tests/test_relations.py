@@ -1,6 +1,7 @@
 """The memoized pair relations of a labeling, pinned to the has_edge scans
 they replaced (`oracles.*_def`) on seeded random labelings."""
 
+import itertools
 import pickle
 import random
 
@@ -103,6 +104,35 @@ def test_validator_reads_the_masks_as_the_adjacency_did():
         ]
         for v in variants:
             assert validate_labeling(v) == validate_labeling_def(v)
+
+
+def tangled_labeling(rng):
+    """A labeling on at most six vertices whose pairs repeat names or put
+    one name on both sides, so that Y need not be V - X; most draws still
+    name every vertex, so the validator gets past the partition check."""
+    names = [f"v{i}" for i in range(rng.randint(2, 6))]
+    drawn = rng.sample(names, len(names)) + rng.choices(names, k=rng.randint(0, 4))
+    if rng.random() < 0.1:
+        drawn.pop(0)
+    if len(drawn) % 2:
+        drawn.append(rng.choice(names))
+    rng.shuffle(drawn)
+    p = rng.choice([0.2, 0.4, 0.7])
+    edges = [e for e in itertools.combinations(names, 2) if rng.random() < p]
+    pairs = tuple(zip(drawn[::2], drawn[1::2]))
+    return PairedLabeling(Graph.build(vertices=names, edges=edges), pairs)
+
+
+def test_validator_on_repeated_and_shared_names_matches_the_adjacency():
+    rng = random.Random(4368090)
+    tangled = 0
+    for _ in range(CASES):
+        pl = tangled_labeling(rng)
+        xs, ys = set(pl.x_names), set(pl.y_names)
+        if len(xs) < pl.n or len(ys) < pl.n or xs & ys:
+            tangled += 1
+        assert validate_labeling(pl) == validate_labeling_def(pl)
+    assert tangled > CASES // 2
 
 
 def std_labeling():

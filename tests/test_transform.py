@@ -1,11 +1,13 @@
 import itertools
+import os
 
 import pytest
 
 from cmgraphs.census import enumerate_class
-from cmgraphs.errors import InputFormatError, StructureError
-from cmgraphs.graphs import Graph, add_edges, classify, pairs_graph
-from cmgraphs.pairing import make_labeling, validate_labeling
+from cmgraphs.errors import CmGraphsError, InputFormatError, StructureError
+from cmgraphs.graphio import parse_graph_file
+from cmgraphs.graphs import Graph, add_edges, classify, pairs_graph, vertex_bits
+from cmgraphs.pairing import find_star_labeling, make_labeling, validate_labeling
 from cmgraphs.transform import (
     BGraftSpec,
     BipartiteBlock,
@@ -15,7 +17,7 @@ from cmgraphs.transform import (
     o_set,
     restricted_o_full,
 )
-from conftest import std_pairs
+from conftest import FIXTURES, fixture_path, std_pairs
 
 
 def test_o_operator_examples(ex31_pl):
@@ -98,6 +100,40 @@ def test_o_preserves_class_and_labeling_exhaustive_small():
                 deformed = pl.with_graph(o_set(pl, t))
                 assert classify(deformed.graph).in_class
                 assert validate_labeling(deformed) == []
+
+
+def _handed_over_view_is_the_edges_view(pl):
+    for t in index_subsets(pl.n):
+        d = o_set(pl, t)
+        if d is not pl.graph:
+            assert "_vertex_bits" in vars(d)  # handed over, not yet read
+        assert vertex_bits(d) == vertex_bits(Graph(d.vertices, d.edges))
+
+
+def test_o_set_hands_over_the_view_its_edges_give(ex31_pl, c4_pl, graft_spec):
+    members = [pl for n in (1, 2, 3) for pl in enumerate_class(n)]
+    assert len(members) == 521
+    members += enumerate_class(4, mode="sample", seed=11, count=300)
+    members += enumerate_class(5, mode="sample", seed=12, count=60)
+    members += [ex31_pl, c4_pl, b_graft(graft_spec)[1]]
+    for name in sorted(os.listdir(FIXTURES)):
+        try:
+            graph = parse_graph_file(fixture_path(name)).graph
+            members.append(find_star_labeling(graph))
+        except CmGraphsError:
+            pass
+    # x1 x2 is already a cover edge and both links y1 x2 and y2 x1 exist,
+    # so every subset either keeps that edge or makes it a second time
+    both_ways = make_labeling(
+        add_edges(pairs_graph(2), [("x1", "x2"), ("x1", "y2"), ("x2", "y1")]),
+        std_pairs(2),
+    )
+    assert both_ways.relations.links == {1: {2}, 2: {1}}
+    assert o_set(both_ways, {1, 2}).edge_list() == [
+        ("x1", "x2"), ("x1", "y1"), ("x2", "y2")
+    ]
+    for pl in [both_ways, *members]:
+        _handed_over_view_is_the_edges_view(pl)
 
 
 def test_restricted_o_full(ex31_pl, c4_pl):
