@@ -9,9 +9,11 @@ point upward, and decides uniqueness of the perfect matching.
 
 Like a `Graph`, a `PairedLabeling` memoizes what every criterion reads:
 its pair relations (`PairRelations`), read from the graph's neighbour
-masks, and its 2-pair cycle search (`short_cycle`), each built on first
-use; equality, hashing, repr and pickling see only the graph and the
-pairs.
+masks, its 2-pair cycle search (`short_cycle`), and per pair index the
+pieces of the rewiring operator (`rewirings`, one `Rewiring` each), which
+`transform.o_set` combines for every index set it is asked for.  Each is
+built on first use; equality, hashing, repr and pickling see only the
+graph and the pairs, and `with_graph` starts a labeling without them.
 """
 
 import heapq
@@ -51,6 +53,20 @@ class PairRelations(NamedTuple):
     cover: Mapping[int, frozenset[int]]
 
 
+class Rewiring(NamedTuple):
+    """What the rewiring operator for one pair i changes: the links
+    y_i x_k it removes, the cover edges x_k x_i it adds, and per link the
+    bit positions (k, i, y) of x_k, x_i and y_i in the graph's bitset
+    view."""
+
+    removed: tuple[frozenset[str], ...]
+    added: tuple[frozenset[str], ...]
+    moves: tuple[tuple[int, int, int], ...]
+
+
+_UNWIRED = Rewiring((), (), ())  # a pair without links changes nothing
+
+
 @dataclass(frozen=True)
 class PairedLabeling:
     graph: Graph
@@ -81,6 +97,24 @@ class PairedLabeling:
             links[i] = indices(y, x_index, x_mask, i)
             cover[i] = indices(x, x_index, x_mask, i)
         return PairRelations(*map(MappingProxyType, (cross, links, cover)))
+
+    @cached_property
+    def rewirings(self) -> tuple[Rewiring, ...]:
+        """The rewiring of pair i at index i - 1, built from the links."""
+        position, links = vertex_bits(self.graph).position, self.relations.links
+        x_names, out = self.x_names, []
+        for i, (xi, yi) in enumerate(self.pairs, start=1):
+            if not links[i]:
+                out.append(_UNWIRED)
+                continue
+            xks = [x_names[k - 1] for k in sorted(links[i])]
+            pi, py = position[xi], position[yi]
+            per_link = [
+                (frozenset((xk, yi)), frozenset((xk, xi)), (position[xk], pi, py))
+                for xk in xks
+            ]
+            out.append(Rewiring(*zip(*per_link)))
+        return tuple(out)
 
     @cached_property
     def short_cycle(self) -> "CycleWitness | None":
@@ -136,13 +170,17 @@ class CycleWitness:
 
 
 def validate_labeling(pl: PairedLabeling) -> list[str]:
-    """All violated labeling invariants, as human-readable strings."""
-    g = pl.graph
+    """All violated labeling invariants, as human-readable strings.
+
+    The cover and independence checks walk the neighbour masks bit by bit
+    and stop at the first vertex that settles them."""
+    g, n = pl.graph, pl.n
     problems = []
-    xs, ys = set(pl.x_names), set(pl.y_names)
-    if pl.n < 1:
+    xs = {x for x, _ in pl.pairs}
+    ys = {y for _, y in pl.pairs}
+    if n < 1:
         problems.append("labeling must have at least one pair")
-    if len(xs) != pl.n or len(ys) != pl.n or xs & ys:
+    if len(xs) != n or len(ys) != n or xs & ys:
         problems.append("pair names must be distinct and the sides disjoint")
     if xs | ys != set(g.vertices):
         problems.append("pairs must partition the vertex set")
@@ -156,20 +194,31 @@ def validate_labeling(pl: PairedLabeling) -> list[str]:
         x_mask |= 1 << px
         y_mask |= 1 << py
     outside = ((1 << len(names)) - 1) & ~x_mask
-    x_bits = bit_positions(x_mask)
-    if any(neighbours[p] & outside for p in bit_positions(outside)):
+    if _lowest(outside, neighbours, outside, True) is not None:
         problems.append("X is not a vertex cover")
     else:
-        redundant = next((p for p in x_bits if not neighbours[p] & outside), None)
+        redundant = _lowest(x_mask, neighbours, outside, False)
         if redundant is not None:
             problems.append(f"X is not minimal: {names[redundant]} is redundant")
-    if any(neighbours[p] & y_mask for p in bit_positions(y_mask)):
+    if _lowest(y_mask, neighbours, y_mask, True) is not None:
         problems.append("Y is not independent")
     else:
-        extends = next((p for p in x_bits if not neighbours[p] & y_mask), None)
+        extends = _lowest(x_mask, neighbours, y_mask, False)
         if extends is not None:
             problems.append(f"Y is not maximal: {names[extends]} extends it")
     return problems
+
+
+def _lowest(mask: int, neighbours, other: int, meets: bool) -> int | None:
+    """The lowest bit position p of `mask` whose neighbour mask meets
+    `other` (or, when `meets` is false, misses it); None if there is none."""
+    while mask:
+        low = mask & -mask
+        p = low.bit_length() - 1
+        if bool(neighbours[p] & other) is meets:
+            return p
+        mask ^= low
+    return None
 
 
 def make_labeling(g: Graph, pairs) -> PairedLabeling:

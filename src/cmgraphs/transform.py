@@ -32,33 +32,36 @@ def o_set(pl: PairedLabeling, t) -> Graph:
 
     The operators touch disjoint y-stars, so the composition is one
     rewrite of the original edges: each link y_i x_k (i in t) becomes the
-    cover edge x_k x_i.  The deformed graph's neighbour masks are the
-    parent's with the same rewrite applied: the bits y_i and x_k are
-    cleared on each other and x_i and x_k set on each other.  The masks
-    are set and cleared, never toggled, so a cover edge x_k x_i that is
-    already there, or that two links produce, stays one edge.  The new
-    graph gets them as its bitset view and builds none from its edges.
+    cover edge x_k x_i.  The labeling builds each pair's rewiring once
+    (`PairedLabeling.rewirings`); here the pieces for t are combined.
+    The edges are E minus the removed links, plus the added cover edges.
+    The deformed graph's neighbour masks are the parent's with the same
+    rewrite applied: the bits y_i and x_k are cleared on each other and
+    x_i and x_k set on each other.  The masks are set and cleared, never
+    toggled, so a cover edge x_k x_i that is already there, or that two
+    links produce, stays one edge.  The new graph gets them as its bitset
+    view and builds none from its edges.  When no pair in t has a link,
+    the input graph itself is returned.
     """
-    t = set(t)
-    out_of_range = {i for i in t if not 1 <= i <= pl.n}
+    t, n = set(t), pl.n
+    out_of_range = {i for i in t if not 1 <= i <= n}
     if out_of_range:
         raise InputFormatError(
-            f"pair indices {sorted(out_of_range)} out of range 1..{pl.n}"
+            f"pair indices {sorted(out_of_range)} out of range 1..{n}"
         )
-    g, links, pairs = pl.graph, pl.relations.links, pl.pairs
-    moved = [(pairs[k - 1][0], *pairs[i - 1]) for i in t for k in links[i]]
-    if not moved:
+    rewirings = pl.rewirings
+    pieces = [rewirings[i - 1] for i in t if rewirings[i - 1].moves]
+    g = pl.graph
+    if not pieces:
         return g
-    edges = set(g.edges)
-    edges -= {frozenset((xk, yi)) for xk, _, yi in moved}
-    edges |= {frozenset((xk, xi)) for xk, xi, _ in moved}
-    _, position, neighbours = vertex_bits(g)
-    masks = list(neighbours)
-    for xk, xi, yi in moved:
-        k, i, y = position[xk], position[xi], position[yi]  # bit positions
-        masks[k] = masks[k] & ~(1 << y) | 1 << i
-        masks[y] &= ~(1 << k)
-        masks[i] |= 1 << k
+    edges, masks = set(g.edges), list(vertex_bits(g).neighbours)
+    for p in pieces:
+        edges.difference_update(p.removed)  # x-y edges; the added are x-x
+        edges.update(p.added)
+        for k, i, y in p.moves:
+            masks[k] = masks[k] & ~(1 << y) | 1 << i
+            masks[y] &= ~(1 << k)
+            masks[i] |= 1 << k
     return rewired(g, frozenset(edges), masks)
 
 

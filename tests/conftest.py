@@ -1,5 +1,6 @@
 import os
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -33,6 +34,20 @@ RP2_FACETS = [
 def std_pairs(n):
     """The standard pairing (x1, y1), ..., (xn, yn)."""
     return [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
+
+
+def count_builds(monkeypatch, cls, name):
+    """Record each instance of `cls` that builds its memoized `name`."""
+    built, build = [], cls.__dict__[name].func
+
+    def counted(obj):
+        built.append(obj)
+        return build(obj)
+
+    memo = cached_property(counted)
+    memo.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, memo)
+    return built
 
 
 def fixture_path(name):

@@ -1,4 +1,4 @@
-from functools import cached_property
+import sys
 
 import pytest
 
@@ -6,6 +6,7 @@ import cmgraphs.census as census
 import cmgraphs.criteria as criteria
 import cmgraphs.graphs as graphs
 import cmgraphs.pairing as pairing
+import cmgraphs.transform as transform
 from cmgraphs.census import (
     CensusReport,
     cross_validate,
@@ -16,8 +17,9 @@ from cmgraphs.census import (
 from cmgraphs.cli import main
 from cmgraphs.errors import CapacityError, CmGraphsError
 from cmgraphs.graphs import Graph, classify
-from cmgraphs.pairing import validate_labeling
+from cmgraphs.pairing import PairedLabeling, validate_labeling
 from cmgraphs.verdicts import Verdict
+from conftest import count_builds
 from oracles import (
     brute_height,
     brute_is_unmixed,
@@ -339,22 +341,14 @@ def test_rational_homology_disagreement_is_recorded_once(monkeypatch):
 def _count_graph_work(monkeypatch):
     """Record each call of `graphs.adjacency` and each graph that builds
     its bitset view from its edges."""
-    adjacency_calls, views_built = [], []
-    adjacency, build_view = graphs.adjacency, Graph.__dict__["_vertex_bits"].func
+    adjacency_calls, adjacency = [], graphs.adjacency
 
     def counted_adjacency(g):
         adjacency_calls.append(g)
         return adjacency(g)
 
-    def counted_view(g):
-        views_built.append(g)
-        return build_view(g)
-
-    view = cached_property(counted_view)
-    view.__set_name__(Graph, "_vertex_bits")
     monkeypatch.setattr(graphs, "adjacency", counted_adjacency)
-    monkeypatch.setattr(Graph, "_vertex_bits", view)
-    return adjacency_calls, views_built
+    return adjacency_calls, count_builds(monkeypatch, Graph, "_vertex_bits")
 
 
 def test_a_draw_that_is_not_cm_builds_one_view_and_no_adjacency(monkeypatch):
@@ -378,3 +372,39 @@ def test_a_cm_draw_reads_the_adjacency_for_its_degrees(monkeypatch):
     outcome = census._check_draw((4, 0, 0, False))
     assert outcome["summary"]["cm"] and outcome["violations"] == []
     assert adjacency_calls == [member_from_mask(4, 0).graph]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record each call of `module.name`, through every `cmgraphs` module
+    that binds it."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "cmgraphs" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_a_draw_checks_each_deformation_once(monkeypatch):
+    # one classify for the draw, then per pair-index subset one o_set, one
+    # classify and one validate_labeling; the rewirings are built once, for
+    # the drawn labeling.  On the unmixed draw route e deforms too, up to
+    # its first mixed deformation (the second subset), on the same pieces
+    classified = _count_calls(monkeypatch, graphs, "classify")
+    validated = _count_calls(monkeypatch, pairing, "validate_labeling")
+    deformed = _count_calls(monkeypatch, transform, "o_set")
+    rewired = count_builds(monkeypatch, PairedLabeling, "rewirings")
+    for mask, unmixed, o_set_calls in ((9, False, 16), (264, True, 18)):
+        for calls in (classified, validated, deformed, rewired):
+            calls.clear()
+        outcome = census._check_draw((4, 0, mask, False))
+        assert outcome["summary"]["unmixed"] is unmixed
+        assert not outcome["summary"]["cm"] and outcome["violations"] == []
+        assert len(classified) == 17
+        assert len(validated) == 16
+        assert len(deformed) == o_set_calls
+        assert rewired == [member_from_mask(4, mask)]

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import cmgraphs.pairing as pairing
+from cmgraphs.census import enumerate_class, member_from_mask
 from cmgraphs.criteria import _structural_scan
 from cmgraphs.errors import PreconditionError
 from cmgraphs.graphs import (
@@ -16,6 +17,7 @@ from cmgraphs.graphs import (
     induced_subgraph,
     pairs_graph,
     remove_edges,
+    vertex_bits,
 )
 from cmgraphs.pairing import (
     PairedLabeling,
@@ -25,7 +27,8 @@ from cmgraphs.pairing import (
     satisfies_double_star,
     validate_labeling,
 )
-from cmgraphs.transform import o_set, restricted_o_full
+from cmgraphs.transform import index_subsets, o_set, restricted_o_full
+from conftest import count_builds
 from oracles import (
     find_cycle_def,
     o_set_def,
@@ -106,6 +109,90 @@ def test_validator_reads_the_masks_as_the_adjacency_did():
             assert validate_labeling(v) == validate_labeling_def(v)
 
 
+def twelve_pairs(drop=(), add=()):
+    """The labeling x_i y_i, i = 1..12, on the matching without `drop`
+    plus `add`.  Bit order is sorted-name order, so x10 comes before x2."""
+    pairs = tuple((f"x{i}", f"y{i}") for i in range(1, 13))
+    edges = [p for p in pairs if p not in drop] + list(add)
+    names = [v for p in pairs for v in p]
+    return PairedLabeling(Graph.build(vertices=names, edges=edges), pairs)
+
+
+def test_validator_reports_every_failed_check_in_order():
+    dropped = [("x2", "y2"), ("x10", "y10")]
+    cases = [
+        (
+            twelve_pairs(drop=[("x3", "y3")], add=[("y11", "y2"), ("y1", "y2")]),
+            [
+                "matching edge x3-y3 missing",
+                "X is not a vertex cover",
+                "Y is not independent",
+            ],
+        ),
+        (
+            twelve_pairs(drop=[("x12", "y12")], add=[("x3", "y1")]),
+            [
+                "matching edge x12-y12 missing",
+                "X is not minimal: x12 is redundant",
+                "Y is not maximal: x12 extends it",
+            ],
+        ),
+    ]
+    # x2 and x10 lose their only y neighbour, with or without a cover edge
+    # between them: both are redundant and both extend Y, and x10 is named
+    for add in ([], [("x2", "x10")]):
+        cases.append(
+            (
+                twelve_pairs(drop=dropped, add=add),
+                [
+                    "matching edge x2-y2 missing",
+                    "matching edge x10-y10 missing",
+                    "X is not minimal: x10 is redundant",
+                    "Y is not maximal: x10 extends it",
+                ],
+            )
+        )
+    full = twelve_pairs()
+    cases += [
+        (
+            PairedLabeling(full.graph, full.pairs[:-1] + (("x1", "y12"),)),
+            [
+                "pair names must be distinct and the sides disjoint",
+                "pairs must partition the vertex set",
+            ],
+        ),
+        (
+            PairedLabeling(full.graph, ()),
+            [
+                "labeling must have at least one pair",
+                "pairs must partition the vertex set",
+            ],
+        ),
+        (PairedLabeling(Graph.build(), ()), ["labeling must have at least one pair"]),
+    ]
+    for pl, problems in cases:
+        assert validate_labeling(pl) == validate_labeling_def(pl) == problems
+
+
+def test_validator_on_every_small_deformation_matches_the_adjacency():
+    # every deformation of every member with n <= 3, also without its
+    # first matching edge and with its first pair's sides swapped
+    deformations = 0
+    for n in (1, 2, 3):
+        for pl in enumerate_class(n):
+            for t in index_subsets(n):
+                d = pl.with_graph(o_set(pl, t))
+                first = d.pairs[0]
+                for v in (
+                    d,
+                    d.with_graph(remove_edges(d.graph, [first])),
+                    PairedLabeling(d.graph, (first[::-1],) + d.pairs[1:]),
+                ):
+                    assert validate_labeling(v) == validate_labeling_def(v)
+                deformations += 1
+    assert deformations == 1 * 2 + 8 * 4 + 512 * 8
+
+
 def tangled_labeling(rng):
     """A labeling on at most six vertices whose pairs repeat names or put
     one name on both sides, so that Y need not be V - X; most draws still
@@ -165,6 +252,40 @@ def test_relations_are_built_once_per_labeling(monkeypatch):
         pl.relations.links[1] = frozenset()
 
 
+def test_rewirings_are_built_once_per_labeling(monkeypatch):
+    built = count_builds(monkeypatch, PairedLabeling, "rewirings")
+    pl = member_from_mask(4, 264)
+    for t in index_subsets(pl.n):
+        o_set(pl, t)
+    restricted_o_full(pl)
+    assert built == [pl]
+    # pair i's piece holds its links y_i x_k, the cover edges x_k x_i they
+    # become and the bit positions (k, i, y) the masks move on
+    position = vertex_bits(pl.graph).position
+    for i, piece in enumerate(pl.rewirings, start=1):
+        ks = sorted(pl.relations.links[i])
+        assert piece.removed == tuple(frozenset((pl.x(k), pl.y(i))) for k in ks)
+        assert piece.added == tuple(frozenset((pl.x(k), pl.x(i))) for k in ks)
+        assert piece.moves == tuple(
+            (position[pl.x(k)], position[pl.x(i)], position[pl.y(i)]) for k in ks
+        )
+    assert sum(len(piece.moves) for piece in pl.rewirings) > 1
+
+
+def test_a_deformed_labeling_builds_its_own_rewirings():
+    rng = random.Random(4368)
+    members = [random_labeling(rng) for _ in range(CASES // 5)]
+    members += enumerate_class(4, mode="sample", seed=14, count=400)
+    for pl in members:
+        s = [i for i in range(1, pl.n + 1) if rng.random() < 0.5]
+        t = [i for i in range(1, pl.n + 1) if rng.random() < 0.5]
+        deformed = pl.with_graph(o_set(pl, s))
+        assert "rewirings" not in vars(deformed)
+        got = o_set(deformed, t)
+        assert got == o_set_def(pl.with_graph(o_set_def(pl, s)), t)
+        assert vertex_bits(got) == vertex_bits(Graph(got.vertices, got.edges))
+
+
 def test_with_graph_gets_fresh_relations():
     pl = std_labeling()
     assert pl.relations.links[3] == {1, 2}
@@ -177,9 +298,12 @@ def test_with_graph_gets_fresh_relations():
 def test_labeling_identity_ignores_the_memo():
     pl = std_labeling()
     fresh = PairedLabeling(pl.graph, pl.pairs)
+    memo = {"relations", "short_cycle", "rewirings"}
     pl.relations
-    assert pl.short_cycle is None and "short_cycle" in vars(pl)
+    assert pl.short_cycle is None and pl.rewirings[2].moves
+    assert memo <= set(vars(pl))
     assert pl == fresh and hash(pl) == hash(fresh) and repr(pl) == repr(fresh)
     assert pickle.dumps(pl) == pickle.dumps(fresh)
     restored = pickle.loads(pickle.dumps(pl))
-    assert restored == pl and not {"relations", "short_cycle"} & set(vars(restored))
+    assert restored == pl and not memo & set(vars(restored))
+    assert not memo & set(vars(pl.with_graph(pl.graph)))

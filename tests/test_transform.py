@@ -1,9 +1,10 @@
 import itertools
 import os
+import re
 
 import pytest
 
-from cmgraphs.census import enumerate_class
+from cmgraphs.census import enumerate_class, member_from_mask
 from cmgraphs.errors import CmGraphsError, InputFormatError, StructureError
 from cmgraphs.graphio import parse_graph_file
 from cmgraphs.graphs import Graph, add_edges, classify, pairs_graph, vertex_bits
@@ -18,6 +19,7 @@ from cmgraphs.transform import (
     restricted_o_full,
 )
 from conftest import FIXTURES, fixture_path, std_pairs
+from oracles import o_set_def
 
 
 def test_o_operator_examples(ex31_pl):
@@ -65,6 +67,26 @@ def test_o_set_reproduces_deformed_figure(ex31_pl):
 def test_o_set_empty_is_identity(ex31_pl, c4_pl):
     assert o_set(ex31_pl, set()) == ex31_pl.graph
     assert o_set(c4_pl, set()) == c4_pl.graph
+    # an empty subset, or one whose pairs have no links (pair 1 of
+    # Example 3.1), returns the graph itself
+    assert ex31_pl.relations.links[1] == frozenset()
+    for t in ((), set(), [1], [1, 1], (i for i in [1])):
+        assert o_set(ex31_pl, t) is ex31_pl.graph
+    assert o_set(c4_pl, iter(())) is c4_pl.graph
+    bare = make_labeling(pairs_graph(3), std_pairs(3))
+    assert o_set(bare, [1, 2, 3]) is bare.graph
+
+
+def test_o_set_reads_any_iterable_of_indices(ex31_pl):
+    member = member_from_mask(4, 0b101101001011)
+    for pl in (ex31_pl, member):
+        expected = o_set(pl, {1, 3})
+        assert expected == o_set_def(pl, {1, 3}) != pl.graph
+        assert o_set(pl, [3, 1, 3]) == expected
+        assert o_set(pl, (i for i in (3, 1))) == expected
+        message = re.escape(f"pair indices [0, 9] out of range 1..{pl.n}")
+        with pytest.raises(InputFormatError, match=message):
+            o_set(pl, [3, 0, 9, 0])
 
 
 def test_o_set_on_four_cycle_deduplicates(c4_pl):
