@@ -85,7 +85,7 @@ def invariant_report(pl: PairedLabeling) -> InvariantReport:
         )
     return InvariantReport(
         cm_type=cm_type,
-        socle_monomials=tuple(sorted(tuple(sorted(s)) for s in generators)),
+        socle_monomials=tuple(tuple(sorted(s)) for s in generators),
         level=bool(is_unmixed_bruteforce(restricted).value),
         gorenstein=gorenstein,
         complete_intersection=gorenstein,

@@ -1,4 +1,6 @@
+import glob
 import itertools
+import os
 import pickle
 import random
 
@@ -23,10 +25,12 @@ from cmgraphs.graphs import (
     perfect_matchings,
     remove_edges,
     remove_vertices,
+    vertex_bits,
 )
+from cmgraphs.graphio import parse_graph_file
 from cmgraphs.pairing import make_labeling, unique_perfect_matching
 from cmgraphs.transform import index_subsets, o_set
-from conftest import std_pairs
+from conftest import FIXTURES, golden_path, std_pairs
 from oracles import (
     brute_height,
     brute_is_unmixed,
@@ -411,6 +415,81 @@ def test_bitset_enumerator_matches_the_frozenset_reference():
         assert list(expected) == brute_maximal_independents(
             g.vertices, g.edge_list()
         )
+
+
+def _covers_as_first_defined(g):
+    """The minimal covers as the package first computed them: the
+    complements of the maximal independent sets, sorted by sorted names."""
+    verts = frozenset(g.vertices)
+    covers = (verts - s for s in maximal_independent_sets_def(g))
+    return tuple(sorted(covers, key=lambda c: tuple(sorted(c))))
+
+
+def _order_cases():
+    """Seeded graphs on up to 14 vertices named x1 .. x14 (x10 sorts
+    before x2), the empty, edgeless and isolated-vertex cases, seeded
+    class members, and the fixtures and families of the check benchmark."""
+    rng = random.Random(20091024)
+    graphs = _named_random_graphs(rng, 300, largest=14)
+    assert any(len(g.vertices) == 14 for g in graphs)
+    graphs += [pl.graph for pl in enumerate_class(4, mode="sample", seed=5, count=40)]
+    paths = sorted(glob.glob(os.path.join(FIXTURES, "*.graph")))
+    paths.append(golden_path("example5_1_graft.graph"))
+    graphs += [parse_graph_file(path).graph for path in paths]
+    graphs += [pairs_graph(n) for n in range(1, 12)]
+    graphs += [_whiskered_path(n) for n in range(1, 16)]
+    graphs += [_chain(n) for n in range(2, 35, 4)]
+    return graphs
+
+
+def test_enumeration_comes_out_in_sorted_name_order():
+    # the sets and the covers are ordered without a sort on names, so
+    # both must still equal the references element by element
+    for g in _order_cases():
+        sets, covers = maximal_independent_sets(g), minimal_vertex_covers(g)
+        assert sets == maximal_independent_sets_def(g)
+        assert covers == _covers_as_first_defined(g)
+        if len(g.vertices) <= 9:
+            assert list(covers) == brute_minimal_covers(g.vertices, g.edge_list())
+
+
+def test_unmixedness_witnesses_are_the_extreme_covers_by_name():
+    # the witnesses are read off the covers' order: the first of the
+    # smallest size and the last of the largest
+    def by_size_then_names(c):
+        return len(c), sorted(c)
+
+    mixed = 0
+    for g in _order_cases():
+        covers = _covers_as_first_defined(g)
+        sizes = sorted(len(c) for c in covers)
+        certificate = {"cover_sizes": sizes}
+        if sizes[0] != sizes[-1]:
+            mixed += 1
+            certificate["witness_small"] = sorted(min(covers, key=by_size_then_names))
+            certificate["witness_large"] = sorted(max(covers, key=by_size_then_names))
+        verdict = is_unmixed_bruteforce(g)
+        assert (verdict.value, verdict.route) == (sizes[0] == sizes[-1], "cover-sizes")
+        assert verdict.certificate == certificate
+    assert mixed > 100
+
+
+def test_the_600_pair_chain_enumerates_its_601_sets():
+    # the pivot scan stops at a vertex that leaves one branch; without
+    # that, every node of this search scans all 1200 vertices
+    g = _chain(600)
+    sets = maximal_independent_sets(g)
+    assert len(set(sets)) == len(sets) == 601
+    names, position, neighbours = vertex_bits(g)
+    full = (1 << len(names)) - 1
+    for s in sets:
+        bits = [position[v] for v in s]
+        mask = sum(1 << i for i in bits)
+        reach = mask
+        for i in bits:
+            assert not neighbours[i] & mask
+            reach |= neighbours[i]
+        assert reach == full
 
 
 def _class_population(max_pairs):
