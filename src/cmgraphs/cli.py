@@ -8,6 +8,7 @@ unexpected exception (reported with the argv that raised it).
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -30,7 +31,7 @@ from .errors import (
     StructureError,
 )
 from .graphs import classify, is_unmixed_bruteforce
-from .graphio import format_graph, parse_graph_file
+from .graphio import format_graph, parse_graph
 from .invariants import invariant_report
 from .linalg import is_prime
 from .pairing import (
@@ -47,11 +48,18 @@ EXIT_CAPACITY = 2
 EXIT_DISAGREEMENT = 3
 
 
-def _load(path):
+def _read(path) -> tuple[bytes, str]:
+    """A graph file's bytes and their UTF-8 text, read once."""
     try:
-        return parse_graph_file(path)
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data, data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _load(path):
+    return parse_graph(_read(path)[1])
 
 
 def _labeling_for(parsed) -> PairedLabeling:
@@ -61,18 +69,14 @@ def _labeling_for(parsed) -> PairedLabeling:
     return find_star_labeling(parsed.graph)
 
 
-def _digest(path) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
 def _analysis_document(path, routes: str, field) -> tuple[dict, int]:
-    parsed = _load(path)
+    data, text = _read(path)
+    parsed = parse_graph(text)
     g = parsed.graph
     membership = classify(g)
     document = {
         "version": "analysis-v1",
-        "input_digest": _digest(path),
+        "input_digest": "sha256:" + hashlib.sha256(data).hexdigest(),
         "class": membership.to_dict(),
         "labeling": None,
         "unmixed": None,
@@ -216,8 +220,10 @@ def _cmd_check(args) -> int:
             field = int(args.field)
         except ValueError as exc:
             raise InputFormatError(f"bad --field value {args.field!r}") from exc
-        if not is_prime(field):
-            raise InputFormatError(f"--field must be a prime or Q, got {field}")
+        if not (field < 2**31 and is_prime(field)):
+            raise InputFormatError(
+                f"--field must be Q or a prime below 2^31, got {field}"
+            )
     document, exit_code = _analysis_document(args.file, routes, field)
     _print_document(document, args.json)
     return exit_code
@@ -266,19 +272,24 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    report = cross_validate(
-        args.n,
-        mode=args.mode,
-        seed=args.seed,
-        count=args.count,
-        threads=args.threads,
-    )
-    payload = report.canonical_dict()
-    payload["runtime_ms"] = report.runtime_ms
-    print(json.dumps(payload, indent=2))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.histogram_csv())
+    # the CSV file is opened first, so an unwritable path fails before the run
+    try:
+        csv = open(args.csv, "w", encoding="utf-8") if args.csv else None
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {args.csv}: {exc}") from exc
+    with csv or contextlib.nullcontext():
+        report = cross_validate(
+            args.n,
+            mode=args.mode,
+            seed=args.seed,
+            count=args.count,
+            threads=args.threads,
+        )
+        payload = report.canonical_dict()
+        payload["runtime_ms"] = report.runtime_ms
+        print(json.dumps(payload, indent=2))
+        if csv:
+            csv.write(report.histogram_csv())
     return EXIT_OK
 
 
@@ -322,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="a",
         help="comma-separated subset of a,b,c,d,e,f (default a)",
     )
-    p.add_argument("--field", default="2", help="homology field: a prime or Q")
+    p.add_argument(
+        "--field", default="2", help="homology field: Q or a prime below 2^31"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_check)
 

@@ -76,9 +76,9 @@ def invariant_report(pl: PairedLabeling) -> InvariantReport:
         )
     cm_type = len(covers)
     matching = {frozenset(p) for p in pl.pairs}
-    extra = sorted(sorted(e) for e in pl.graph.edges - matching)
-    gorenstein = not extra
+    gorenstein = pl.graph.edges <= matching
     if gorenstein != (cm_type == 1):
+        extra = sorted(sorted(e) for e in pl.graph.edges - matching)
         raise RouteDisagreementError(
             "matching-only and type one disagree",
             dump=pl.dump(extra_edges=extra, cm_type=cm_type),

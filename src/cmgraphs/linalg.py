@@ -9,10 +9,14 @@ reduction).  Floating point is never used; these ranks feed a homology
 oracle where rounding would be unsound.  Inputs are not modified.
 """
 
+import functools
 from math import gcd
 
 
+@functools.cache
 def is_prime(p: int) -> bool:
+    """Trial division up to the square root, memoized: `rank_mod_p` asks
+    again on every call."""
     if p < 2:
         return False
     d = 2

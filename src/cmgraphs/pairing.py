@@ -3,17 +3,18 @@ maximal independent set Y.
 
 The central structure pairs x_i with y_i along matching edges; every
 criterion downstream is phrased in terms of pair indices (1-based).  This
-module discovers such labelings deterministically, detects the alternating
-obstruction cycles through pairs, reorders labelings so cross edges only
-point upward, and decides uniqueness of the perfect matching.
+module discovers such labelings deterministically, finds the alternating
+obstruction cycles through pairs by breadth-first search, reorders labelings
+so cross edges point upward, and decides uniqueness of the perfect matching.
 
 Like a `Graph`, a `PairedLabeling` memoizes what every criterion reads:
 its pair relations (`PairRelations`), read from the graph's neighbour
-masks, its 2-pair cycle search (`short_cycle`), and per pair index the
-pieces of the rewiring operator (`rewirings`, one `Rewiring` each), which
-`transform.o_set` combines for every index set it is asked for.  Each is
-built on first use; equality, hashing, repr and pickling see only the
-graph and the pairs, and `with_graph` starts a labeling without them.
+masks, its 2-pair cycle (`short_cycle`, which route a and the relabeling
+read), and per pair index the pieces of the rewiring operator (`rewirings`,
+one `Rewiring` each), which `transform.o_set` combines for every index set
+it is asked for.  Each is built on first use; equality, hashing, repr and
+pickling see only the graph and the pairs, and `with_graph` starts a
+labeling without them.
 """
 
 import heapq
@@ -309,40 +310,42 @@ def all_star_labelings(g: Graph):
 
 
 def find_cycle(pl: PairedLabeling, max_r: int | None = None) -> CycleWitness | None:
-    """Shortest alternating cycle through distinct pairs, or None.
+    """Shortest alternating cycle through distinct pairs, or None: the
+    lexicographically smallest shortest cycle, written from its minimum.
 
-    Searches r = 2 upward; within each length the witness is the
-    lexicographically smallest index sequence starting at its minimum.
-    Searching r = 2 alone is enough to decide Cohen-Macaulayness of
-    unmixed in-class graphs; larger r exists to validate that equivalence.
+    From each start s, a breadth-first search over the pairs above s along
+    the reversed links (`cross`) collects `levels[d]`, the pairs d links
+    back from s; the first level meeting `links[s]` closes the shortest
+    cycle through s, of length d + 1, and the witness steps to the smallest
+    linked pair one level nearer.  No search passes length `max_r`, and
+    later starts look only for a shorter cycle: O(n·m).  Searching r = 2
+    alone decides Cohen-Macaulayness of unmixed in-class graphs.
     """
-    n = pl.n
-    links = pl.relations.links
+    n, (cross, links, _) = pl.n, pl.relations
     limit = n if max_r is None else min(max_r, n)
-
-    def extend(seq, used, r):
-        last = seq[-1]
-        if len(seq) == r:
-            return list(seq) if seq[0] in links[last] else None
-        for nxt in sorted(links[last]):
-            if nxt > seq[0] and nxt not in used:
-                found = extend(seq + [nxt], used | {nxt}, r)
-                if found:
-                    return found
+    found = None
+    for s in range(1, n + 1):
+        levels, seen = [{s}], {s}
+        while len(levels) < limit and levels[-1]:
+            level = {j for i in levels[-1] for j in cross[i] if j > s} - seen
+            seen |= level
+            levels.append(level)
+            if links[s] & level:
+                found, limit = (s, levels), len(levels) - 1
+                break
+    if found is None:
         return None
-
-    for r in range(2, limit + 1):
-        for start in range(1, n + 1):
-            found = extend([start], {start}, r)
-            if found:
-                w = CycleWitness(tuple(found))
-                if not cycle_witness_holds(pl, w):
-                    raise RouteDisagreementError(
-                        "cycle search and cycle validator disagree",
-                        dump=pl.dump(cycle=w.to_list()),
-                    )
-                return w
-    return None
+    s, levels = found
+    cycle = [s]
+    for level in reversed(levels[1:]):
+        cycle.append(min(links[cycle[-1]] & level))
+    w = CycleWitness(tuple(cycle))
+    if not cycle_witness_holds(pl, w):
+        raise RouteDisagreementError(
+            "cycle search and cycle validator disagree",
+            dump=pl.dump(cycle=w.to_list()),
+        )
+    return w
 
 
 def relabel_for_double_star(pl: PairedLabeling) -> PairedLabeling:
@@ -350,20 +353,19 @@ def relabel_for_double_star(pl: PairedLabeling) -> PairedLabeling:
 
     The relation x_i before x_j when x_i y_j is an edge must be a partial
     order for this to work: transitivity comes from unmixedness and
-    antisymmetry from the absence of 2-pair cycles, so both are verified
-    here and violations are reported as precondition failures.  The order
-    taken is the lexicographically smallest (by x vertex name) topological
-    linear extension.
+    antisymmetry from the absence of 2-pair cycles (`short_cycle`), so
+    both are verified here and violations are reported as precondition
+    failures.  The order taken is the lexicographically smallest (by x
+    vertex name) topological linear extension.
     """
     n, (cross, links, _) = pl.n, pl.relations
-    for i in range(1, n + 1):
-        for j in sorted(cross[i]):
-            if i in cross[j]:
-                raise PreconditionError(
-                    f"antisymmetry fails: both cross edges between pairs {i} "
-                    f"and {j} are present",
-                    witness={"antisymmetry": [i, j]},
-                )
+    if pl.short_cycle is not None:
+        i, j = pl.short_cycle.indices
+        raise PreconditionError(
+            f"antisymmetry fails: both cross edges between pairs {i} "
+            f"and {j} are present",
+            witness={"antisymmetry": [i, j]},
+        )
     for i in range(1, n + 1):
         for j in sorted(cross[i]):
             missing = cross[j] - cross[i] - {i}
@@ -432,17 +434,15 @@ def unique_perfect_matching(pl: PairedLabeling) -> Verdict:
     )
     x_index = {x: i for i, (x, _) in enumerate(pl.pairs, start=1)}
     y_index = {y: i for i, (_, y) in enumerate(pl.pairs, start=1)}
-    sigma = {}
+    partner = {}  # pair of each y -> pair of the x it is matched with
     for a, b in other:
         x, y = (a, b) if a in x_index else (b, a)
-        sigma[x_index[x]] = y_index[y]
-    start = min(i for i in sigma if sigma[i] != i)
+        partner[y_index[y]] = x_index[x]
+    start = min(j for j, i in partner.items() if i != j)
     cycle = [start]
-    while sigma[cycle[-1]] != start:
-        cycle.append(sigma[cycle[-1]])
-    cycle.reverse()  # x_k matched to y_sigma(k) means the links run backwards
-    pos = cycle.index(min(cycle))
-    witness = CycleWitness(tuple(cycle[pos:] + cycle[:pos]))
+    while partner[cycle[-1]] != start:
+        cycle.append(partner[cycle[-1]])
+    witness = CycleWitness(tuple(cycle))  # y_j x_partner(j) is a link
     if not cycle_witness_holds(pl, witness):
         raise RouteDisagreementError(
             "second matching and cycle validator disagree",

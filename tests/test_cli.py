@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -425,6 +426,7 @@ def test_invariants_gorenstein_mismatch_exits_three(
     code, _, err = run_cli(capsys, "invariants", str(path))
     assert code == 3
     assert "disagree" in err and '"cm_type": 2' in err
+    assert '"extra_edges": []' in err
 
 
 def test_invariants_subcommand(capsys):
@@ -459,6 +461,58 @@ def test_census_subcommand_with_csv(capsys, tmp_path):
     assert payload["violations"] == []
     assert "runtime_ms" in payload
     assert csv_path.read_text() == "type,count\n1,1\n2,3\n"
+
+
+def test_census_csv_to_an_unwritable_path_exits_one_before_the_run(
+    capsys, monkeypatch, tmp_path
+):
+    def run(*args, **kwargs):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(cli, "cross_validate", run)
+    path = tmp_path / "no_such_dir" / "hist.csv"
+    code, out, err = run_cli(capsys, "census", "--n", "1", "--csv", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {path}")
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.graph"
+    bad.write_bytes("pairs 2\nedge x1 y2 # caf\u00e9\n".encode("latin-1"))
+    good = fixture_path("example5_1.b1.graph")
+    for argv in (
+        ("classify", str(bad)),
+        ("check", str(bad), "--json"),
+        ("transform", str(bad)),
+        ("invariants", str(bad)),
+        ("complex", str(bad)),
+        ("graft", "--h0", str(bad), "--block", good),
+        ("graft", "--h0", fixture_path("example5_1.h0.graph"), "--block", str(bad)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+
+
+def test_input_digest_is_the_sha256_of_the_file_bytes(capsys, tmp_path):
+    path = tmp_path / "crlf.graph"
+    data = "pairs 2\r\nedge x1 y2 # \u00e9\r\n".encode("utf-8")
+    path.write_bytes(data)
+    code, out, _ = run_cli(capsys, "check", str(path), "--json")
+    assert code == 0
+    digest = json.loads(out)["input_digest"]
+    assert digest == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def test_field_is_q_or_a_prime_below_two_to_the_31(capsys):
+    path = fixture_path("c4.graph")
+    code, out, _ = run_cli(capsys, "check", path, "--routes", "f",
+                           "--field", "2147483647", "--json")
+    assert code == 0 and json.loads(out)["cm"]["value"] is False
+    for field in ("2147483659", "4", "-7"):
+        code, out, err = run_cli(capsys, "check", path, "--field", field)
+        assert (code, out) == (1, "")
+        assert f"prime below 2^31, got {field}" in err
 
 
 def test_transform_rejects_bad_set(capsys):

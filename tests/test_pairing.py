@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -120,6 +121,22 @@ def test_find_cycle_long_cycle_only():
     w = find_cycle(pl)
     assert w.indices == (1, 2, 3)
     assert cycle_witness_holds(pl, w)
+
+
+def test_find_cycle_through_more_pairs_than_the_recursion_limit():
+    # the only cycle is y_i x_{i+1} for i < n and y_n x_1, through all n pairs
+    n = 300
+    pairs = [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
+    links = [(f"y{i}", f"x{i % n + 1}") for i in range(1, n + 1)]
+    pl = PairedLabeling(Graph.build(edges=pairs + links), tuple(pairs))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(n - 50)
+    try:
+        w = find_cycle(pl)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert w.indices == tuple(range(1, n + 1))
+    assert find_cycle(pl, max_r=n - 1) is None
 
 
 def test_cycle_witness_holds_rejects_junk(c4_pl):

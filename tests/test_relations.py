@@ -78,7 +78,7 @@ def test_relations_match_the_has_edge_scans():
     for _ in range(CASES):
         pl = random_labeling(rng)
         assert _structural_scan(pl).to_dict() == structural_scan_def(pl).to_dict()
-        for max_r in (2, None):
+        for max_r in (2, 3, None):
             assert find_cycle(pl, max_r) == find_cycle_def(pl, max_r)
         assert outcome(relabel_for_double_star, pl) == outcome(
             relabel_for_double_star_def, pl
