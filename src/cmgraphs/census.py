@@ -43,14 +43,10 @@ from .transform import index_subsets, o_set
 EXHAUSTIVE_PAIR_CAP = 4
 
 
-def optional_edges(n: int) -> list[tuple[str, str]]:
-    """Candidate extra edges in a fixed deterministic order."""
-    return list(_candidate_edges(n))
-
-
 @functools.cache
-def _candidate_edges(n: int) -> tuple[tuple[str, str], ...]:
-    """The candidate extra edges, built once per pair count."""
+def optional_edges(n: int) -> tuple[tuple[str, str], ...]:
+    """The candidate extra edges in a fixed deterministic order, built
+    once per pair count."""
     edges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -64,7 +60,7 @@ def _candidate_edges(n: int) -> tuple[tuple[str, str], ...]:
 
 def member_from_mask(n: int, mask: int) -> PairedLabeling:
     pairs = tuple((f"x{i}", f"y{i}") for i in range(1, n + 1))
-    opts = _candidate_edges(n)
+    opts = optional_edges(n)
     extra = [opts[b] for b in range(len(opts)) if mask >> b & 1]
     graph = Graph.build(edges=[*pairs, *extra])
     return PairedLabeling(graph, pairs)
@@ -83,12 +79,12 @@ def _masks(n: int, mode: str, seed, count):
                 f"exhaustive enumeration is capped at {EXHAUSTIVE_PAIR_CAP} "
                 f"pairs; got {n}"
             )
-        return list(range(1 << len(_candidate_edges(n))))
+        return list(range(1 << len(optional_edges(n))))
     if mode == "sample":
         if seed is None:
             raise CmGraphsError("sampled mode requires an explicit seed")
         rng = random.Random(seed)
-        bits = len(_candidate_edges(n))
+        bits = len(optional_edges(n))
         return [rng.getrandbits(bits) if bits else 0 for _ in range(count or 10000)]
     raise CmGraphsError(f"unknown census mode {mode!r}")
 

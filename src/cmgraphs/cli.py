@@ -31,7 +31,7 @@ from .errors import (
     StructureError,
 )
 from .graphs import classify, is_unmixed_bruteforce
-from .graphio import format_graph, parse_graph
+from .graphio import format_graph, parse_graph, parse_graph_file, read_file
 from .invariants import invariant_report
 from .linalg import is_prime
 from .pairing import (
@@ -48,20 +48,6 @@ EXIT_CAPACITY = 2
 EXIT_DISAGREEMENT = 3
 
 
-def _read(path) -> tuple[bytes, str]:
-    """A graph file's bytes and their UTF-8 text, read once."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        return data, data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _load(path):
-    return parse_graph(_read(path)[1])
-
-
 def _labeling_for(parsed) -> PairedLabeling:
     """Prefer the labeling declared in the file; fall back to discovery."""
     if parsed.pairs is not None:
@@ -70,7 +56,7 @@ def _labeling_for(parsed) -> PairedLabeling:
 
 
 def _analysis_document(path, routes: str, field) -> tuple[dict, int]:
-    data, text = _read(path)
+    data, text = read_file(path)
     parsed = parse_graph(text)
     g = parsed.graph
     membership = classify(g)
@@ -196,7 +182,7 @@ def _print_document(document: dict, as_json: bool) -> None:
 
 
 def _cmd_classify(args) -> int:
-    parsed = _load(args.file)
+    parsed = parse_graph_file(args.file)
     membership = classify(parsed.graph)
     if args.json:
         print(json.dumps(membership.to_dict(), indent=2))
@@ -230,7 +216,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    parsed = _load(args.file)
+    parsed = parse_graph_file(args.file)
     pl = _labeling_for(parsed)
     indices = set()
     if args.set:
@@ -243,10 +229,10 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_graft(args) -> int:
-    h0 = _load(args.h0).graph
+    h0 = parse_graph_file(args.h0).graph
     blocks = []
     for path in args.block:
-        parsed = _load(path)
+        parsed = parse_graph_file(path)
         if parsed.xside is None or parsed.yside is None:
             raise InputFormatError(
                 f"block file {path} must declare xside/yside (or pairs)"
@@ -260,7 +246,7 @@ def _cmd_graft(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    parsed = _load(args.file)
+    parsed = parse_graph_file(args.file)
     pl = _labeling_for(parsed)
     report = invariant_report(pl)
     if args.list_socle:
@@ -294,7 +280,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_complex(args) -> int:
-    parsed = _load(args.file)
+    parsed = parse_graph_file(args.file)
     sys.stdout.write(format_complex(complementary_complex(parsed.graph)))
     return EXIT_OK
 

@@ -90,9 +90,19 @@ def parse_graph(text: str) -> ParsedGraph:
     )
 
 
+def read_file(path) -> tuple[bytes, str]:
+    """A graph file's bytes and their UTF-8 text, read once; a file that
+    cannot be read or decoded is an `InputFormatError`."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data, data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def parse_graph_file(path) -> ParsedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(read_file(path)[1])
 
 
 def format_graph(g: Graph) -> str:

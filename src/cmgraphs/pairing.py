@@ -9,12 +9,12 @@ so cross edges point upward, and decides uniqueness of the perfect matching.
 
 Like a `Graph`, a `PairedLabeling` memoizes what every criterion reads:
 its pair relations (`PairRelations`), read from the graph's neighbour
-masks, its 2-pair cycle (`short_cycle`, which route a and the relabeling
-read), and per pair index the pieces of the rewiring operator (`rewirings`,
-one `Rewiring` each), which `transform.o_set` combines for every index set
-it is asked for.  Each is built on first use; equality, hashing, repr and
-pickling see only the graph and the pairs, and `with_graph` starts a
-labeling without them.
+masks, and its 2-pair cycle (`short_cycle`, which route a and the
+relabeling read).  The relations are the one record of the links y_i x_k
+that `transform.o_set` rewires and `transform.restricted_o_full` reads.
+Both are built on first use; equality, hashing, repr and pickling see
+only the graph and the pairs, and `with_graph` starts a labeling without
+them.
 """
 
 import heapq
@@ -54,20 +54,6 @@ class PairRelations(NamedTuple):
     cover: Mapping[int, frozenset[int]]
 
 
-class Rewiring(NamedTuple):
-    """What the rewiring operator for one pair i changes: the links
-    y_i x_k it removes, the cover edges x_k x_i it adds, and per link the
-    bit positions (k, i, y) of x_k, x_i and y_i in the graph's bitset
-    view."""
-
-    removed: tuple[frozenset[str], ...]
-    added: tuple[frozenset[str], ...]
-    moves: tuple[tuple[int, int, int], ...]
-
-
-_UNWIRED = Rewiring((), (), ())  # a pair without links changes nothing
-
-
 @dataclass(frozen=True)
 class PairedLabeling:
     graph: Graph
@@ -98,24 +84,6 @@ class PairedLabeling:
             links[i] = indices(y, x_index, x_mask, i)
             cover[i] = indices(x, x_index, x_mask, i)
         return PairRelations(*map(MappingProxyType, (cross, links, cover)))
-
-    @cached_property
-    def rewirings(self) -> tuple[Rewiring, ...]:
-        """The rewiring of pair i at index i - 1, built from the links."""
-        position, links = vertex_bits(self.graph).position, self.relations.links
-        x_names, out = self.x_names, []
-        for i, (xi, yi) in enumerate(self.pairs, start=1):
-            if not links[i]:
-                out.append(_UNWIRED)
-                continue
-            xks = [x_names[k - 1] for k in sorted(links[i])]
-            pi, py = position[xi], position[yi]
-            per_link = [
-                (frozenset((xk, yi)), frozenset((xk, xi)), (position[xk], pi, py))
-                for xk in xks
-            ]
-            out.append(Rewiring(*zip(*per_link)))
-        return tuple(out)
 
     @cached_property
     def short_cycle(self) -> "CycleWitness | None":
@@ -401,24 +369,12 @@ def satisfies_double_star(pl: PairedLabeling) -> bool:
     return all(j > i for i, js in pl.relations.cross.items() for j in js)
 
 
-def second_matching_from_cycle(pl: PairedLabeling, w: CycleWitness):
-    """The alternative perfect matching obtained by swapping partners
-    along a cycle witness; all other pairs keep their matching edge."""
-    idx = w.indices
-    partner = {i: pl.y(i) for i in range(1, pl.n + 1)}
-    for t, i in enumerate(idx):
-        j = idx[(t + 1) % len(idx)]
-        partner[j] = pl.y(i)
-    return tuple(
-        sorted(tuple(sorted((pl.x(i), partner[i]))) for i in range(1, pl.n + 1))
-    )
-
-
 def unique_perfect_matching(pl: PairedLabeling) -> Verdict:
     """True iff the labeling's matching edges form the only perfect
     matching.  A false verdict carries the cycle derived from the
-    permutation of a second matching, plus the second matching rebuilt
-    from that cycle."""
+    permutation of a second matching, plus the matching that swaps
+    partners along that cycle alone: the second matching's edges on the
+    cycle's pairs and the labeling's elsewhere."""
     found = list(itertools.islice(iter_perfect_matchings(pl.graph), 2))
     if not found:
         raise RouteDisagreementError(
@@ -448,12 +404,13 @@ def unique_perfect_matching(pl: PairedLabeling) -> Verdict:
             "second matching and cycle validator disagree",
             dump=pl.dump(cycle=witness.to_list()),
         )
-    second = second_matching_from_cycle(pl, witness)
+    on_cycle = set(cycle)  # elsewhere the labeling's matching edge
+    second = sorted(
+        sorted((pl.x(partner[j] if j in on_cycle else j), pl.y(j)))
+        for j in range(1, pl.n + 1)
+    )
     return Verdict(
         False,
         "unique-matching",
-        {
-            "cycle": witness.to_list(),
-            "second_matching": [list(p) for p in second],
-        },
+        {"cycle": witness.to_list(), "second_matching": second},
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import InputFormatError, RouteDisagreementError, StructureError
 from .graphs import (
     Graph,
-    induced_subgraph,
     isolated_vertices,
     lex_min_matching,
     rewired,
@@ -31,17 +30,16 @@ def o_set(pl: PairedLabeling, t) -> Graph:
     """Compose the rewiring operator over an index set.
 
     The operators touch disjoint y-stars, so the composition is one
-    rewrite of the original edges: each link y_i x_k (i in t) becomes the
-    cover edge x_k x_i.  The labeling builds each pair's rewiring once
-    (`PairedLabeling.rewirings`); here the pieces for t are combined.
-    The edges are E minus the removed links, plus the added cover edges.
-    The deformed graph's neighbour masks are the parent's with the same
-    rewrite applied: the bits y_i and x_k are cleared on each other and
-    x_i and x_k set on each other.  The masks are set and cleared, never
-    toggled, so a cover edge x_k x_i that is already there, or that two
-    links produce, stays one edge.  The new graph gets them as its bitset
-    view and builds none from its edges.  When no pair in t has a link,
-    the input graph itself is returned.
+    rewrite of the original edges: each link y_i x_k (i in t, k in
+    `pl.relations.links[i]`) becomes the cover edge x_k x_i.  The removed
+    edges are x-y and the added ones x-x, so the order of the rewrites
+    does not matter.  The deformed graph's neighbour masks are the
+    parent's with the same rewrite applied: the bits y_i and x_k are
+    cleared on each other and x_i and x_k set on each other.  The masks
+    are set and cleared, never toggled, so a cover edge x_k x_i that is
+    already there, or that two links produce, stays one edge.  The new
+    graph gets them as its bitset view and builds none from its edges.
+    When no pair in t has a link, the input graph itself is returned.
     """
     t, n = set(t), pl.n
     out_of_range = {i for i in t if not 1 <= i <= n}
@@ -49,19 +47,24 @@ def o_set(pl: PairedLabeling, t) -> Graph:
         raise InputFormatError(
             f"pair indices {sorted(out_of_range)} out of range 1..{n}"
         )
-    rewirings = pl.rewirings
-    pieces = [rewirings[i - 1] for i in t if rewirings[i - 1].moves]
+    links = pl.relations.links
+    moved = [i for i in t if links[i]]
     g = pl.graph
-    if not pieces:
+    if not moved:
         return g
-    edges, masks = set(g.edges), list(vertex_bits(g).neighbours)
-    for p in pieces:
-        edges.difference_update(p.removed)  # x-y edges; the added are x-x
-        edges.update(p.added)
-        for k, i, y in p.moves:
-            masks[k] = masks[k] & ~(1 << y) | 1 << i
-            masks[y] &= ~(1 << k)
-            masks[i] |= 1 << k
+    _, position, neighbours = vertex_bits(g)
+    pairs, edges, masks = pl.pairs, set(g.edges), list(neighbours)
+    for i in moved:
+        xi, yi = pairs[i - 1]
+        pi, py = position[xi], position[yi]
+        for k in links[i]:
+            xk = pairs[k - 1][0]
+            edges.discard(frozenset((xk, yi)))
+            edges.add(frozenset((xk, xi)))
+            pk = position[xk]
+            masks[pk] = masks[pk] & ~(1 << py) | 1 << pi
+            masks[py] &= ~(1 << pk)
+            masks[pi] |= 1 << pk
     return rewired(g, frozenset(edges), masks)
 
 
@@ -73,13 +76,21 @@ def index_subsets(n: int):
 
 
 def restricted_o_full(pl: PairedLabeling) -> Graph:
-    """Apply the rewiring over all pairs, then restrict to the cover side.
+    """The rewiring over all pairs, restricted to the cover side.
 
-    The covers and independent sets of this graph on the x vertices drive
-    the type, level and Gorenstein computations.
+    On the x vertices that graph keeps every cover edge x_i x_j and gains
+    x_k x_i for each link y_i x_k, so it is read off the pair relations:
+    x_i x_j for each j in `cover[i] | links[i]`.  Its covers and
+    independent sets drive the type, level and Gorenstein computations.
     """
-    full = o_set(pl, range(1, pl.n + 1))
-    return induced_subgraph(full, pl.x_names)
+    _, links, cover = pl.relations
+    x = pl.x_names
+    edges = frozenset(
+        frozenset((x[i - 1], x[j - 1]))
+        for i in range(1, pl.n + 1)
+        for j in cover[i] | links[i]
+    )
+    return Graph(tuple(sorted(x)), edges)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from cmgraphs.errors import InputFormatError
-from cmgraphs.graphio import format_graph, parse_graph
+from cmgraphs.graphio import format_graph, parse_graph, parse_graph_file
 from cmgraphs.graphs import Graph
 
 
@@ -61,3 +63,13 @@ def test_format_round_trip(ex31, c4):
     # canonical form is stable under re-emission
     text = format_graph(ex31)
     assert format_graph(parse_graph(text).graph) == text
+
+
+def test_unreadable_graph_file_is_an_input_error(tmp_path):
+    missing = tmp_path / "missing.graph"
+    with pytest.raises(InputFormatError, match=re.escape(f"cannot read {missing}: ")):
+        parse_graph_file(missing)
+    latin1 = tmp_path / "latin1.graph"
+    latin1.write_bytes("pairs 2  # caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(InputFormatError, match="'utf-8' codec"):
+        parse_graph_file(latin1)

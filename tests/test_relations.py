@@ -8,7 +8,8 @@ import random
 import pytest
 
 import cmgraphs.pairing as pairing
-from cmgraphs.census import enumerate_class, member_from_mask
+import cmgraphs.transform as transform
+from cmgraphs.census import enumerate_class
 from cmgraphs.criteria import _structural_scan
 from cmgraphs.errors import PreconditionError
 from cmgraphs.graphs import (
@@ -28,7 +29,6 @@ from cmgraphs.pairing import (
     validate_labeling,
 )
 from cmgraphs.transform import index_subsets, o_set, restricted_o_full
-from conftest import count_builds
 from oracles import (
     find_cycle_def,
     o_set_def,
@@ -252,27 +252,7 @@ def test_relations_are_built_once_per_labeling(monkeypatch):
         pl.relations.links[1] = frozenset()
 
 
-def test_rewirings_are_built_once_per_labeling(monkeypatch):
-    built = count_builds(monkeypatch, PairedLabeling, "rewirings")
-    pl = member_from_mask(4, 264)
-    for t in index_subsets(pl.n):
-        o_set(pl, t)
-    restricted_o_full(pl)
-    assert built == [pl]
-    # pair i's piece holds its links y_i x_k, the cover edges x_k x_i they
-    # become and the bit positions (k, i, y) the masks move on
-    position = vertex_bits(pl.graph).position
-    for i, piece in enumerate(pl.rewirings, start=1):
-        ks = sorted(pl.relations.links[i])
-        assert piece.removed == tuple(frozenset((pl.x(k), pl.y(i))) for k in ks)
-        assert piece.added == tuple(frozenset((pl.x(k), pl.x(i))) for k in ks)
-        assert piece.moves == tuple(
-            (position[pl.x(k)], position[pl.x(i)], position[pl.y(i)]) for k in ks
-        )
-    assert sum(len(piece.moves) for piece in pl.rewirings) > 1
-
-
-def test_a_deformed_labeling_builds_its_own_rewirings():
+def test_o_set_on_a_deformed_labeling_matches_the_oracle():
     rng = random.Random(4368)
     members = [random_labeling(rng) for _ in range(CASES // 5)]
     members += enumerate_class(4, mode="sample", seed=14, count=400)
@@ -280,10 +260,23 @@ def test_a_deformed_labeling_builds_its_own_rewirings():
         s = [i for i in range(1, pl.n + 1) if rng.random() < 0.5]
         t = [i for i in range(1, pl.n + 1) if rng.random() < 0.5]
         deformed = pl.with_graph(o_set(pl, s))
-        assert "rewirings" not in vars(deformed)
         got = o_set(deformed, t)
         assert got == o_set_def(pl.with_graph(o_set_def(pl, s)), t)
         assert vertex_bits(got) == vertex_bits(Graph(got.vertices, got.edges))
+
+
+def test_restricted_deformation_reads_the_relations(monkeypatch):
+    # built from the cover edges and the links alone: no deformation of
+    # the whole graph and no restriction of one
+    def refuse(*args):
+        raise AssertionError("restricted_o_full deformed the whole graph")
+
+    monkeypatch.setattr(transform, "o_set", refuse)
+    monkeypatch.setattr(transform, "induced_subgraph", refuse, raising=False)
+    for n in (1, 2, 3):
+        for pl in enumerate_class(n):
+            full = o_set_def(pl, range(1, n + 1))
+            assert restricted_o_full(pl) == induced_subgraph(full, pl.x_names)
 
 
 def test_with_graph_gets_fresh_relations():
@@ -298,9 +291,9 @@ def test_with_graph_gets_fresh_relations():
 def test_labeling_identity_ignores_the_memo():
     pl = std_labeling()
     fresh = PairedLabeling(pl.graph, pl.pairs)
-    memo = {"relations", "short_cycle", "rewirings"}
+    memo = {"relations", "short_cycle"}
     pl.relations
-    assert pl.short_cycle is None and pl.rewirings[2].moves
+    assert pl.short_cycle is None
     assert memo <= set(vars(pl))
     assert pl == fresh and hash(pl) == hash(fresh) and repr(pl) == repr(fresh)
     assert pickle.dumps(pl) == pickle.dumps(fresh)
