@@ -12,9 +12,9 @@ from cmgraphs import (
     maximal_independent_sets,
     minimal_vertex_covers,
     parse_graph_file,
-    perfect_matchings,
     Graph,
 )
+from cmgraphs.graphs import iter_perfect_matchings
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "..", "fixtures")
@@ -43,7 +43,7 @@ for cover in minimal_vertex_covers(g):
 print("unmixed:", is_unmixed_bruteforce(g).to_dict())
 
 # The matching edges are the unique perfect matching here.
-print("perfect matchings:", perfect_matchings(g))
+print("perfect matchings:", tuple(iter_perfect_matchings(g)))
 
 # A path is the classic mixed example: covers {b} and {a, c} differ in size.
 path = Graph.build(edges=[("a", "b"), ("b", "c")])

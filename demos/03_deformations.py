@@ -9,7 +9,6 @@ import os
 from cmgraphs import (
     classify,
     find_star_labeling,
-    o_operator,
     o_set,
     parse_graph_file,
     restricted_o_full,
@@ -24,9 +23,9 @@ pl = find_star_labeling(g)
 print("original: ", g.edge_list())
 
 # Pair 1 has no incoming cross edges, so nothing changes there.
-print("rewire 1: ", o_operator(pl, 1).edge_list())
+print("rewire 1: ", o_set(pl, (1,)).edge_list())
 # Pair 3 receives x1y3 and x2y3; both flip into cover edges.
-print("rewire 3: ", o_operator(pl, 3).edge_list())
+print("rewire 3: ", o_set(pl, (3,)).edge_list())
 
 # Composition over {2, 3} reproduces the deformed graph; the order of
 # composition does not matter and repeated application changes nothing.

@@ -43,9 +43,7 @@ from .graphs import (
     maximal_independent_sets,
     minimal_vertex_covers,
     pairs_graph,
-    perfect_matchings,
     remove_edges,
-    remove_vertices,
 )
 from .graphio import format_graph, parse_graph, parse_graph_file
 from .invariants import InvariantReport, invariant_report
@@ -62,7 +60,6 @@ from .transform import (
     BGraftSpec,
     BipartiteBlock,
     b_graft,
-    o_operator,
     o_set,
     restricted_o_full,
 )

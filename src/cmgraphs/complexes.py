@@ -6,7 +6,6 @@ Dimension conventions: dim F = |F| - 1, so the empty face has dimension
 -1 and the complex whose only facet is the empty face has dimension -1.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError, InputFormatError, PreconditionError
@@ -211,50 +210,101 @@ def _rank(rows, field) -> int:
     return rank_mod_p(rows, int(field))
 
 
+def _bit_order(faces) -> dict[str, int]:
+    """One bit per vertex of the faces, in sorted-name order, so a face's
+    bits read upward are its names in sorted order."""
+    return {v: 1 << i for i, v in enumerate(sorted(set().union(*faces)))}
+
+
+def _mask(face, bits: dict[str, int]) -> int:
+    return sum(bits[v] for v in face)
+
+
+def _submask_closure(generators) -> set[int]:
+    """Every submask of the generator masks: the faces of the complex they
+    span.  The face cap is checked on each new face, so the walk stops at
+    face HOMOLOGY_FACE_CAP + 1 however large a generator is."""
+    faces: set[int] = set()
+    for g in generators:
+        s = g
+        while True:
+            if s not in faces:
+                faces.add(s)
+                if len(faces) > HOMOLOGY_FACE_CAP:
+                    raise CapacityError(
+                        f"face count exceeds the homology bound {HOMOLOGY_FACE_CAP}"
+                    )
+            if not s:
+                break
+            s = (s - 1) & g
+    return faces
+
+
 def all_faces(c: SimplicialComplex) -> list[frozenset[str]]:
     """Every face, from the empty set up, deduplicated across facets and
     sorted by (dimension, vertex names)."""
-    faces: set[frozenset[str]] = set()
-    for facet in c.facets:
-        elems = sorted(facet)
-        for r in range(len(elems) + 1):
-            for combo in itertools.combinations(elems, r):
-                faces.add(frozenset(combo))
-        if len(faces) > HOMOLOGY_FACE_CAP:
-            raise CapacityError(
-                f"face count exceeds the homology bound {HOMOLOGY_FACE_CAP}"
-            )
-    return sorted(faces, key=lambda f: (len(f), tuple(sorted(f))))
+    bits = _bit_order(c.facets)
+    vertices = list(bits)
+    spelled = []  # each face's names, read off its bits upward: sorted
+    for s in _submask_closure(_mask(f, bits) for f in c.facets):
+        names = []
+        while s:
+            low = s & -s
+            names.append(vertices[low.bit_length() - 1])
+            s ^= low
+        spelled.append(tuple(names))
+    spelled.sort(key=lambda t: (len(t), t))
+    return [frozenset(t) for t in spelled]
+
+
+def _betti(faces: set[int], field) -> list[int]:
+    """Reduced homology ranks of a downward-closed nonempty set of face
+    masks, dimensions -1 through the maximum face dimension.
+
+    The boundary of a face drops one bit at a time, with sign (-1)^(the
+    number of the face's bits below it): one sparse row per face, with a
+    column per face one smaller.
+    """
+    by_size: dict[int, list[int]] = {}
+    for s in faces:
+        by_size.setdefault(s.bit_count(), []).append(s)
+    top = max(by_size)  # the largest face size, dimension top - 1
+    ranks = [0] * (top + 2)  # ranks[k]: boundary of the size-k faces
+    for k in range(1, top + 1):
+        column = {s: j for j, s in enumerate(by_size[k - 1])}
+        rows = []
+        for s in by_size[k]:
+            row, rest, sign = {}, s, 1
+            while rest:
+                low = rest & -rest
+                row[column[s ^ low]] = sign
+                rest ^= low
+                sign = -sign
+            rows.append(row)
+        ranks[k] = _rank(rows, field)
+    return [
+        len(by_size[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)
+    ]
+
+
+def _link_betti(link: frozenset[int], field) -> list[int]:
+    """Reduced homology ranks of the complex generated by the link's facet
+    masks, dimensions -1 through its top.  When every facet shares a
+    vertex the link is a cone over it, so contractible: all ranks vanish
+    and no matrix is eliminated."""
+    common = -1
+    for h in link:
+        common &= h
+    if common:
+        return [0] * (max(h.bit_count() for h in link) + 1)
+    return _betti(_submask_closure(link), field)
 
 
 def _ranks_from_faces(faces: list[frozenset[str]], field) -> list[int]:
     """Reduced homology ranks from a downward-closed nonempty face set,
     dimensions -1 through the maximum face dimension."""
-    top = max(len(f) for f in faces) - 1
-    by_dim: dict[int, list[tuple[str, ...]]] = {d: [] for d in range(-1, top + 1)}
-    for f in faces:
-        by_dim[len(f) - 1].append(tuple(sorted(f)))
-    for d in by_dim:
-        by_dim[d].sort()
-    index = {
-        d: {f: i for i, f in enumerate(by_dim[d])} for d in range(-1, top + 1)
-    }
-
-    boundary_rank = {}
-    for d in range(0, top + 1):
-        below = index[d - 1]
-        rows = [  # one sparse row per d-face: its boundary
-            {below[f[:pos] + f[pos + 1:]]: (-1) ** pos for pos in range(len(f))}
-            for f in by_dim[d]
-        ]
-        boundary_rank[d] = _rank(rows, field)
-    boundary_rank[top + 1] = 0
-
-    betti = []
-    for d in range(-1, top + 1):
-        kernel = len(by_dim[d]) - (boundary_rank[d] if d >= 0 else 0)
-        betti.append(kernel - boundary_rank[d + 1])
-    return betti
+    bits = _bit_order(faces)
+    return _betti({_mask(f, bits) for f in faces}, field)
 
 
 def reduced_homology_ranks(c: SimplicialComplex, field=2) -> list[int]:
@@ -268,28 +318,27 @@ def reisner_cm(c: SimplicialComplex, field=2) -> Verdict:
     """Cohen-Macaulayness oracle: every face's link must have vanishing
     reduced homology strictly below the link's own dimension.
 
-    The link of F is generated by the sets G - F over the facets G
-    containing F; homology is computed once per distinct link.  A false
-    verdict carries the first offending face's full homology profile.
+    Faces and facets are bitmasks over the vertices.  The link of F is
+    generated by the masks G & ~F over the facets G containing F;
+    homology is computed once per distinct link, and a cone link is
+    settled without elimination.  A false verdict carries the first
+    offending face's full homology profile.
     """
     label = field_label(field)
     face_list = all_faces(c)
-    link_betti: dict[frozenset[frozenset[str]], list[int]] = {}
+    bits = _bit_order(c.facets)
+    facets = [_mask(g, bits) for g in c.facets]
+    link_betti: dict[frozenset[int], list[int]] = {}
     for f in face_list:
-        link = frozenset(g - f for g in c.facets if f <= g)
+        fm = _mask(f, bits)
+        link = frozenset(g & ~fm for g in facets if g & fm == fm)
         betti = link_betti.get(link)
         if betti is None:
-            faces = {
-                frozenset(combo)
-                for h in link
-                for r in range(len(h) + 1)
-                for combo in itertools.combinations(h, r)
-            }
-            betti = link_betti[link] = _ranks_from_faces(list(faces), field)
+            betti = link_betti[link] = _link_betti(link, field)
         if any(b != 0 for b in betti[:-1]):
             profile = {  # reduced homology of the link, dimension -1 upward
                 "face": sorted(f),
-                "link_dim": max(len(h) for h in link) - 1,
+                "link_dim": max(h.bit_count() for h in link) - 1,
                 "reduced_betti": list(betti),
                 "field": label,
             }

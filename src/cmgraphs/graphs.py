@@ -190,10 +190,6 @@ def induced_subgraph(g: Graph, w) -> Graph:
     return Graph(tuple(sorted(w)), frozenset(e for e in g.edges if e <= w))
 
 
-def remove_vertices(g: Graph, w) -> Graph:
-    return induced_subgraph(g, set(g.vertices) - set(w))
-
-
 def remove_edges(g: Graph, f) -> Graph:
     """Drop a family of edges; the vertex set is unchanged."""
     gone = {edge_key(a, b) for a, b in f}
@@ -425,11 +421,6 @@ def iter_perfect_matchings(g: Graph):
             continue
         acc.append(pair)
         stack.append(choices(rest))
-
-
-def perfect_matchings(g: Graph) -> tuple[tuple[tuple[str, str], ...], ...]:
-    """All matchings covering every vertex; empty when none exist."""
-    return tuple(iter_perfect_matchings(g))
 
 
 def lex_min_matching(g: Graph, left, right):

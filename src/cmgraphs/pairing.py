@@ -38,7 +38,6 @@ from .graphs import (
     iter_perfect_matchings,
     lex_min_matching,
     minimal_vertex_covers,
-    perfect_matchings,
     vertex_bits,
 )
 from .verdicts import Verdict
@@ -265,7 +264,7 @@ def all_star_labelings(g: Graph):
     if not membership.in_class:
         return
     n = membership.height
-    matchings = perfect_matchings(g)
+    matchings = tuple(iter_perfect_matchings(g))
     for cover in minimal_vertex_covers(g):
         if len(cover) != n:
             continue

@@ -21,11 +21,6 @@ from .graphs import (
 from .pairing import PairedLabeling, validate_labeling
 
 
-def o_operator(pl: PairedLabeling, i: int) -> Graph:
-    """Rewire all cross edges into y_i onto x_i; pair index is 1-based."""
-    return o_set(pl, (i,))
-
-
 def o_set(pl: PairedLabeling, t) -> Graph:
     """Compose the rewiring operator over an index set.
 

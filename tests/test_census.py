@@ -307,18 +307,19 @@ def test_homology_of_a_mixed_member_is_route_f(monkeypatch):
 
 
 def test_unmixed_member_enumerates_its_matchings_once(monkeypatch):
-    # route d is the one caller of iter_perfect_matchings in pairing
+    # route d and the labeling-invariance sweep are the callers of
+    # iter_perfect_matchings in pairing; each enumerates once
     calls = []
     iterate = pairing.iter_perfect_matchings
 
     def counted(g):
-        calls.append(g)
+        calls.append(sys._getframe(1).f_code.co_name)
         return iterate(g)
 
     monkeypatch.setattr(pairing, "iter_perfect_matchings", counted)
     outcome = census.check_member(_cm_member(), 0, full_oracles=True)
     assert outcome["violations"] == []
-    assert len(calls) == 1
+    assert sorted(calls) == ["all_star_labelings", "unique_perfect_matching"]
 
 
 def test_rational_homology_disagreement_is_recorded_once(monkeypatch):

@@ -276,6 +276,25 @@ def test_inconclusive_only_routes_exit_two(capsys, tmp_path, schema):
     assert document["warnings"]
 
 
+def test_homology_past_the_face_cap_exits_two(capsys, tmp_path):
+    # the 22-pair upward chain has 23 facets of 22 vertices each; the face
+    # cap stops route f long before one facet's 2^22 faces are listed
+    path = tmp_path / "chain22.graph"
+    path.write_text(
+        "pairs 22\n"
+        + "".join(
+            f"edge x{i} y{j}\n" for i in range(1, 23) for j in range(i + 1, 23)
+        )
+    )
+    code, out, _ = run_cli(capsys, "check", str(path), "--routes", "f", "--json")
+    assert code == 2
+    route = json.loads(out)["cm"]["routes"]["f"]
+    assert route["value"] is None
+    assert route["certificate"]["inconclusive"] == (
+        "face count exceeds the homology bound 4096"
+    )
+
+
 def test_route_disagreement_exits_three(capsys, monkeypatch):
     # fault injection: force one route to lie and require the dump path
     monkeypatch.setitem(

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cmgraphs.census import enumerate_class
 from cmgraphs.complexes import (
     SimplicialComplex,
     all_faces,
@@ -326,6 +327,9 @@ def _reisner_by_definition(c, field):
 
 
 def test_reisner_link_memo_matches_definition():
+    # the oracle's cone shortcut and mask signs against full elimination of
+    # every link, over F2, F3 and Q: random complexes, RP2, and the
+    # complexes of every class member with at most three pairs
     rng = random.Random(31)
     verts = ["a", "b", "c", "d", "e", "f"]
     complexes = [SimplicialComplex.from_facets([{"a", "b", "c"}, {"a", "d", "e"}])]
@@ -335,9 +339,15 @@ def test_reisner_link_memo_matches_definition():
             rng.sample(verts, rng.choice(sizes)) for _ in range(rng.randint(1, 6))
         ]
         complexes.append(SimplicialComplex.from_facets(facets))
+    complexes.append(SimplicialComplex.from_facets(RP2_FACETS))
+    members = {
+        complementary_complex(pl.graph) for n in (1, 2, 3) for pl in enumerate_class(n)
+    }
+    assert len(members) > 50
+    complexes += sorted(members, key=lambda c: (c.vertices, c.facet_lists()))
     values = set()
     for c in complexes:
-        for field in (2, "Q"):
+        for field in (2, 3, "Q"):
             got, want = reisner_cm(c, field), _reisner_by_definition(c, field)
             assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
             values.add((is_pure(c).value, got.value))
@@ -357,6 +367,38 @@ def test_reisner_link_memo_matches_definition():
     }
 
 
+def test_reisner_settles_cone_links_without_elimination(monkeypatch):
+    # the 8-pair upward chain is Cohen-Macaulay, so every face is checked;
+    # each distinct link that is not a cone ranks its boundary maps in
+    # dimensions 0 through its own, and a cone (all facets sharing a
+    # vertex) ranks none
+    g = Graph.build(
+        edges=[(f"x{i}", f"y{j}") for i in range(1, 9) for j in range(i, 9)]
+    )
+    c = complementary_complex(g)
+    links = {frozenset(h - f for h in c.facets if f <= h) for f in all_faces(c)}
+    cones = [link for link in links if frozenset.intersection(*link)]
+    expected = sum(
+        max(len(h) for h in link) for link in links - set(cones)
+    )
+    assert len(links) == 960 and len(cones) == 923 and expected == 120
+
+    import cmgraphs.complexes as complexes
+
+    rank = complexes._rank
+    calls = []
+
+    def counted(rows, field):
+        calls.append(field)
+        return rank(rows, field)
+
+    monkeypatch.setattr(complexes, "_rank", counted)
+    for field in (2, "Q"):
+        calls.clear()
+        assert reisner_cm(c, field).value is True
+        assert len(calls) == expected
+
+
 def test_reisner_rejects_nonpure_complexes():
     path = Graph.build(edges=[("a", "b"), ("b", "c")])
     assert reisner_cm(complementary_complex(path), 2).value is False
@@ -368,6 +410,16 @@ def test_all_faces_capacity(monkeypatch):
     monkeypatch.setattr("cmgraphs.complexes.HOMOLOGY_FACE_CAP", 10)
     with pytest.raises(CapacityError):
         all_faces(c)
+
+
+def test_all_faces_cap_bounds_work(monkeypatch):
+    # one 40-vertex facet has 2^40 faces; the cap stops the walk at face 11
+    monkeypatch.setattr("cmgraphs.complexes.HOMOLOGY_FACE_CAP", 10)
+    c = SimplicialComplex.from_facets([{f"v{i:02d}" for i in range(40)}])
+    with pytest.raises(CapacityError, match="homology bound 10"):
+        all_faces(c)
+    with pytest.raises(CapacityError):
+        reisner_cm(c, 2)
 
 
 def test_format_complex(ex31):

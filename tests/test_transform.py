@@ -14,7 +14,6 @@ from cmgraphs.transform import (
     BipartiteBlock,
     b_graft,
     index_subsets,
-    o_operator,
     o_set,
     restricted_o_full,
 )
@@ -24,12 +23,12 @@ from oracles import o_set_def
 
 def test_o_operator_examples(ex31_pl):
     ex31 = ex31_pl.graph
-    assert o_operator(ex31_pl, 1) == ex31  # no cross edges into y1
+    assert o_set(ex31_pl, (1,)) == ex31  # no cross edges into y1
 
-    g2 = o_operator(ex31_pl, 2)
+    g2 = o_set(ex31_pl, (2,))
     assert not g2.has_edge("x1", "y2") and g2.has_edge("x1", "x2")
 
-    g3 = o_operator(ex31_pl, 3)
+    g3 = o_set(ex31_pl, (3,))
     assert g3.edge_list() == [
         ("x1", "x3"),
         ("x1", "y1"),
@@ -40,7 +39,7 @@ def test_o_operator_examples(ex31_pl):
     ]
     message = r"pair indices \[4\] out of range 1\.\.3"
     with pytest.raises(InputFormatError, match=message):
-        o_operator(ex31_pl, 4)
+        o_set(ex31_pl, (4,))
 
 
 def test_index_subsets_by_size_then_lexicographic():
@@ -105,14 +104,14 @@ def test_o_set_order_independence(ex31_pl, c4_pl):
             for perm in itertools.permutations(sorted(t)):
                 acc = pl
                 for i in perm:
-                    acc = acc.with_graph(o_operator(acc, i))
+                    acc = acc.with_graph(o_set(acc, (i,)))
                 assert acc.graph == expected
 
 
 def test_o_operator_idempotent(ex31_pl):
     for i in (1, 2, 3):
-        once = ex31_pl.with_graph(o_operator(ex31_pl, i))
-        assert o_operator(once, i) == once.graph
+        once = ex31_pl.with_graph(o_set(ex31_pl, (i,)))
+        assert o_set(once, (i,)) == once.graph
 
 
 def test_o_preserves_class_and_labeling_exhaustive_small():
