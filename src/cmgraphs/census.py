@@ -29,7 +29,7 @@ from .criteria import (
     route_agreement,
 )
 from .errors import CapacityError, CmGraphsError, RouteDisagreementError
-from .graphs import Graph, classify, is_unmixed_bruteforce
+from .graphs import Graph, classify
 from .invariants import invariant_report
 from .pairing import (
     PairedLabeling,
@@ -147,9 +147,9 @@ def _bundle(pl: PairedLabeling, index: int, check: str, details) -> dict:
 def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
     """Run every applicable equivalence on one labeled graph.
 
-    Returns counters plus any violations.  `full_oracles` additionally
-    runs the homology routes (both fields) and the labeling-invariance
-    sweep; it is meant for graphs with at most six vertices.
+    Returns counters plus any violations; an unmixedness disagreement
+    ends the draw.  `full_oracles` adds the homology routes (both fields)
+    and the labeling-invariance sweep, for graphs of at most six vertices.
     """
     violations: list[dict] = []
     summary = {"unmixed": False, "cm": False, "cm_type": None}
@@ -161,7 +161,7 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
         unmixed = bool(_crosschecked_unmixed(pl).value)
     except RouteDisagreementError as exc:
         record("unmixedness-equivalence", exc.dump)
-        unmixed = bool(is_unmixed_bruteforce(pl.graph).value)
+        return {"summary": summary, "violations": violations}
     summary["unmixed"] = unmixed
 
     routes = cm_routes(pl, "ad")

@@ -31,13 +31,13 @@ from .complexes import (
 from .errors import (
     CapacityError,
     CmGraphsError,
+    NotInClassError,
     PreconditionError,
     RouteDisagreementError,
     StructureError,
 )
 from .graphs import (
     Graph,
-    classify,
     degrees,
     is_unmixed_bruteforce,
     minimal_vertex_covers,
@@ -118,6 +118,10 @@ def _structural_scan(pl: PairedLabeling) -> Verdict:
 
 
 def _crosschecked_unmixed(pl: PairedLabeling) -> Verdict:
+    """The labeling's one unmixedness verdict, kept in its memo on first
+    use; a disagreement keeps nothing, so every later reader raises it."""
+    if "unmixed" in vars(pl):
+        return vars(pl)["unmixed"]
     structural = _structural_scan(pl)
     brute = is_unmixed_bruteforce(pl.graph)
     if structural.value != brute.value:
@@ -127,12 +131,9 @@ def _crosschecked_unmixed(pl: PairedLabeling) -> Verdict:
                 structural=structural.to_dict(), bruteforce=brute.to_dict()
             ),
         )
-    certificate = dict(structural.certificate or {})
-    certificate["cover_sizes"] = (brute.certificate or {}).get("cover_sizes")
-    if not brute.value:
-        certificate["witness_small"] = brute.certificate["witness_small"]
-        certificate["witness_large"] = brute.certificate["witness_large"]
-    return Verdict(structural.value, "structural", certificate)
+    certificate = {**structural.certificate, **brute.certificate}
+    vars(pl)["unmixed"] = Verdict(structural.value, "structural", certificate)
+    return vars(pl)["unmixed"]
 
 
 def unmixed_verdict(g: Graph) -> Verdict:
@@ -141,13 +142,10 @@ def unmixed_verdict(g: Graph) -> Verdict:
     In-class graphs with a labeling get the structural route cross-checked
     against brute force; everything else falls back to brute force alone.
     """
-    if classify(g).in_class:
-        try:
-            pl = find_star_labeling(g)
-        except StructureError:
-            return is_unmixed_bruteforce(g)
-        return _crosschecked_unmixed(pl)
-    return is_unmixed_bruteforce(g)
+    try:
+        return _crosschecked_unmixed(find_star_labeling(g))
+    except (NotInClassError, StructureError):
+        return is_unmixed_bruteforce(g)
 
 
 def _route_a(pl: PairedLabeling) -> Verdict:
@@ -311,13 +309,12 @@ def minimal_prime_shape(pl: PairedLabeling) -> Verdict:
 
 def generator_bounds(pl: PairedLabeling) -> Verdict:
     """Edge-count bounds: n^2 when unmixed and n(n+1)/2 when
-    Cohen-Macaulay; the certificate reports the slack of each."""
+    Cohen-Macaulay; the certificate reports the slack of each.  Reads
+    the one unmixedness verdict (which may raise its disagreement)."""
     n = pl.n
     edge_count = len(pl.graph.edges)
-    unmixed = is_unmixed_bruteforce(pl.graph).value
-    cm = None
-    if unmixed:
-        cm = _route_a(pl).value
+    unmixed = _crosschecked_unmixed(pl).value
+    cm = pl.short_cycle is None if unmixed else None
     certificate = {
         "edges": edge_count,
         "n": n,
@@ -325,14 +322,12 @@ def generator_bounds(pl: PairedLabeling) -> Verdict:
         "cm": cm,
     }
     ok = True
-    if unmixed:
-        certificate["unmixed_bound"] = n * n
-        certificate["unmixed_slack"] = n * n - edge_count
-        ok = ok and edge_count <= n * n
-    if cm:
-        certificate["cm_bound"] = n * (n + 1) // 2
-        certificate["cm_slack"] = n * (n + 1) // 2 - edge_count
-        ok = ok and edge_count <= n * (n + 1) // 2
+    bounds = (("unmixed", unmixed, n * n), ("cm", cm, n * (n + 1) // 2))
+    for name, holds, bound in bounds:
+        if holds:
+            certificate[f"{name}_bound"] = bound
+            certificate[f"{name}_slack"] = bound - edge_count
+            ok = ok and edge_count <= bound
     return Verdict(ok, "generator-bounds", certificate)
 
 

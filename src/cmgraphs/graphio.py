@@ -58,7 +58,7 @@ def parse_graph(text: str) -> ParsedGraph:
         elif directive == "pairs":
             if pairs is not None:
                 fail("pairs may be declared only once")
-            if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
+            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
                 fail("pairs takes one positive integer")
             n = int(args[0])
             pairs = [(f"x{i}", f"y{i}") for i in range(1, n + 1)]

@@ -6,11 +6,14 @@ counts its minimal vertex covers, level-ness is its unmixedness, and
 type one is equivalent to the graph being nothing but its matching.
 `invariant_report` is the one entry point: it builds that restriction
 once and reads every invariant off it.  The formulas hold only for
-Cohen-Macaulay inputs, so it verifies that first and refuses otherwise.
+Cohen-Macaulay inputs, so it reads the labeling's unmixedness verdict and
+short cycle first and refuses otherwise; an unmixedness disagreement
+raises `RouteDisagreementError` (`cmgraphs invariants` exits 3).
 """
 
 from dataclasses import dataclass
 
+from .criteria import _crosschecked_unmixed
 from .errors import PreconditionError, RouteDisagreementError
 from .graphs import (
     is_unmixed_bruteforce,
@@ -22,7 +25,7 @@ from .transform import restricted_o_full
 
 
 def _require_cm(pl: PairedLabeling) -> None:
-    unmixed = is_unmixed_bruteforce(pl.graph)
+    unmixed = _crosschecked_unmixed(pl)
     if not unmixed.value:
         raise PreconditionError(
             "invariants are defined for Cohen-Macaulay graphs; this one is "

@@ -9,12 +9,13 @@ so cross edges point upward, and decides uniqueness of the perfect matching.
 
 Like a `Graph`, a `PairedLabeling` memoizes what every criterion reads:
 its pair relations (`PairRelations`), read from the graph's neighbour
-masks, and its 2-pair cycle (`short_cycle`, which route a and the
-relabeling read).  The relations are the one record of the links y_i x_k
-that `transform.o_set` rewires and `transform.restricted_o_full` reads.
-Both are built on first use; equality, hashing, repr and pickling see
-only the graph and the pairs, and `with_graph` starts a labeling without
-them.
+masks, its 2-pair cycle (`short_cycle`, which route a and the relabeling
+read) and its unmixedness verdict (`unmixed`, which
+`criteria._crosschecked_unmixed` decides and keeps).  The relations are
+the one record of the links y_i x_k that `transform.o_set` rewires and
+`transform.restricted_o_full` reads.  All three are built on first use;
+equality, hashing, repr and pickling see only the graph and the pairs,
+and `with_graph` starts a labeling without them.
 """
 
 import heapq

@@ -129,7 +129,7 @@ class BGraftSpec:
     def validate(self) -> None:
         labels = []
         for v in self.h0.vertices:
-            if not v.isdigit():
+            if not v.isdecimal():
                 raise InputFormatError(
                     f"base graph vertices must be numbered 1..p, got {v!r}"
                 )

@@ -5,6 +5,7 @@ import pytest
 import cmgraphs.census as census
 import cmgraphs.criteria as criteria
 import cmgraphs.graphs as graphs
+import cmgraphs.invariants as invariants
 import cmgraphs.pairing as pairing
 import cmgraphs.transform as transform
 from cmgraphs.census import (
@@ -234,7 +235,7 @@ def test_structural_disagreement_is_recorded_once(monkeypatch):
     assert [v["check"] for v in outcome["violations"]] == [
         "unmixedness-equivalence"
     ]
-    assert outcome["summary"] == {"unmixed": True, "cm": True, "cm_type": 2}
+    assert outcome["summary"] == _EMPTY_SUMMARY
 
 
 def test_cycle_validator_disagreement_is_recorded(monkeypatch, capsys):
@@ -320,6 +321,37 @@ def test_unmixed_member_enumerates_its_matchings_once(monkeypatch):
     outcome = census.check_member(_cm_member(), 0, full_oracles=True)
     assert outcome["violations"] == []
     assert sorted(calls) == ["all_star_labelings", "unique_perfect_matching"]
+
+
+def test_cm_draw_decides_unmixedness_once(monkeypatch):
+    # the generator bounds and the invariants' precondition read the
+    # labeling's one verdict and route a's short cycle; route e's empty
+    # subset deforms to the graph itself, so its calls are left out
+    member = _cm_member()
+    checked, route_a = [], []
+    brute, route = graphs.is_unmixed_bruteforce, criteria._route_a
+
+    def counted(g):
+        caller = sys._getframe(1).f_code.co_name
+        if g == member.graph and caller != "_route_e":
+            checked.append(caller)
+        return brute(g)
+
+    def route_a_counted(pl):
+        route_a.append(pl)
+        return route(pl)
+
+    monkeypatch.setattr(criteria, "is_unmixed_bruteforce", counted)
+    monkeypatch.setattr(invariants, "is_unmixed_bruteforce", counted)
+    monkeypatch.setattr(criteria, "_route_a", route_a_counted)
+    monkeypatch.setitem(criteria._ROUTE_IMPL, "a", route_a_counted)
+    outcome = census.check_member(member, 0, full_oracles=False)
+    assert outcome == {
+        "summary": {"unmixed": True, "cm": True, "cm_type": 2},
+        "violations": [],
+    }
+    assert checked == ["_crosschecked_unmixed"]
+    assert route_a == [member]
 
 
 def test_rational_homology_disagreement_is_recorded_once(monkeypatch):

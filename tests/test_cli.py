@@ -262,6 +262,76 @@ def test_check_searches_short_cycles_once_per_labeling(capsys, monkeypatch):
         assert len(searched) == 1 and searched[0][1] == 2
 
 
+def _recording(calls, fn):
+    def recorded(first, *rest):
+        calls.append(first)
+        return fn(first, *rest)
+
+    return recorded
+
+
+def test_check_decides_unmixedness_once_per_labeling(capsys, monkeypatch):
+    # the generator bounds and the invariants' precondition read the
+    # labeling's one cross-checked verdict and route a's short cycle
+    path = fixture_path("example3_1.graph")
+    scans, checked, route_a = [], [], []
+    brute = _recording(checked, graphs.is_unmixed_bruteforce)
+    for module in (cli, criteria, invariants):
+        monkeypatch.setattr(module, "is_unmixed_bruteforce", brute)
+    scan = _recording(scans, criteria._structural_scan)
+    monkeypatch.setattr(criteria, "_structural_scan", scan)
+    route = _recording(route_a, criteria._route_a)
+    monkeypatch.setattr(criteria, "_route_a", route)
+    monkeypatch.setitem(criteria._ROUTE_IMPL, "a", route)
+    code, out, _ = run_cli(capsys, "check", path, "--routes", "a", "--json")
+    document = json.loads(out)
+    assert code == 0 and document["cm"]["value"] is True
+    assert document["invariants"] is not None
+    graph = parse_graph(read(path)).graph
+    assert len(scans) == 1 and len(route_a) == 1
+    # the input graph once; the restricted deformation once, for `level`
+    assert [g == graph for g in checked] == [True, False]
+
+
+def test_unmixedness_disagreement_exits_three(capsys, monkeypatch):
+    scan = criteria._structural_scan
+
+    def flipped(pl):
+        v = scan(pl)
+        return Verdict(not v.value, v.route, v.certificate)
+
+    monkeypatch.setattr(criteria, "_structural_scan", flipped)
+    for command in ("check", "invariants"):
+        code, out, err = run_cli(capsys, command, fixture_path("example3_1.graph"))
+        assert (code, out) == (3, "")
+        headline, dump = err.split("\n", 1)
+        assert headline == (
+            "internal disagreement: structural and brute-force unmixedness "
+            "disagree"
+        )
+        dump = json.loads(dump)
+        assert dump["structural"]["value"] is False
+        assert dump["bruteforce"]["value"] is True
+
+
+def test_superscript_digits_are_input_errors(capsys, tmp_path):
+    # str.isdigit admits superscripts that int() rejects
+    pairs = tmp_path / "pairs.graph"
+    pairs.write_text("pairs \u00b2\n", encoding="utf-8")
+    base = tmp_path / "h0.graph"
+    base.write_text("vertex \u00b2\n", encoding="utf-8")
+    block = fixture_path("example5_1.b1.graph")
+    for argv, message in (
+        (("classify", str(pairs)), "line 1: pairs takes one positive integer"),
+        (("check", str(pairs)), "line 1: pairs takes one positive integer"),
+        (
+            ("graft", "--h0", str(base), "--block", block),
+            "base graph vertices must be numbered 1..p, got '\u00b2'",
+        ),
+    ):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_inconclusive_only_routes_exit_two(capsys, tmp_path, schema):
     # 5 bare pairs: 32 facets exceed the shelling cap, so a shelling-only
     # check is honestly inconclusive

@@ -10,7 +10,7 @@ import pytest
 import cmgraphs.pairing as pairing
 import cmgraphs.transform as transform
 from cmgraphs.census import enumerate_class
-from cmgraphs.criteria import _structural_scan
+from cmgraphs.criteria import _crosschecked_unmixed, _structural_scan
 from cmgraphs.errors import PreconditionError
 from cmgraphs.graphs import (
     Graph,
@@ -291,9 +291,10 @@ def test_with_graph_gets_fresh_relations():
 def test_labeling_identity_ignores_the_memo():
     pl = std_labeling()
     fresh = PairedLabeling(pl.graph, pl.pairs)
-    memo = {"relations", "short_cycle"}
+    memo = {"relations", "short_cycle", "unmixed"}
     pl.relations
     assert pl.short_cycle is None
+    assert _crosschecked_unmixed(pl) is _crosschecked_unmixed(pl)
     assert memo <= set(vars(pl))
     assert pl == fresh and hash(pl) == hash(fresh) and repr(pl) == repr(fresh)
     assert pickle.dumps(pl) == pickle.dumps(fresh)
