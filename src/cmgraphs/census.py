@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .criteria import (
     _crosschecked_unmixed,
-    _structural_scan,
     cm_routes,
     cm_structural_doublestar,
     degree_one_exists,
@@ -149,7 +148,8 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
 
     Returns counters plus any violations; an unmixedness disagreement
     ends the draw.  `full_oracles` adds the homology routes (both fields)
-    and the labeling-invariance sweep, for graphs of at most six vertices.
+    and the labeling-invariance sweep, for graphs of at most six vertices;
+    a disagreement in the sweep escapes to `_check_draw`, which records it.
     """
     violations: list[dict] = []
     summary = {"unmixed": False, "cm": False, "cm_type": None}
@@ -231,8 +231,10 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
     if full_oracles:
         base = (unmixed, not has_short)
         for other in all_star_labelings(pl.graph):
+            if other == pl:
+                continue
             got = (
-                _structural_scan(other).value,
+                _crosschecked_unmixed(other).value,
                 other.short_cycle is None,
             )
             if got != base or (

@@ -8,7 +8,6 @@ unexpected exception (reported with the argv that raised it).
 """
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import json
@@ -123,9 +122,9 @@ def _analysis_document(path, routes: str, field) -> tuple[dict, int]:
         )
         exit_code = EXIT_CAPACITY
     if cm.value:
-        upward = relabel_for_double_star(pl)
-        order = [pl.pairs.index(p) + 1 for p in upward.pairs]
-        document["labeling"]["double_star_order"] = order
+        index = {p: i for i, p in enumerate(pl.pairs, start=1)}
+        upward = relabel_for_double_star(pl).pairs
+        document["labeling"]["double_star_order"] = [index[p] for p in upward]
         document["invariants"] = invariant_report(pl).to_dict()
     return document, exit_code
 
@@ -257,25 +256,32 @@ def _cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def _cmd_census(args) -> int:
-    # the CSV file is opened first, so an unwritable path fails before the run
+def _write_text(path, text: str, mode: str) -> None:
     try:
-        csv = open(args.csv, "w", encoding="utf-8") if args.csv else None
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise InputFormatError(f"cannot write {args.csv}: {exc}") from exc
-    with csv or contextlib.nullcontext():
-        report = cross_validate(
-            args.n,
-            mode=args.mode,
-            seed=args.seed,
-            count=args.count,
-            threads=args.threads,
-        )
-        payload = report.canonical_dict()
-        payload["runtime_ms"] = report.runtime_ms
-        print(json.dumps(payload, indent=2))
-        if csv:
-            csv.write(report.histogram_csv())
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def _cmd_census(args) -> int:
+    # appending nothing fails on an unwritable path before the run yet
+    # leaves an existing file intact until the run completes; the CSV is
+    # written before the report, so a failed write leaves stdout empty
+    if args.csv:
+        _write_text(args.csv, "", "a")
+    report = cross_validate(
+        args.n,
+        mode=args.mode,
+        seed=args.seed,
+        count=args.count,
+        threads=args.threads,
+    )
+    if args.csv:
+        _write_text(args.csv, report.histogram_csv(), "w")
+    payload = report.canonical_dict()
+    payload["runtime_ms"] = report.runtime_ms
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 

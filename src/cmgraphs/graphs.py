@@ -4,9 +4,9 @@ and perfect matchings.
 Vertex names are opaque strings.  Every enumeration returns a fixed
 deterministic order (lexicographic on sorted vertex names) so reports and
 golden files are byte-stable.  A `Graph` is immutable, so the facts every
-analysis needs (adjacency, the bitset view, maximal independent sets,
-minimal vertex covers) are computed on first use and memoized on that
-instance.  The memo holds only immutable values and dies with the graph;
+analysis needs (the bitset view, maximal independent sets, minimal vertex
+covers) are computed on first use and memoized on that instance.  The
+memo holds only immutable values and dies with the graph;
 equality, hashing, repr and pickling see only the vertices and edges.
 One thing in it can come from another graph: a deformed graph is handed
 its bitset view by `transform.o_set` (through `rewired`), which shares
@@ -15,23 +15,24 @@ of its own, so it never builds the view from its edges.
 
 The bitset view numbers the vertices by sorted name: bit i of a mask
 stands for the i-th name, which is `vertices[i]` for every graph the
-package builds.  It is memoized alongside the adjacency: one neighbour
-mask per vertex.  The perfect-matching backtracker (route d) runs on the
-neighbour masks too.  The height and class membership read only the
-neighbour masks: the independence number comes from an exact
-reduce-and-branch search, so deciding membership lists no independent
-set.  The maximal independent sets are enumerated only when the sets
-themselves are asked for (covers, complexes, invariants), once per
-graph, as masks, by an iterative pivoted Bron-Kerbosch with an explicit
-stack whose pivot scan stops at the first vertex that leaves at most one
-branch.  `maximal_independent_sets` turns the masks into names once,
-ordered by their bit positions, which is the order of their sorted
-names.  The sets form an antichain, so that order is decided by the
-lowest bit in which two masks differ, and a C-level sort of the masks'
-binary strings, read lowest bit first, produces it without walking any
-mask bit by bit.  The minimal vertex covers are the complements of those
-sets; complementing flips the lowest differing bit, so the covers come
-out in order by reversing the sets, with no sort of their own.
+package builds.  It is the graph's one adjacency, one neighbour mask per
+vertex; `adjacency` names its sets off those masks on each call.  The
+perfect-matching backtracker (route d) runs on the neighbour masks too.
+The height and class membership read only the neighbour masks: the
+independence number comes from an exact reduce-and-branch search, so
+deciding membership lists no independent set.  The maximal independent
+sets are enumerated only when the sets themselves are asked for (covers,
+complexes, invariants), once per graph, as masks, by an iterative
+pivoted Bron-Kerbosch with an explicit stack whose pivot scan stops at
+the first vertex that leaves at most one branch.
+`maximal_independent_sets` turns the masks into names once, ordered by
+their bit positions, which is the order of their sorted names.  The sets
+form an antichain, so that order is decided by the lowest bit in which
+two masks differ, and a C-level sort of the masks' binary strings, read
+lowest bit first, produces it without walking any mask bit by bit.  The
+minimal vertex covers are the complements of those sets; complementing
+flips the lowest differing bit, so the covers come out in order by
+reversing the sets, with no sort of their own.
 """
 
 from dataclasses import asdict, dataclass
@@ -97,15 +98,6 @@ class Graph:
         return Graph, (self.vertices, self.edges)
 
     @cached_property
-    def _adjacency(self) -> Mapping[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        return MappingProxyType({v: frozenset(nb) for v, nb in adj.items()})
-
-    @cached_property
     def _vertex_bits(self) -> VertexBits:
         names = tuple(sorted(self.vertices))
         position = dict(zip(names, range(len(names))))
@@ -145,8 +137,13 @@ def rewired(g: Graph, edges: frozenset[frozenset[str]], neighbours) -> Graph:
 
 
 def adjacency(g: Graph) -> Mapping[str, frozenset[str]]:
-    """Read-only neighbour sets, memoized on the graph."""
-    return g._adjacency
+    """Read-only neighbour sets, named off the bitset view on each call."""
+    names, _, neighbours = vertex_bits(g)
+    width = f"0{len(names)}b"
+    rows = (format(nb, width)[::-1].encode().translate(_SELECT) for nb in neighbours)
+    return MappingProxyType(
+        {v: frozenset(compress(names, row)) for v, row in zip(names, rows)}
+    )
 
 
 def vertex_bits(g: Graph) -> VertexBits:

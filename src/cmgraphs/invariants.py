@@ -2,8 +2,8 @@
 
 All three are read off the fully deformed graph restricted to the cover
 side: the socle generators are its maximal independent sets, the type
-counts its minimal vertex covers, level-ness is its unmixedness, and
-type one is equivalent to the graph being nothing but its matching.
+counts its minimal vertex covers, level-ness is the generators sharing
+one degree, and type one means the graph is nothing but its matching.
 `invariant_report` is the one entry point: it builds that restriction
 once and reads every invariant off it.  The formulas hold only for
 Cohen-Macaulay inputs, so it reads the labeling's unmixedness verdict and
@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 from .criteria import _crosschecked_unmixed
 from .errors import PreconditionError, RouteDisagreementError
-from .graphs import (
-    is_unmixed_bruteforce,
-    maximal_independent_sets,
-    minimal_vertex_covers,
-)
+from .graphs import maximal_independent_sets, minimal_vertex_covers
 from .pairing import PairedLabeling
 from .transform import restricted_o_full
 
@@ -89,7 +85,7 @@ def invariant_report(pl: PairedLabeling) -> InvariantReport:
     return InvariantReport(
         cm_type=cm_type,
         socle_monomials=tuple(tuple(sorted(s)) for s in generators),
-        level=bool(is_unmixed_bruteforce(restricted).value),
+        level=len({len(s) for s in generators}) == 1,
         gorenstein=gorenstein,
         complete_intersection=gorenstein,
     )

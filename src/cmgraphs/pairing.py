@@ -324,7 +324,8 @@ def relabel_for_double_star(pl: PairedLabeling) -> PairedLabeling:
     antisymmetry from the absence of 2-pair cycles (`short_cycle`), so
     both are verified here and violations are reported as precondition
     failures.  The order taken is the lexicographically smallest (by x
-    vertex name) topological linear extension.
+    vertex name) topological linear extension; when it is the labeling's
+    own order, the labeling itself is returned, memo and all.
     """
     n, (cross, links, _) = pl.n, pl.relations
     if pl.short_cycle is not None:
@@ -355,7 +356,9 @@ def relabel_for_double_star(pl: PairedLabeling) -> PairedLabeling:
             pred_count[j] -= 1
             if pred_count[j] == 0:
                 heapq.heappush(available, (pl.x(j), j))
-    relabeled = PairedLabeling(pl.graph, tuple(pl.pairs[i - 1] for i in order))
+    relabeled = pl
+    if order != list(range(1, n + 1)):  # only a changed order builds a copy
+        relabeled = PairedLabeling(pl.graph, tuple(pl.pairs[i - 1] for i in order))
     if len(order) != n or not satisfies_double_star(relabeled):
         raise RouteDisagreementError(
             "relabeling and upward cross-edge validator disagree",

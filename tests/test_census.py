@@ -5,7 +5,6 @@ import pytest
 import cmgraphs.census as census
 import cmgraphs.criteria as criteria
 import cmgraphs.graphs as graphs
-import cmgraphs.invariants as invariants
 import cmgraphs.pairing as pairing
 import cmgraphs.transform as transform
 from cmgraphs.census import (
@@ -229,7 +228,6 @@ def test_structural_disagreement_is_recorded_once(monkeypatch):
         v = scan(pl)
         return Verdict(not v.value, v.route, v.certificate) if pl == member else v
 
-    monkeypatch.setattr(census, "_structural_scan", flipped)
     monkeypatch.setattr(criteria, "_structural_scan", flipped)
     outcome = census.check_member(member, 0, full_oracles=False)
     assert [v["check"] for v in outcome["violations"]] == [
@@ -342,7 +340,6 @@ def test_cm_draw_decides_unmixedness_once(monkeypatch):
         return route(pl)
 
     monkeypatch.setattr(criteria, "is_unmixed_bruteforce", counted)
-    monkeypatch.setattr(invariants, "is_unmixed_bruteforce", counted)
     monkeypatch.setattr(criteria, "_route_a", route_a_counted)
     monkeypatch.setitem(criteria._ROUTE_IMPL, "a", route_a_counted)
     outcome = census.check_member(member, 0, full_oracles=False)
@@ -439,3 +436,61 @@ def test_a_draw_checks_each_deformation_once(monkeypatch):
         assert len(classified) == 17
         assert len(validated) == 16
         assert len(deformed) == o_set_calls
+
+
+def test_each_labeling_of_a_draw_builds_its_relations_once(monkeypatch):
+    # the upward relabeling of an upward labeling is the labeling itself,
+    # and the labeling-invariance sweep skips the drawn labeling
+    built = count_builds(monkeypatch, pairing.PairedLabeling, "relations")
+    for draw, builds in (
+        ((4, 0, 0, False), 1),
+        ((3, 0, 0, True), 8),
+        ((2, 0, 0b100, True), 4),
+    ):
+        built.clear()
+        outcome = census._check_draw(draw)
+        assert outcome["summary"]["cm"] and outcome["violations"] == []
+        assert len(built) == len(set(built)) == builds
+    # the 8 labelings of the bare 3-pair matching, the drawn one included
+    graph = member_from_mask(3, 0).graph
+    assert len(set(pairing.all_star_labelings(graph))) == 8
+
+
+def test_the_labeling_sweep_reads_each_labelings_one_verdict(monkeypatch):
+    # check_member calls no structural scan of its own: each labeling's
+    # scan is the one its unmixedness verdict makes, plus the upward scan
+    callers = []
+    scan = criteria._structural_scan
+
+    def counted(pl):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return scan(pl)
+
+    monkeypatch.setattr(criteria, "_structural_scan", counted)
+    monkeypatch.setattr(census, "_structural_scan", counted, raising=False)
+    outcome = census._check_draw((3, 0, 0, True))
+    assert outcome["summary"]["cm"] and outcome["violations"] == []
+    assert "check_member" not in callers
+    assert sorted(callers) == ["_crosschecked_unmixed"] * 8 + [
+        "cm_structural_doublestar"
+    ]
+
+
+def test_a_scan_fault_on_another_labeling_is_recorded_for_the_draw(monkeypatch):
+    # the fault escapes the sweep as a disagreement of the other
+    # labeling's verdict, which the draw records
+    drawn = member_from_mask(3, 0)
+    scan = criteria._structural_scan
+
+    def flipped(pl):
+        v = scan(pl)
+        return v if pl == drawn else Verdict(not v.value, v.route, v.certificate)
+
+    monkeypatch.setattr(criteria, "_structural_scan", flipped)
+    monkeypatch.setattr(census, "_structural_scan", flipped, raising=False)
+    outcome = census._check_draw((3, 7, 0, True))
+    assert outcome["summary"] == _EMPTY_SUMMARY
+    [violation] = outcome["violations"]
+    assert (violation["index"], violation["check"]) == (7, "internal-disagreement")
+    assert violation["pairs"] == [list(p) for p in drawn.pairs]
+    assert violation["details"]["structural"]["value"] is False

@@ -16,7 +16,7 @@ import cmgraphs.transform as transform
 from cmgraphs.cli import main
 from cmgraphs.graphio import parse_graph
 from cmgraphs.verdicts import Verdict
-from conftest import ROOT, SCHEMA, fixture_path, golden_path
+from conftest import ROOT, SCHEMA, count_builds, fixture_path, golden_path
 
 
 def run_cli(capsys, *argv):
@@ -276,7 +276,7 @@ def test_check_decides_unmixedness_once_per_labeling(capsys, monkeypatch):
     path = fixture_path("example3_1.graph")
     scans, checked, route_a = [], [], []
     brute = _recording(checked, graphs.is_unmixed_bruteforce)
-    for module in (cli, criteria, invariants):
+    for module in (cli, criteria):
         monkeypatch.setattr(module, "is_unmixed_bruteforce", brute)
     scan = _recording(scans, criteria._structural_scan)
     monkeypatch.setattr(criteria, "_structural_scan", scan)
@@ -289,8 +289,26 @@ def test_check_decides_unmixedness_once_per_labeling(capsys, monkeypatch):
     assert document["invariants"] is not None
     graph = parse_graph(read(path)).graph
     assert len(scans) == 1 and len(route_a) == 1
-    # the input graph once; the restricted deformation once, for `level`
-    assert [g == graph for g in checked] == [True, False]
+    # the input graph once; `level` reads the socle degrees, so the
+    # restricted deformation is not checked
+    assert [g == graph for g in checked] == [True]
+
+
+def test_check_builds_relations_once_per_labeling(capsys, monkeypatch, tmp_path):
+    # an upward labeling is its own upward relabeling; only a changed
+    # order builds a copy, which reads its own relations
+    downward = tmp_path / "downward.graph"
+    downward.write_text("pairs 3\nedge x3 y2\nedge x3 y1\nedge x2 y1\n")
+    built = count_builds(monkeypatch, pairing.PairedLabeling, "relations")
+    for path, order, builds in (
+        (fixture_path("example3_1.graph"), [1, 2, 3], 1),
+        (str(downward), [3, 2, 1], 2),
+    ):
+        built.clear()
+        code, out, _ = run_cli(capsys, "check", path, "--json")
+        document = json.loads(out)
+        assert code == 0 and document["labeling"]["double_star_order"] == order
+        assert len(built) == len(set(built)) == builds
 
 
 def test_unmixedness_disagreement_exits_three(capsys, monkeypatch):
@@ -563,6 +581,25 @@ def test_census_csv_to_an_unwritable_path_exits_one_before_the_run(
     code, out, err = run_cli(capsys, "census", "--n", "1", "--csv", str(path))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot write {path}")
+
+
+def test_a_failed_census_leaves_an_existing_csv_as_it_was(capsys, tmp_path):
+    path = tmp_path / "hist.csv"
+    path.write_bytes(b"type,count\n1,1\n")
+    for argv, code in (
+        (("--n", "5"), 2),
+        (("--n", "2", "--mode", "sample"), 1),
+    ):
+        got, out, _ = run_cli(capsys, "census", *argv, "--csv", str(path))
+        assert (got, out) == (code, "")
+        assert path.read_bytes() == b"type,count\n1,1\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_csv_write_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "census", "--n", "1", "--csv", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write /dev/full: ")
 
 
 def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):

@@ -52,3 +52,30 @@ def test_a_labeling_is_decided_unmixed_in_one_place():
     assert owners
     elsewhere = [site for site, owner in owners if owner != "_crosschecked_unmixed"]
     assert elsewhere == []
+
+
+def _call_sites(name):
+    """(path, innermost enclosing function) for every call of `name` in
+    the package, by plain name or attribute."""
+    package = pathlib.Path(ROOT, "src", "cmgraphs")
+    return [
+        (path.name, owner)
+        for path in sorted(package.rglob("*.py"))
+        for owner, call in _calls_by_function(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == name
+    ]
+
+
+def test_the_structural_scan_has_two_callers():
+    # a labeling's verdict and the upward criterion; everything else
+    # reads the verdict
+    owners = {owner for _, owner in _call_sites("_structural_scan")}
+    assert owners == {"_crosschecked_unmixed", "cm_structural_doublestar"}
+
+
+def test_brute_force_unmixedness_is_called_in_criteria_and_the_cli_only():
+    # `level` reads the socle degrees, not the covers of the restriction
+    modules = {path for path, _ in _call_sites("is_unmixed_bruteforce")}
+    assert modules == {"criteria.py", "cli.py"}

@@ -2,12 +2,14 @@
 must still exist in the package, or a traced benchmark run crashes."""
 
 import importlib
+import json
 import os
 import runpy
 
 from conftest import ROOT
 
 SPANS = os.path.join(ROOT, "perfbench", "spans.py")
+LAYERS = os.path.join(ROOT, "perfbench", "layers.json")
 
 
 def test_every_traced_name_exists():
@@ -19,3 +21,22 @@ def test_every_traced_name_exists():
         mod = importlib.import_module(f"cmgraphs.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def test_every_layer_metric_of_a_function_names_a_traced_span():
+    # a `<module>.<function>.<stat>` metric reads the span the tracer
+    # records for that function; a metric whose function left `TRACED`
+    # would read zero
+    spans = runpy.run_path(SPANS)
+    traced = {
+        spans["span_name"](module, name)
+        for module, names in spans["TRACED"].items()
+        for name in names
+    }
+    with open(LAYERS, encoding="utf-8") as fh:
+        rows = json.load(fh)["rows"]
+    metrics = [metric for row in rows for metric in row["metrics"]]
+    stats = [metric for metric in metrics if metric.count(".") == 2]
+    assert stats
+    missing = [m for m in stats if m.rsplit(".", 1)[0] not in traced]
+    assert missing == []
