@@ -237,8 +237,10 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
                 _crosschecked_unmixed(other).value,
                 other.short_cycle is None,
             )
+            # a draw whose own report disagreed has no type to compare
             if got != base or (
-                cm and invariant_report(other).cm_type != summary["cm_type"]
+                summary["cm_type"] is not None
+                and invariant_report(other).cm_type != summary["cm_type"]
             ):
                 record(
                     "labeling-invariance",

@@ -8,9 +8,11 @@ unexpected exception (reported with the argv that raised it).
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
+import os
 import sys
 
 from .census import cross_validate
@@ -266,19 +268,28 @@ def _write_text(path, text: str, mode: str) -> None:
 
 def _cmd_census(args) -> int:
     # appending nothing fails on an unwritable path before the run yet
-    # leaves an existing file intact until the run completes; the CSV is
+    # leaves an existing file intact until the run completes, and a file
+    # the check created goes again if the census fails; the CSV is
     # written before the report, so a failed write leaves stdout empty
+    created = False
     if args.csv:
+        created = not os.path.exists(args.csv)
         _write_text(args.csv, "", "a")
-    report = cross_validate(
-        args.n,
-        mode=args.mode,
-        seed=args.seed,
-        count=args.count,
-        threads=args.threads,
-    )
-    if args.csv:
-        _write_text(args.csv, report.histogram_csv(), "w")
+    try:
+        report = cross_validate(
+            args.n,
+            mode=args.mode,
+            seed=args.seed,
+            count=args.count,
+            threads=args.threads,
+        )
+        if args.csv:
+            _write_text(args.csv, report.histogram_csv(), "w")
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(args.csv)
+        raise
     payload = report.canonical_dict()
     payload["runtime_ms"] = report.runtime_ms
     print(json.dumps(payload, indent=2))

@@ -2,6 +2,11 @@
 graph, purity, strong connectedness, shellability, and exact reduced
 homology backing a Cohen-Macaulayness oracle.
 
+The oracle (`reisner_cm`) ranks each distinct link once, on bitmasks.
+Each link is first strongly collapsed (dominated vertices deleted,
+Barmak-Minian), so only a core with two or more vertices is eliminated.  `reduced_homology_ranks` stays unreduced,
+the reference for the oracle.
+
 Dimension conventions: dim F = |F| - 1, so the empty face has dimension
 -1 and the complex whose only facet is the empty face has dimension -1.
 """
@@ -287,17 +292,57 @@ def _betti(faces: set[int], field) -> list[int]:
     ]
 
 
+def _strong_core(facets) -> list[int]:
+    """The facets left once no vertex is dominated: v is dominated when
+    another vertex lies in every facet containing v.  Deleting v keeps
+    the homotopy type (a strong collapse); the facets of what is left are
+    the maximal masks among the facets minus v.  Facets without v stay
+    maximal, and the facets with v, less v, stay incomparable, so only
+    the latter are checked against the former."""
+    facets = list(facets)
+    vertices = 0
+    for h in facets:
+        vertices |= h
+    collapsed = True
+    while collapsed:
+        collapsed = False
+        rest = vertices
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            common, star, kept = -1, [], []
+            for h in facets:
+                if h & v:
+                    common &= h
+                    star.append(h ^ v)
+                else:
+                    kept.append(h)
+            if common == v:
+                continue
+            facets = kept + [
+                h for h in star if not any(h & g == h for g in kept)
+            ]
+            vertices ^= v
+            collapsed = True
+    return facets
+
+
 def _link_betti(link: frozenset[int], field) -> list[int]:
     """Reduced homology ranks of the complex generated by the link's facet
-    masks, dimensions -1 through its top.  When every facet shares a
-    vertex the link is a cone over it, so contractible: all ranks vanish
-    and no matrix is eliminated."""
-    common = -1
-    for h in link:
-        common &= h
-    if common:
-        return [0] * (max(h.bit_count() for h in link) + 1)
-    return _betti(_submask_closure(link), field)
+    masks, dimensions -1 through its top.
+
+    The link is strongly collapsed to its core, which has the same
+    homology over every field.  A core of one vertex is contractible (a
+    cone, whose facets share a vertex, always collapses to one): all
+    ranks vanish and no matrix is eliminated.  Any other core is
+    eliminated and its ranks padded with zeros to the link's top.
+    """
+    top = max(h.bit_count() for h in link)  # the link's dimension + 1
+    core = _strong_core(link)
+    if len(core) == 1 and core[0].bit_count() == 1:
+        return [0] * (top + 1)
+    betti = _betti(_submask_closure(core), field)
+    return betti + [0] * (top + 1 - len(betti))
 
 
 def _ranks_from_faces(faces: list[frozenset[str]], field) -> list[int]:
@@ -320,7 +365,8 @@ def reisner_cm(c: SimplicialComplex, field=2) -> Verdict:
 
     Faces and facets are bitmasks over the vertices.  The link of F is
     generated by the masks G & ~F over the facets G containing F;
-    homology is computed once per distinct link, and a cone link is
+    homology is computed once per distinct link (`_link_betti`), and a
+    link that strongly collapses to a point, a cone among them, is
     settled without elimination.  A false verdict carries the first
     offending face's full homology profile.
     """

@@ -255,6 +255,8 @@ def test_cycle_validator_disagreement_is_recorded(monkeypatch, capsys):
 
 
 def test_invariant_disagreement_is_recorded_once(monkeypatch):
+    # with full oracles too: the labeling-invariance sweep compares types
+    # only when the draw has one, so the draw's own record stands
     from cmgraphs.errors import RouteDisagreementError
 
     member = _cm_member()
@@ -263,12 +265,15 @@ def test_invariant_disagreement_is_recorded_once(monkeypatch):
         raise RouteDisagreementError("patched", dump=pl.dump(patched=True))
 
     monkeypatch.setattr(census, "invariant_report", rejecting)
-    outcome = census.check_member(member, 0, full_oracles=False)
-    assert [v["check"] for v in outcome["violations"]] == [
-        "gorenstein-iff-type-one"
-    ]
-    assert outcome["violations"][0]["details"]["patched"] is True
-    assert outcome["summary"] == {"unmixed": True, "cm": True, "cm_type": None}
+    for outcome in (
+        census.check_member(member, 0, full_oracles=False),
+        census._check_draw((2, 0, 0b100, True)),
+    ):
+        assert [v["check"] for v in outcome["violations"]] == [
+            "gorenstein-iff-type-one"
+        ]
+        assert outcome["violations"][0]["details"]["patched"] is True
+        assert outcome["summary"] == {"unmixed": True, "cm": True, "cm_type": None}
 
 
 def test_generator_bound_violation_is_recorded_once(monkeypatch):

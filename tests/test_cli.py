@@ -584,15 +584,18 @@ def test_census_csv_to_an_unwritable_path_exits_one_before_the_run(
 
 
 def test_a_failed_census_leaves_an_existing_csv_as_it_was(capsys, tmp_path):
-    path = tmp_path / "hist.csv"
+    # and leaves no file where there was none
+    path, new = tmp_path / "hist.csv", tmp_path / "new.csv"
     path.write_bytes(b"type,count\n1,1\n")
     for argv, code in (
         (("--n", "5"), 2),
         (("--n", "2", "--mode", "sample"), 1),
     ):
-        got, out, _ = run_cli(capsys, "census", *argv, "--csv", str(path))
-        assert (got, out) == (code, "")
+        for csv in (path, new):
+            got, out, _ = run_cli(capsys, "census", *argv, "--csv", str(csv))
+            assert (got, out) == (code, "")
         assert path.read_bytes() == b"type,count\n1,1\n"
+        assert not new.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -326,10 +326,16 @@ def _reisner_by_definition(c, field):
     return Verdict(True, "homology", {"faces_checked": len(faces), "field": label})
 
 
+def _matches_definition(c, field):
+    got, want = reisner_cm(c, field), _reisner_by_definition(c, field)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    return got
+
+
 def test_reisner_link_memo_matches_definition():
-    # the oracle's cone shortcut and mask signs against full elimination of
-    # every link, over F2, F3 and Q: random complexes, RP2, and the
-    # complexes of every class member with at most three pairs
+    # the oracle's strong-collapse cores and mask signs against full
+    # elimination of every link, over F2, F3 and Q: random complexes, RP2,
+    # and the complexes of every class member with at most three pairs
     rng = random.Random(31)
     verts = ["a", "b", "c", "d", "e", "f"]
     complexes = [SimplicialComplex.from_facets([{"a", "b", "c"}, {"a", "d", "e"}])]
@@ -345,12 +351,11 @@ def test_reisner_link_memo_matches_definition():
     }
     assert len(members) > 50
     complexes += sorted(members, key=lambda c: (c.vertices, c.facet_lists()))
-    values = set()
-    for c in complexes:
-        for field in (2, 3, "Q"):
-            got, want = reisner_cm(c, field), _reisner_by_definition(c, field)
-            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
-            values.add((is_pure(c).value, got.value))
+    values = {
+        (is_pure(c).value, _matches_definition(c, field).value)
+        for c in complexes
+        for field in (2, 3, "Q")
+    }
     assert values == {(True, True), (True, False), (False, False)}
 
     # the empty face passes (two triangles glued at a point are contractible)
@@ -367,22 +372,78 @@ def test_reisner_link_memo_matches_definition():
     }
 
 
-def test_reisner_settles_cone_links_without_elimination(monkeypatch):
-    # the 8-pair upward chain is Cohen-Macaulay, so every face is checked;
-    # each distinct link that is not a cone ranks its boundary maps in
-    # dimensions 0 through its own, and a cone (all facets sharing a
-    # vertex) ranks none
-    g = Graph.build(
-        edges=[(f"x{i}", f"y{j}") for i in range(1, 9) for j in range(i, 9)]
+def _is_flag(c):
+    """Every vertex set whose pairs are all faces is itself a face."""
+    faces = set(all_faces(c))
+    return all(
+        frozenset(s) in faces
+        for k in range(3, len(c.vertices) + 1)
+        for s in itertools.combinations(c.vertices, k)
+        if all(frozenset(e) in faces for e in itertools.combinations(s, 2))
     )
-    c = complementary_complex(g)
-    links = {frozenset(h - f for h in c.facets if f <= h) for f in all_faces(c)}
-    cones = [link for link in links if frozenset.intersection(*link)]
-    expected = sum(
-        max(len(h) for h in link) for link in links - set(cones)
-    )
-    assert len(links) == 960 and len(cones) == 923 and expected == 120
 
+
+def test_reisner_on_non_flag_complexes_matches_definition():
+    # independence complexes are flag, so the graph inputs never show the
+    # core of a complex with a minimal non-face of three or more vertices
+    # (a skeleton of a simplex is shellable, so Cohen-Macaulay, and not
+    # flag below the top)
+    rng = random.Random(59)
+    verts = ["a", "b", "c", "d", "e", "f", "g"]
+    complexes = []
+    while len(complexes) < 60:
+        if rng.random() < 0.25:
+            span = rng.sample(verts, rng.randint(4, 6))
+            facets = itertools.combinations(span, rng.randint(2, len(span) - 2))
+        else:
+            facets = [
+                rng.sample(verts, rng.choice([2, 3, 3, 4]))
+                for _ in range(rng.randint(2, 8))
+            ]
+        c = SimplicialComplex.from_facets(facets)
+        if not _is_flag(c):
+            complexes.append(c)
+    values = {
+        _matches_definition(c, field).value
+        for c in complexes
+        for field in (2, 3, "Q")
+    }
+    assert values == {True, False}
+
+
+def test_reisner_keeps_the_torsion_of_a_suspended_projective_plane():
+    # the suspension of RP2 has no dominated vertex, so its core is itself:
+    # over F2 the empty face's link carries RP2's classes one dimension up,
+    # and over F3 and Q every link is acyclic below its top
+    srp2 = SimplicialComplex.from_facets(
+        [f | {pole} for f in RP2_FACETS for pole in ("n", "s")]
+    )
+    verdict = _matches_definition(srp2, 2)
+    assert verdict.value is False
+    assert verdict.certificate["profile"]["face"] == []
+    assert verdict.certificate["profile"]["reduced_betti"] == [0, 0, 0, 1, 1]
+    for field in (3, "Q"):
+        verdict = _matches_definition(srp2, field)
+        assert verdict.value is True
+        assert verdict.certificate["faces_checked"] == 96
+
+
+def _strong_core(facets):
+    """Delete one dominated vertex at a time, on vertex names: v goes when
+    another vertex lies in every facet containing v, and the facets left
+    are the maximal sets among the facets minus v."""
+    facets = set(facets)
+    while True:
+        for v in sorted(set().union(*facets)):
+            if len(frozenset.intersection(*(h for h in facets if v in h))) > 1:
+                rest = {h - {v} for h in facets}
+                facets = {h for h in rest if not any(h < g for g in rest)}
+                break
+        else:
+            return facets
+
+
+def _counted_ranks(monkeypatch):
     import cmgraphs.complexes as complexes
 
     rank = complexes._rank
@@ -393,6 +454,31 @@ def test_reisner_settles_cone_links_without_elimination(monkeypatch):
         return rank(rows, field)
 
     monkeypatch.setattr(complexes, "_rank", counted)
+    return calls
+
+
+def test_reisner_settles_cone_links_without_elimination(monkeypatch):
+    # the 8-pair upward chain is Cohen-Macaulay, so every face is checked;
+    # a link that strongly collapses to one vertex ranks nothing, and a
+    # cone (all facets sharing a vertex) always does; any other distinct
+    # link ranks the boundary maps of its core in dimensions 0 through
+    # the core's own
+    g = Graph.build(
+        edges=[(f"x{i}", f"y{j}") for i in range(1, 9) for j in range(i, 9)]
+    )
+    c = complementary_complex(g)
+    links = {frozenset(h - f for h in c.facets if f <= h) for f in all_faces(c)}
+    cones = [link for link in links if frozenset.intersection(*link)]
+    cores = {link: _strong_core(link) for link in links}
+    assert all(len(set().union(*cores[link])) == 1 for link in cones)
+    eliminated = [
+        core for core in cores.values() if len(set().union(*core)) != 1
+    ]
+    expected = sum(max(len(h) for h in core) for core in eliminated)
+    assert (len(links), len(cones), len(eliminated)) == (960, 923, 9)
+    assert expected == 8
+
+    calls = _counted_ranks(monkeypatch)
     for field in (2, "Q"):
         calls.clear()
         assert reisner_cm(c, field).value is True
@@ -410,6 +496,14 @@ def test_all_faces_capacity(monkeypatch):
     monkeypatch.setattr("cmgraphs.complexes.HOMOLOGY_FACE_CAP", 10)
     with pytest.raises(CapacityError):
         all_faces(c)
+
+
+def test_reisner_counts_every_face_before_any_link(monkeypatch):
+    calls = _counted_ranks(monkeypatch)
+    monkeypatch.setattr("cmgraphs.complexes.HOMOLOGY_FACE_CAP", 10)
+    with pytest.raises(CapacityError, match="homology bound 10"):
+        reisner_cm(complementary_complex(pairs_graph(3)), 2)
+    assert calls == []
 
 
 def test_all_faces_cap_bounds_work(monkeypatch):

@@ -40,3 +40,23 @@ def test_every_layer_metric_of_a_function_names_a_traced_span():
     assert stats
     missing = [m for m in stats if m.rsplit(".", 1)[0] not in traced]
     assert missing == []
+
+
+def test_the_traced_oracle_counts_the_faces_it_checks():
+    # the tracer counts route f's faces where `reisner_cm` lists them, in
+    # `all_faces`; an oracle that listed its faces another way would leave
+    # `complexes.reisner_cm.faces` at zero
+    import cmgraphs.cli  # noqa: F401  (imports every traced module)
+    import cmgraphs.complexes as complexes
+    from cmgraphs.graphs import pairs_graph
+
+    tracer = runpy.run_path(SPANS)["Tracer"]()
+    c = complexes.complementary_complex(pairs_graph(3))
+    tracer.install()
+    try:
+        verdict = complexes.reisner_cm(c, 2)
+    finally:
+        tracer.uninstall()
+    assert verdict.value is True
+    assert verdict.certificate["faces_checked"] == 27
+    assert tracer.counters["complexes.reisner_cm.faces"] == 27
