@@ -235,9 +235,12 @@ _ROUTE_IMPL = {
 
 
 def cm_routes(pl: PairedLabeling, routes="a", field=2) -> dict[str, Verdict]:
-    """Evaluate the selected routes independently; keys are route ids."""
+    """Evaluate the selected routes independently, each distinct route
+    once; keys are route ids, in the order of their first selection."""
     results: dict[str, Verdict] = {}
     for r in routes:
+        if r in results:
+            continue
         if r == "f":
             results[r] = _route_f(pl, field)
         elif r in _ROUTE_IMPL:

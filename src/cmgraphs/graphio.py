@@ -4,6 +4,7 @@
     vertex <name>
     edge <a> <b>          endpoints are declared implicitly
     pairs <n>             declares x1..xn, y1..yn and the edges x1y1..xnyn
+                          (n at most PAIRS_CAP)
     xside <name> ...      partition markers used by bipartite block files
     yside <name> ...
 
@@ -14,8 +15,12 @@ vertex lines, then sorted edge lines) which reparses to an equal graph.
 
 from dataclasses import dataclass
 
-from .errors import InputFormatError
+from .errors import CapacityError, InputFormatError
 from .graphs import Graph, edge_key
+
+# the largest `pairs N`; a larger count is a capacity error, raised before
+# any of its pairs is built
+PAIRS_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,18 @@ def parse_graph(text: str) -> ParsedGraph:
         elif directive == "pairs":
             if pairs is not None:
                 fail("pairs may be declared only once")
-            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
+            if len(args) != 1 or not args[0].isdecimal():
                 fail("pairs takes one positive integer")
-            n = int(args[0])
+            # bounded by its digits before it is read, so no count, however
+            # long, is converted or builds anything
+            digits = args[0].lstrip("0") or "0"
+            if len(digits) > len(str(PAIRS_CAP)) or int(digits) > PAIRS_CAP:
+                raise CapacityError(
+                    f"line {lineno}: pairs is capped at {PAIRS_CAP} pairs"
+                )
+            n = int(digits)
+            if n < 1:
+                fail("pairs takes one positive integer")
             pairs = [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
             for x, y in pairs:
                 vertices.update((x, y))

@@ -8,10 +8,11 @@ analysis needs (the bitset view, maximal independent sets, minimal vertex
 covers) are computed on first use and memoized on that instance.  The
 memo holds only immutable values and dies with the graph;
 equality, hashing, repr and pickling see only the vertices and edges.
-One thing in it can come from another graph: a deformed graph is handed
-its bitset view by `transform.o_set` (through `rewired`), which shares
-the parent's immutable names and positions and carries neighbour masks
-of its own, so it never builds the view from its edges.
+One thing in it can come from another graph: a deformed graph is built
+by `rewired` from the neighbour masks `transform.o_set` writes, with no
+edge set.  It shares the parent's immutable names and positions, never
+builds the view from edges, and names its `edges` off the masks on
+first read.
 
 The bitset view numbers the vertices by sorted name: bit i of a mask
 stands for the i-th name, which is `vertices[i]` for every graph the
@@ -126,13 +127,40 @@ class Graph:
         return tuple(verts - s for s in reversed(maximal_independent_sets(self)))
 
 
-def rewired(g: Graph, edges: frozenset[frozenset[str]], neighbours) -> Graph:
-    """A graph on `g`'s vertices with `edges`, handed its bitset view
-    instead of building one: `g`'s names and positions with
-    `neighbours`, which must be the neighbour masks of `edges`."""
-    out = Graph(g.vertices, edges)
+class _EdgesOffMasks:
+    """`Graph.edges` for a graph `rewired` built: named off the neighbour
+    masks on first read and stored on the instance.  A non-data
+    descriptor yields to the instance `__dict__`, so a graph built from
+    its edges, which holds them there, reads them as a plain attribute.
+    It is set after the dataclass is made, so `edges` stays a required
+    field with no default."""
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return self
+        names, _, neighbours = g._vertex_bits
+        edges = frozenset(
+            frozenset((names[i], names[j]))
+            for i, nb in enumerate(neighbours)
+            for j in bit_positions(nb >> (i + 1) << (i + 1))
+        )
+        g.__dict__["edges"] = edges
+        return edges
+
+
+Graph.edges = _EdgesOffMasks()
+
+
+def rewired(g: Graph, neighbours) -> Graph:
+    """A graph on `g`'s vertices whose neighbour masks are `neighbours`:
+    its bitset view is `g`'s names and positions with those masks, and
+    it holds no edge set until its `edges` are read."""
+    out = object.__new__(Graph)
     names, position, _ = vertex_bits(g)
-    out.__dict__["_vertex_bits"] = VertexBits(names, position, tuple(neighbours))
+    out.__dict__.update(
+        vertices=g.vertices,
+        _vertex_bits=VertexBits(names, position, tuple(neighbours)),
+    )
     return out
 
 

@@ -141,8 +141,11 @@ class CycleWitness:
 def validate_labeling(pl: PairedLabeling) -> list[str]:
     """All violated labeling invariants, as human-readable strings.
 
-    The cover and independence checks walk the neighbour masks bit by bit
-    and stop at the first vertex that settles them."""
+    Each side, V - X for X and Y for Y, is scanned once on the neighbour
+    masks: for a vertex of the side with a neighbour in it (X is then no
+    cover, Y not independent) and, if there is none, for the lowest x
+    with no neighbour in it (redundant in X, extending Y).  When the
+    sides are disjoint, V - X is Y and the one scan answers both."""
     g, n = pl.graph, pl.n
     problems = []
     xs = {x for x, _ in pl.pairs}
@@ -163,19 +166,30 @@ def validate_labeling(pl: PairedLabeling) -> list[str]:
         x_mask |= 1 << px
         y_mask |= 1 << py
     outside = ((1 << len(names)) - 1) & ~x_mask
-    if _lowest(outside, neighbours, outside, True) is not None:
+    edge, free = _scan_side(outside, x_mask, neighbours)
+    if outside == y_mask:
+        y_edge, y_free = edge, free
+    else:
+        y_edge, y_free = _scan_side(y_mask, x_mask, neighbours)
+    if edge is not None:
         problems.append("X is not a vertex cover")
-    else:
-        redundant = _lowest(x_mask, neighbours, outside, False)
-        if redundant is not None:
-            problems.append(f"X is not minimal: {names[redundant]} is redundant")
-    if _lowest(y_mask, neighbours, y_mask, True) is not None:
+    elif free is not None:
+        problems.append(f"X is not minimal: {names[free]} is redundant")
+    if y_edge is not None:
         problems.append("Y is not independent")
-    else:
-        extends = _lowest(x_mask, neighbours, y_mask, False)
-        if extends is not None:
-            problems.append(f"Y is not maximal: {names[extends]} extends it")
+    elif y_free is not None:
+        problems.append(f"Y is not maximal: {names[y_free]} extends it")
     return problems
+
+
+def _scan_side(side: int, x_mask: int, neighbours) -> tuple[int | None, int | None]:
+    """The lowest bit position of `side` with a neighbour in `side`, and,
+    when there is none, the lowest of `x_mask` with no neighbour in it;
+    None where there is no such position or it is not looked for."""
+    edge = _lowest(side, neighbours, side, True)
+    if edge is not None:
+        return edge, None
+    return None, _lowest(x_mask, neighbours, side, False)
 
 
 def _lowest(mask: int, neighbours, other: int, meets: bool) -> int | None:

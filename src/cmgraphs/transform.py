@@ -28,13 +28,14 @@ def o_set(pl: PairedLabeling, t) -> Graph:
     rewrite of the original edges: each link y_i x_k (i in t, k in
     `pl.relations.links[i]`) becomes the cover edge x_k x_i.  The removed
     edges are x-y and the added ones x-x, so the order of the rewrites
-    does not matter.  The deformed graph's neighbour masks are the
-    parent's with the same rewrite applied: the bits y_i and x_k are
-    cleared on each other and x_i and x_k set on each other.  The masks
-    are set and cleared, never toggled, so a cover edge x_k x_i that is
-    already there, or that two links produce, stays one edge.  The new
-    graph gets them as its bitset view and builds none from its edges.
-    When no pair in t has a link, the input graph itself is returned.
+    does not matter.  Only the neighbour masks are written: the parent's,
+    with the bits y_i and x_k cleared on each other and x_i and x_k set
+    on each other.  The masks are set and cleared, never toggled, so a
+    cover edge x_k x_i that is already there, or that two links produce,
+    stays one edge.  The new graph is built from them by `rewired`, with
+    no edge set: it names its edges off the masks only when they are
+    read.  When no pair in t has a link, the input graph itself is
+    returned.
     """
     t, n = set(t), pl.n
     out_of_range = {i for i in t if not 1 <= i <= n}
@@ -48,19 +49,18 @@ def o_set(pl: PairedLabeling, t) -> Graph:
     if not moved:
         return g
     _, position, neighbours = vertex_bits(g)
-    pairs, edges, masks = pl.pairs, set(g.edges), list(neighbours)
+    pairs, masks = pl.pairs, list(neighbours)
     for i in moved:
         xi, yi = pairs[i - 1]
         pi, py = position[xi], position[yi]
+        x_bit, y_bit, linked = 1 << pi, 1 << py, 0
         for k in links[i]:
-            xk = pairs[k - 1][0]
-            edges.discard(frozenset((xk, yi)))
-            edges.add(frozenset((xk, xi)))
-            pk = position[xk]
-            masks[pk] = masks[pk] & ~(1 << py) | 1 << pi
-            masks[py] &= ~(1 << pk)
-            masks[pi] |= 1 << pk
-    return rewired(g, frozenset(edges), masks)
+            pk = position[pairs[k - 1][0]]
+            masks[pk] = masks[pk] & ~y_bit | x_bit
+            linked |= 1 << pk
+        masks[py] &= ~linked
+        masks[pi] |= linked
+    return rewired(g, masks)
 
 
 def index_subsets(n: int):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -240,6 +241,46 @@ def test_classify_json_on_twelve_hundred_pairs_exits_zero(capsys, tmp_path):
         "has_isolated": False,
         "in_class": True,
     }
+
+
+def test_a_pairs_count_far_over_the_cap_exits_two_at_once(capsys, tmp_path):
+    path = tmp_path / "huge.graph"
+    path.write_text(f"pairs {10**12}\n")
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", str(path), "--json")
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("inconclusive: line 1: pairs is capped at ")
+
+
+def test_a_repeated_route_runs_once_and_prints_the_same_bytes(capsys, monkeypatch):
+    # results are keyed by route, so repeating a letter changes nothing
+    # in the document; it must not rerun the route either
+    calls = []
+
+    def counted(route, real):
+        def wrapper(*args):
+            calls.append(route)
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(criteria, "reisner_cm", counted("f", criteria.reisner_cm))
+    for route, impl in list(criteria._ROUTE_IMPL.items()):
+        monkeypatch.setitem(criteria._ROUTE_IMPL, route, counted(route, impl))
+    path = fixture_path("example3_1.graph")
+    forms = (("f,f,f", "f"), ("a,d,a,a,d", "a,d"), ("fedcbaabcdef", "a,b,c,d,e,f"))
+    for repeated, single in forms:
+        printed = []
+        for routes in (repeated, single):
+            calls.clear()
+            code, out, err = run_cli(
+                capsys, "check", "--json", "--routes", routes, path
+            )
+            assert (code, err) == (0, "")
+            assert sorted(calls) == sorted(set(single.split(",")))
+            printed.append(out)
+        assert printed[0] == printed[1]
 
 
 def test_check_searches_short_cycles_once_per_labeling(capsys, monkeypatch):

@@ -2,8 +2,8 @@ import re
 
 import pytest
 
-from cmgraphs.errors import InputFormatError
-from cmgraphs.graphio import format_graph, parse_graph, parse_graph_file
+from cmgraphs.errors import CapacityError, InputFormatError
+from cmgraphs.graphio import PAIRS_CAP, format_graph, parse_graph, parse_graph_file
 from cmgraphs.graphs import Graph
 
 
@@ -54,6 +54,16 @@ def test_parse_sides():
 def test_parse_rejects_malformed_lines(text):
     with pytest.raises(InputFormatError):
         parse_graph(text)
+
+
+def test_pairs_count_is_capped_before_anything_is_built():
+    assert PAIRS_CAP >= 1200  # the largest matching the docs and tests use
+    largest = parse_graph(f"pairs 000{PAIRS_CAP}\n").graph
+    assert len(largest.vertices) == 2 * PAIRS_CAP
+    message = f"line 2: pairs is capped at {PAIRS_CAP}"
+    for count in (PAIRS_CAP + 1, f"000{PAIRS_CAP + 1}", 10**12, "9" * 100_000):
+        with pytest.raises(CapacityError, match=message):
+            parse_graph(f"edge a b\npairs {count}\n")
 
 
 def test_format_round_trip(ex31, c4):

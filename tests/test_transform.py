@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import re
 
 import pytest
@@ -123,12 +124,12 @@ def test_o_preserves_class_and_labeling_exhaustive_small():
                 assert validate_labeling(deformed) == []
 
 
-def _handed_over_view_is_the_edges_view(pl):
+def _handed_over_view_is_the_definitions_view(pl):
     for t in index_subsets(pl.n):
         d = o_set(pl, t)
         if d is not pl.graph:
             assert "_vertex_bits" in vars(d)  # handed over, not yet read
-        assert vertex_bits(d) == vertex_bits(Graph(d.vertices, d.edges))
+        assert vertex_bits(d) == vertex_bits(o_set_def(pl, t))
 
 
 def test_o_set_hands_over_the_view_its_edges_give(ex31_pl, c4_pl, graft_spec):
@@ -154,7 +155,31 @@ def test_o_set_hands_over_the_view_its_edges_give(ex31_pl, c4_pl, graft_spec):
         ("x1", "x2"), ("x1", "y1"), ("x2", "y2")
     ]
     for pl in [both_ways, *members]:
-        _handed_over_view_is_the_edges_view(pl)
+        _handed_over_view_is_the_definitions_view(pl)
+
+
+def test_a_deformed_graph_names_its_edges_only_when_they_are_read():
+    # the census sweep classifies and validates each deformation on its
+    # masks; once read, the edges named off them are the definition's
+    members = [pl for n in (1, 2, 3) for pl in enumerate_class(n)]
+    assert len(members) == 521
+    members += enumerate_class(4, mode="sample", seed=13, count=200)
+    named = 0
+    for pl in members:
+        for t in index_subsets(pl.n):
+            d = pl.with_graph(o_set(pl, t))
+            assert classify(d.graph).in_class and validate_labeling(d) == []
+            if d.graph is not pl.graph:
+                assert "edges" not in vars(d.graph)
+                named += 1
+            expected = o_set_def(pl, t)
+            assert d.graph.edges == expected.edges
+            assert vars(d.graph)["edges"] is d.graph.edges
+            assert d.graph == expected and hash(d.graph) == hash(expected)
+            assert d.graph.edge_list() == expected.edge_list()
+            again = pickle.loads(pickle.dumps(d.graph))
+            assert again == expected and vertex_bits(again) == vertex_bits(d.graph)
+    assert named > 2000
 
 
 def test_restricted_o_full(ex31_pl, c4_pl):
