@@ -28,12 +28,13 @@ from .criteria import (
     route_agreement,
 )
 from .errors import CapacityError, CmGraphsError, RouteDisagreementError
-from .graphs import Graph, classify
+from .graphs import bit_positions, classify, pairs_graph, rewired, vertex_bits
 from .invariants import invariant_report
 from .pairing import (
     PairedLabeling,
     all_star_labelings,
     find_cycle,
+    mask_check,
     relabel_for_double_star,
     validate_labeling,
 )
@@ -57,12 +58,30 @@ def optional_edges(n: int) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(edges))
 
 
-def member_from_mask(n: int, mask: int) -> PairedLabeling:
+@functools.cache
+def _bare_member(n: int):
+    """The bare matching's labeling for a pair count, and the bit
+    positions of each candidate edge's ends in its graph; built once per
+    pair count."""
+    bare = pairs_graph(n)
+    position = vertex_bits(bare).position
+    ends = tuple((position[a], position[b]) for a, b in optional_edges(n))
     pairs = tuple((f"x{i}", f"y{i}") for i in range(1, n + 1))
-    opts = optional_edges(n)
-    extra = [opts[b] for b in range(len(opts)) if mask >> b & 1]
-    graph = Graph.build(edges=[*pairs, *extra])
-    return PairedLabeling(graph, pairs)
+    return PairedLabeling(bare, pairs), ends
+
+
+def member_from_mask(n: int, mask: int) -> PairedLabeling:
+    """The labeled member whose extra edges are the candidates at the set
+    bits of `mask`; bits above the candidate count are ignored.  Its graph
+    is `rewired` from the bare matching's neighbour masks, so its edges
+    are named only when they are read."""
+    bare, ends = _bare_member(n)
+    neighbours = list(vertex_bits(bare.graph).neighbours)
+    for b in bit_positions(mask & ((1 << len(ends)) - 1)):
+        i, j = ends[b]
+        neighbours[i] |= 1 << j
+        neighbours[j] |= 1 << i
+    return PairedLabeling(rewired(bare.graph, neighbours), bare.pairs)
 
 
 def _masks(n: int, mode: str, seed, count):
@@ -222,11 +241,19 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
                     {"field": str(fld), "oracle": oracle.to_dict()},
                 )
 
-    for t in index_subsets(pl.n):
-        deformed = pl.with_graph(o_set(pl, t))
-        if not classify(deformed.graph).in_class or validate_labeling(deformed):
-            record("transform-preserves-class", {"subset": list(t)})
-            break
+    # the names are checked once: a deformation keeps the vertices and
+    # the pairs, so each one is checked on its masks alone
+    if validate_labeling(pl):
+        record("transform-preserves-class", {"subset": []})
+    else:
+        check = mask_check(pl)
+        for t in index_subsets(pl.n):
+            deformed = o_set(pl, t)
+            if not classify(deformed).in_class or check(
+                vertex_bits(deformed).neighbours
+            ):
+                record("transform-preserves-class", {"subset": list(t)})
+                break
 
     if full_oracles:
         base = (unmixed, not has_short)

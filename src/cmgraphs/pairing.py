@@ -16,12 +16,17 @@ the one record of the links y_i x_k that `transform.o_set` rewires and
 `transform.restricted_o_full` reads.  All three are built on first use;
 equality, hashing, repr and pickling see only the graph and the pairs,
 and `with_graph` starts a labeling without them.
+
+`validate_labeling` checks the names (at least one pair, distinct names
+on disjoint sides that partition the vertices), then the edges on the
+neighbour masks, through the check `mask_check` builds for the pairs.
+A deformation keeps the vertices and the pairs, so the census checks a
+draw's names once and each of its deformations with that one check.
 """
 
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -38,6 +43,7 @@ from .graphs import (
     classify,
     iter_perfect_matchings,
     lex_min_matching,
+    memoized,
     minimal_vertex_covers,
     vertex_bits,
 )
@@ -62,7 +68,7 @@ class PairedLabeling:
     def __reduce__(self):
         return PairedLabeling, (self.graph, self.pairs)
 
-    @cached_property
+    @memoized
     def relations(self) -> PairRelations:
         """The pair relations, read from the neighbour masks in one pass."""
         _, position, neighbours = vertex_bits(self.graph)
@@ -85,7 +91,7 @@ class PairedLabeling:
             cover[i] = indices(x, x_index, x_mask, i)
         return PairRelations(*map(MappingProxyType, (cross, links, cover)))
 
-    @cached_property
+    @memoized
     def short_cycle(self) -> "CycleWitness | None":
         """The 2-pair alternating cycle route a looks for, or None;
         searched once per labeling."""
@@ -139,13 +145,10 @@ class CycleWitness:
 
 
 def validate_labeling(pl: PairedLabeling) -> list[str]:
-    """All violated labeling invariants, as human-readable strings.
-
-    Each side, V - X for X and Y for Y, is scanned once on the neighbour
-    masks: for a vertex of the side with a neighbour in it (X is then no
-    cover, Y not independent) and, if there is none, for the lowest x
-    with no neighbour in it (redundant in X, extending Y).  When the
-    sides are disjoint, V - X is Y and the one scan answers both."""
+    """All violated labeling invariants, as human-readable strings: the
+    checks of the names (at least one pair, distinct names on disjoint
+    sides, a partition of the vertices), then, when the pairs partition
+    the vertices, `mask_check(pl)` on the graph's neighbour masks."""
     g, n = pl.graph, pl.n
     problems = []
     xs = {x for x, _ in pl.pairs}
@@ -157,29 +160,54 @@ def validate_labeling(pl: PairedLabeling) -> list[str]:
     if xs | ys != set(g.vertices):
         problems.append("pairs must partition the vertex set")
         return problems
-    names, position, neighbours = vertex_bits(g)
+    return problems + mask_check(pl)(vertex_bits(g).neighbours)
+
+
+def mask_check(pl: PairedLabeling):
+    """The checks of `validate_labeling` that read the edges, built once
+    for `pl`'s pairs, whose names must partition its graph's vertices.
+
+    The returned function takes neighbour masks over those vertices, by
+    the graph's bit positions, and returns the problems they give, in the
+    validator's order: each missing matching edge, then the two sides.
+    Each side, V - X for X and Y for Y, is scanned once: for a vertex of
+    the side with a neighbour in it (X is then no cover, Y not
+    independent) and, if there is none, for the lowest x with no
+    neighbour in it (redundant in X, extending Y).  When the sides are
+    disjoint, V - X is Y and the one scan answers both.  A deformation
+    keeps the vertices and the pairs, so one check serves every
+    deformation of a labeling."""
+    names, position, _ = vertex_bits(pl.graph)
+    matching = [(position[x], position[y], x, y) for x, y in pl.pairs]
     x_mask = y_mask = 0
-    for x, y in pl.pairs:
-        px, py = position[x], position[y]
-        if not neighbours[px] >> py & 1:
-            problems.append(f"matching edge {x}-{y} missing")
+    for px, py, _, _ in matching:
         x_mask |= 1 << px
         y_mask |= 1 << py
     outside = ((1 << len(names)) - 1) & ~x_mask
-    edge, free = _scan_side(outside, x_mask, neighbours)
-    if outside == y_mask:
-        y_edge, y_free = edge, free
-    else:
-        y_edge, y_free = _scan_side(y_mask, x_mask, neighbours)
-    if edge is not None:
-        problems.append("X is not a vertex cover")
-    elif free is not None:
-        problems.append(f"X is not minimal: {names[free]} is redundant")
-    if y_edge is not None:
-        problems.append("Y is not independent")
-    elif y_free is not None:
-        problems.append(f"Y is not maximal: {names[y_free]} extends it")
-    return problems
+    shared = outside == y_mask
+
+    def check(neighbours) -> list[str]:
+        problems = [
+            f"matching edge {x}-{y} missing"
+            for px, py, x, y in matching
+            if not neighbours[px] >> py & 1
+        ]
+        edge, free = _scan_side(outside, x_mask, neighbours)
+        if shared:
+            y_edge, y_free = edge, free
+        else:
+            y_edge, y_free = _scan_side(y_mask, x_mask, neighbours)
+        if edge is not None:
+            problems.append("X is not a vertex cover")
+        elif free is not None:
+            problems.append(f"X is not minimal: {names[free]} is redundant")
+        if y_edge is not None:
+            problems.append("Y is not independent")
+        elif y_free is not None:
+            problems.append(f"Y is not maximal: {names[y_free]} extends it")
+        return problems
+
+    return check
 
 
 def _scan_side(side: int, x_mask: int, neighbours) -> tuple[int | None, int | None]:

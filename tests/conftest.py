@@ -1,12 +1,12 @@
 import os
 import sys
-from functools import cached_property
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from cmgraphs.graphio import parse_graph_file
+from cmgraphs.graphs import memoized
 from cmgraphs.pairing import find_star_labeling
 from cmgraphs.transform import BGraftSpec, BipartiteBlock
 
@@ -44,9 +44,7 @@ def count_builds(monkeypatch, cls, name):
         built.append(obj)
         return build(obj)
 
-    memo = cached_property(counted)
-    memo.__set_name__(cls, name)
-    monkeypatch.setattr(cls, name, memo)
+    monkeypatch.setattr(cls, name, memoized(counted, name))
     return built
 
 

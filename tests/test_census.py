@@ -1,3 +1,5 @@
+import pickle
+import random
 import sys
 
 import pytest
@@ -16,10 +18,11 @@ from cmgraphs.census import (
 )
 from cmgraphs.cli import main
 from cmgraphs.errors import CapacityError, CmGraphsError
-from cmgraphs.graphs import Graph, classify
+from cmgraphs.graphs import Graph, add_edges, classify, remove_edges, vertex_bits
 from cmgraphs.pairing import validate_labeling
+from cmgraphs.transform import index_subsets, o_set
 from cmgraphs.verdicts import Verdict
-from conftest import count_builds
+from conftest import count_builds, std_pairs
 from oracles import (
     brute_height,
     brute_is_unmixed,
@@ -63,6 +66,32 @@ def test_every_member_passes_the_labeling_validator():
         for pl in enumerate_class(n):
             assert validate_labeling(pl) == []
             assert classify(pl.graph).in_class
+
+
+def test_a_valid_deformed_labeling_proves_membership():
+    # X is then a cover of size n and the matching has n edges, so the
+    # height is n: the sweep's classify calls re-prove what validation
+    # shows.  Each deformation is also taken without its first edge, and
+    # with a y-y edge, so that some labelings fail validation
+    passed = failed = 0
+    for n in (1, 2, 3):
+        for mask in range(1 << len(optional_edges(n))):
+            pl = member_from_mask(n, mask)
+            for t in index_subsets(n):
+                d = pl.with_graph(o_set(pl, t))
+                g = d.graph
+                variants = [d, d.with_graph(remove_edges(g, g.edge_list()[:1]))]
+                if n > 1:
+                    variants.append(d.with_graph(add_edges(g, [("y1", "y2")])))
+                for v in variants:
+                    if validate_labeling(v):
+                        failed += 1
+                        continue
+                    membership = classify(v.graph)
+                    assert membership.in_class and membership.height == n
+                    passed += 1
+    # every deformation passes, and some of the edited ones do too
+    assert passed > 1 * 2 + 8 * 4 + 512 * 8 and failed > 4000
 
 
 def test_enumerate_class_capacity():
@@ -147,6 +176,45 @@ def test_member_from_mask_is_deterministic():
     # the shared candidates are a tuple, so no caller can change them
     assert a == b and type(optional_edges(3)) is tuple
     assert len(optional_edges(3)) == 9
+
+
+def _named_member(n, mask):
+    """The member of `mask` built from its named edges."""
+    opts = optional_edges(n)
+    extra = [opts[b] for b in range(len(opts)) if mask >> b & 1]
+    return Graph.build(edges=std_pairs(n) + extra)
+
+
+def test_a_member_built_from_its_mask_is_the_member_of_its_edges():
+    # every mask with n <= 3 and seeded masks with n = 4 and n = 11; at
+    # n = 11 the sorted names put x10 and x11 before x2
+    rng = random.Random(20091)
+    draws = [(n, mask) for n in (1, 2, 3) for mask in range(1 << len(optional_edges(n)))]
+    for n in (4, 11):
+        draws += [(n, rng.getrandbits(len(optional_edges(n)))) for _ in range(60)]
+    assert member_from_mask(11, 0).graph.vertices[:4] == ("x1", "x10", "x11", "x2")
+    for n, mask in draws:
+        pl = member_from_mask(n, mask)
+        g, named = pl.graph, _named_member(n, mask)
+        assert pl.pairs == tuple(std_pairs(n))
+        assert vertex_bits(g) == vertex_bits(named)
+        assert "edges" not in vars(g)  # named only when read
+        assert g.edges == named.edges and g.vertices == named.vertices
+        assert g == named and hash(g) == hash(named)
+        restored = pickle.loads(pickle.dumps(g))
+        assert restored == named and vertex_bits(restored) == vertex_bits(named)
+
+
+def test_mask_bits_above_the_candidates_are_ignored():
+    rng = random.Random(4368)
+    for n in (1, 2, 4):
+        width = len(optional_edges(n))
+        for _ in range(20):
+            mask = rng.getrandbits(width) if width else 0
+            high = member_from_mask(n, mask | rng.getrandbits(40) << width)
+            member = member_from_mask(n, mask)
+            assert high == member
+            assert vertex_bits(high.graph) == vertex_bits(member.graph)
 
 
 def test_cross_validate_exhaustive_counts():
@@ -387,9 +455,12 @@ def _count_graph_work(monkeypatch):
     return adjacency_calls, count_builds(monkeypatch, Graph, "_vertex_bits")
 
 
-def test_a_draw_that_is_not_cm_builds_one_view_and_no_adjacency(monkeypatch):
-    # every deformation is handed its view by o_set and route d matches on
-    # the masks, so only the drawn graph reads its edges
+def test_a_draw_that_is_not_cm_builds_no_view_and_no_adjacency(monkeypatch):
+    # the drawn graph is handed its view by member_from_mask, each
+    # deformation by o_set, and route d matches on the masks, so no graph
+    # builds a view from its edges.  The bare matching the draws are
+    # rewired from is built, with its view, before the count starts
+    census._bare_member(4)
     adjacency_calls, views_built = _count_graph_work(monkeypatch)
     for mask, unmixed in ((264, True), (9, False)):
         adjacency_calls.clear()
@@ -400,7 +471,7 @@ def test_a_draw_that_is_not_cm_builds_one_view_and_no_adjacency(monkeypatch):
             "violations": [],
         }
         assert adjacency_calls == []
-        assert views_built == [member_from_mask(4, mask).graph]
+        assert views_built == []
 
 
 def test_a_cm_draw_reads_the_adjacency_for_its_degrees(monkeypatch):
@@ -425,22 +496,63 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_mask_checks(monkeypatch):
+    """Record each call of every check the census builds with
+    `pairing.mask_check`; the checks `validate_labeling` builds are left
+    out."""
+    calls, build = [], pairing.mask_check
+
+    def counted_build(pl):
+        check = build(pl)
+
+        def counted(neighbours):
+            calls.append(neighbours)
+            return check(neighbours)
+
+        return counted
+
+    monkeypatch.setattr(census, "mask_check", counted_build)
+    return calls
+
+
 def test_a_draw_checks_each_deformation_once(monkeypatch):
-    # one classify for the draw, then per pair-index subset one o_set, one
-    # classify and one validate_labeling.  On the unmixed draw route e
-    # deforms too, up to its first mixed deformation (the second subset)
+    # one classify and one full validate_labeling for the draw, then per
+    # pair-index subset one o_set, one classify and one check of the
+    # masks.  On the unmixed draw route e deforms too, up to its first
+    # mixed deformation (the second subset)
     classified = _count_calls(monkeypatch, graphs, "classify")
     validated = _count_calls(monkeypatch, pairing, "validate_labeling")
     deformed = _count_calls(monkeypatch, transform, "o_set")
+    checked = _count_mask_checks(monkeypatch)
     for mask, unmixed, o_set_calls in ((9, False, 16), (264, True, 18)):
-        for calls in (classified, validated, deformed):
+        for calls in (classified, validated, deformed, checked):
             calls.clear()
         outcome = census._check_draw((4, 0, mask, False))
         assert outcome["summary"]["unmixed"] is unmixed
         assert not outcome["summary"]["cm"] and outcome["violations"] == []
         assert len(classified) == 17
-        assert len(validated) == 16
+        assert len(validated) == 1
+        assert len(checked) == 16
         assert len(deformed) == o_set_calls
+
+
+def test_a_deformation_that_breaks_the_labeling_is_recorded(monkeypatch):
+    # a y-y edge leaves the deformation in class with height n but makes
+    # Y dependent, so only the check of that deformation's masks sees it
+    deform = census.o_set
+
+    def breaking(pl, t):
+        g = deform(pl, t)
+        return add_edges(g, [("y1", "y2")]) if t == (2, 3) else g
+
+    monkeypatch.setattr(census, "o_set", breaking)
+    broken = add_edges(member_from_mask(3, 0).graph, [("y1", "y2")])
+    assert classify(broken).in_class and classify(broken).height == 3
+    outcome = census._check_draw((3, 5, 0, False))
+    assert outcome["summary"]["cm"]
+    assert [(v["index"], v["check"], v["details"]) for v in outcome["violations"]] == [
+        (5, "transform-preserves-class", {"subset": [2, 3]})
+    ]
 
 
 def test_each_labeling_of_a_draw_builds_its_relations_once(monkeypatch):

@@ -20,6 +20,7 @@ from cmgraphs.graphs import (
     iter_perfect_matchings,
     lex_min_matching,
     maximal_independent_sets,
+    memoized,
     minimal_vertex_covers,
     pairs_graph,
     remove_edges,
@@ -28,7 +29,7 @@ from cmgraphs.graphs import (
 from cmgraphs.graphio import parse_graph_file
 from cmgraphs.pairing import make_labeling, unique_perfect_matching
 from cmgraphs.transform import index_subsets, o_set
-from conftest import FIXTURES, golden_path, std_pairs
+from conftest import FIXTURES, count_builds, golden_path, std_pairs
 from oracles import (
     brute_height,
     brute_is_unmixed,
@@ -525,6 +526,48 @@ def test_graph_identity_ignores_the_mask_memo(ex31):
     restored = pickle.loads(pickle.dumps(g))
     assert restored == g and not set(vars(restored)) - {"vertices", "edges"}
     assert classify(restored) == classify(g)
+
+
+class _Counted:
+    """A memo whose function counts its calls and raises on request."""
+
+    def __init__(self, fail=0):
+        self.calls, self.fail = 0, fail
+
+    @memoized
+    def value(self):
+        self.calls += 1
+        if self.calls <= self.fail:
+            raise ValueError("not yet")
+        return object()
+
+
+def test_a_memo_is_computed_once_and_kept_on_the_instance():
+    obj = _Counted()
+    assert "value" not in vars(obj)
+    first = obj.value
+    assert vars(obj)["value"] is first and obj.value is first
+    assert obj.calls == 1
+    assert _Counted.value.func.__name__ == _Counted.value.name == "value"
+
+
+def test_a_memo_whose_function_raises_stores_nothing():
+    obj = _Counted(fail=1)
+    with pytest.raises(ValueError, match="not yet"):
+        obj.value
+    assert "value" not in vars(obj)
+    value = obj.value
+    assert vars(obj)["value"] is value and obj.calls == 2
+
+
+def test_counting_the_builds_of_a_memo_goes_through_its_function(monkeypatch):
+    built = count_builds(monkeypatch, Graph, "_vertex_bits")
+    g = pairs_graph(3)
+    classify(g)
+    classify(g)
+    maximal_independent_sets(g)
+    assert built == [g] and "_vertex_bits" in vars(g)
+    assert vertex_bits(g).names == g.vertices
 
 
 def test_classify_enumerates_no_independent_set(ex31):

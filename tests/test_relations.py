@@ -15,15 +15,18 @@ from cmgraphs.errors import PreconditionError
 from cmgraphs.graphs import (
     Graph,
     add_edges,
+    bit_positions,
     induced_subgraph,
     pairs_graph,
     remove_edges,
+    rewired,
     vertex_bits,
 )
 from cmgraphs.pairing import (
     PairedLabeling,
     find_cycle,
     make_labeling,
+    mask_check,
     relabel_for_double_star,
     satisfies_double_star,
     validate_labeling,
@@ -191,6 +194,65 @@ def test_validator_on_every_small_deformation_matches_the_adjacency():
                     assert validate_labeling(v) == validate_labeling_def(v)
                 deformations += 1
     assert deformations == 1 * 2 + 8 * 4 + 512 * 8
+
+
+def _joined(masks, a, b, on):
+    """The masks with the edge between positions a and b set or cleared."""
+    masks = list(masks)
+    if on:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    else:
+        masks[a] &= ~(1 << b)
+        masks[b] &= ~(1 << a)
+    return masks
+
+
+def _cut(masks, a, others):
+    """The masks with every edge between position a and `others` cleared."""
+    for b in bit_positions(others):
+        masks = _joined(masks, a, b, False)
+    return masks
+
+
+def corrupted_masks(pl, masks, rng):
+    """`masks` (over `pl`'s vertices), and the same with one matching edge
+    dropped, one y-y edge added, one x cut off from every vertex outside
+    X, and one x cut off from Y."""
+    position = vertex_bits(pl.graph).position
+    xs = [position[x] for x in pl.x_names]
+    ys = [position[y] for y in pl.y_names]
+    x_mask = sum(1 << p for p in xs)
+    y_mask = sum(1 << p for p in ys)
+    outside = (1 << len(masks)) - 1 & ~x_mask
+    i = rng.randrange(pl.n)
+    out = [masks, _joined(masks, xs[i], ys[i], False)]
+    if pl.n > 1:
+        a, b = rng.sample(ys, 2)
+        out.append(_joined(masks, a, b, True))
+    out.append(_cut(masks, rng.choice(xs), outside))
+    out.append(_cut(masks, rng.choice(xs), y_mask))
+    return out
+
+
+def test_the_mask_check_of_a_deformation_agrees_with_both_validators():
+    # every subset of every member with n <= 3 and of a seeded n = 4
+    # sample, each deformation's masks also corrupted four ways
+    rng = random.Random(9094368)
+    members = [pl for n in (1, 2, 3) for pl in enumerate_class(n)]
+    members += enumerate_class(4, mode="sample", seed=21, count=150)
+    failed = checked = 0
+    for pl in members:
+        check = mask_check(pl)
+        for t in index_subsets(pl.n):
+            deformed = vertex_bits(o_set(pl, t)).neighbours
+            for masks in corrupted_masks(pl, deformed, rng):
+                v = pl.with_graph(rewired(pl.graph, masks))
+                got = check(masks)
+                assert got == validate_labeling(v) == validate_labeling_def(v)
+                failed += bool(got)
+                checked += 1
+    assert checked > 20000 and failed > checked // 2
 
 
 def tangled_labeling(rng):
