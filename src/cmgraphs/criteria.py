@@ -40,7 +40,7 @@ from .graphs import (
     Graph,
     degrees,
     is_unmixed_bruteforce,
-    minimal_vertex_covers,
+    maximal_independent_sets,
 )
 from .pairing import (
     PairedLabeling,
@@ -297,15 +297,19 @@ def cm_structural_doublestar(pl: PairedLabeling) -> Verdict:
 
 
 def minimal_prime_shape(pl: PairedLabeling) -> Verdict:
-    """Every minimal vertex cover picks exactly one vertex per pair."""
-    for cover in minimal_vertex_covers(pl.graph):
+    """Every minimal vertex cover picks exactly one vertex per pair.  A
+    cover meets a pair once exactly when its complement, a maximal
+    independent set, does; the sets are walked in reverse, which is the
+    covers' order, and only a cover that fails is named."""
+    verts = frozenset(pl.graph.vertices)
+    for s in reversed(maximal_independent_sets(pl.graph)):
         for i in range(1, pl.n + 1):
-            hits = len({pl.x(i), pl.y(i)} & cover)
+            hits = 2 - len({pl.x(i), pl.y(i)} & s)
             if hits != 1:
                 return Verdict(
                     False,
                     "cover-shape",
-                    {"cover": sorted(cover), "pair_index": i, "hits": hits},
+                    {"cover": sorted(verts - s), "pair_index": i, "hits": hits},
                 )
     return Verdict(True, "cover-shape", None)
 

@@ -25,18 +25,25 @@ perfect-matching backtracker (route d) runs on the neighbour masks too.
 The height and class membership read only the neighbour masks: the
 independence number comes from an exact reduce-and-branch search, so
 deciding membership lists no independent set.  The maximal independent
-sets are enumerated only when the sets themselves are asked for (covers,
-complexes, invariants), once per graph, as masks, by an iterative
-pivoted Bron-Kerbosch with an explicit stack whose pivot scan stops at
-the first vertex that leaves at most one branch.
-`maximal_independent_sets` turns the masks into names once, ordered by
-their bit positions, which is the order of their sorted names.  The sets
-form an antichain, so that order is decided by the lowest bit in which
-two masks differ, and a C-level sort of the masks' binary strings, read
-lowest bit first, produces it without walking any mask bit by bit.  The
-minimal vertex covers are the complements of those sets; complementing
-flips the lowest differing bit, so the covers come out in order by
-reversing the sets, with no sort of their own.
+sets are enumerated only when the sets themselves are asked for
+(brute-force unmixedness, the labeling's cover, complexes, invariants),
+once per graph, as masks: one iterative pivoted Bron-Kerbosch search per
+connected component, with an explicit stack and a pivot scan that stops
+at the first vertex that leaves at most one branch, and the components'
+sets joined as a product.  `maximal_independent_sets` turns the masks
+into names once, ordered by their bit positions, which is the order of
+their sorted names.  The sets form an antichain, so that order is
+decided by the lowest bit in which two masks differ, and a C-level sort
+of the masks' binary strings, read lowest bit first, produces it without
+walking any mask bit by bit.
+
+The minimal vertex covers are the complements of those sets;
+complementing flips the lowest differing bit, so the covers' order is
+the sets' order reversed.  So a cover's size is |V| minus its set's, and
+the callers that need only sizes or the first cover of some size
+(brute-force unmixedness, the labeling's X, the cover-shape check) read
+the sets and name just the covers they report.  `minimal_vertex_covers`
+names every cover, for callers that read covers by name.
 """
 
 from dataclasses import asdict, dataclass
@@ -274,21 +281,56 @@ def _named_sets(names, masks) -> tuple[frozenset[str], ...]:
 
 
 def _bron_kerbosch(g: Graph) -> tuple[int, ...]:
-    """Maximal independent sets as masks, in no particular order: the
-    maximal cliques of the complement graph, by Bron-Kerbosch with Tomita
-    pivoting.  The pivot is the first vertex of P | X, in ascending bit
-    order, with the most non-neighbours in P, except that the scan stops
-    at the first vertex with popcount(P) - 1 or more: no vertex of P has
-    more, and such a pivot leaves at most one vertex to branch on.  On a
-    long sparse graph this ends most scans at once, where a full scan
-    costs one popcount per vertex of P | X at every node.  An explicit
-    stack replaces recursion, so the depth of the search is not bounded
-    by the interpreter's stack."""
+    """Maximal independent sets as masks, in no particular order, each
+    once.  A maximal independent set of a graph is one maximal
+    independent set of each connected component, joined, so the search
+    runs once per component and the results are combined as a product:
+    one set per component, OR-ed together.  A connected graph returns
+    its one search as it is, and a graph with no vertex its one empty
+    set.  A bare matching of n pairs takes n searches of two sets each,
+    where one search over the whole graph walks a tree with 2**n leaves."""
     neighbours = vertex_bits(g).neighbours
     full = (1 << len(neighbours)) - 1
     nonadj = [full & ~nb & ~(1 << i) for i, nb in enumerate(neighbours)]
+    parts = [_pivoted_search(nonadj, c) for c in _components(neighbours)]
+    out = parts[0] if parts else [0]
+    for sets in parts[1:]:
+        out = [a | b for a in out for b in sets]
+    return tuple(out)
+
+
+def _components(neighbours) -> list[int]:
+    """The connected components as masks, in the order of their lowest
+    bits.  Each vertex enters one frontier once, so a connected graph is
+    scanned in one pass."""
+    out = []
+    rest = (1 << len(neighbours)) - 1
+    while rest:
+        component = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbours[low.bit_length() - 1] & ~component
+            component |= new
+            frontier |= new
+        out.append(component)
+        rest ^= component
+    return out
+
+
+def _pivoted_search(nonadj, component: int) -> list[int]:
+    """The maximal independent sets inside `component`, as masks:
+    the maximal cliques of the complement graph, by Bron-Kerbosch with
+    Tomita pivoting.  The pivot is the first vertex of P | X, in
+    ascending bit order, with the most non-neighbours in P, except that
+    the scan stops at the first vertex with popcount(P) - 1 or more: no
+    vertex of P has more, and such a pivot leaves at most one vertex to
+    branch on.  On a long sparse graph this ends most scans at once,
+    where a full scan costs one popcount per vertex of P | X at every
+    node.  An explicit stack replaces recursion, so the depth of the
+    search is not bounded by the interpreter's stack."""
     out: list[int] = []
-    stack = [(0, full, 0)]
+    stack = [(0, component, 0)]
     while stack:
         r, p, x = stack.pop()
         if not p:
@@ -314,7 +356,7 @@ def _bron_kerbosch(g: Graph) -> tuple[int, ...]:
             p ^= low
             x |= low
             branch ^= low
-    return tuple(out)
+    return out
 
 
 def _independence_number(neighbours) -> int:
@@ -412,21 +454,27 @@ def is_unmixed_bruteforce(g: Graph) -> Verdict:
 
     The certificate always carries the multiset of cover sizes; a false
     verdict adds the first cover of the smallest size and the last of the
-    largest, in the covers' order (by sorted names).
+    largest, in the covers' order (by sorted names).  The covers are the
+    complements of the maximal independent sets, in reverse order, so
+    the sizes are read off the sets and only the two witnesses are
+    named: the complement of the last largest set and that of the first
+    smallest one.
     """
-    covers = minimal_vertex_covers(g)
-    sizes = sorted(len(c) for c in covers)
+    sets = maximal_independent_sets(g)
+    k = len(g.vertices)
+    sizes = sorted(k - len(s) for s in sets)
     if sizes[0] == sizes[-1]:
         return Verdict(True, "cover-sizes", {"cover_sizes": sizes})
-    small = next(c for c in covers if len(c) == sizes[0])
-    large = next(c for c in reversed(covers) if len(c) == sizes[-1])
+    largest = next(s for s in reversed(sets) if len(s) == k - sizes[0])
+    smallest = next(s for s in sets if len(s) == k - sizes[-1])
+    verts = frozenset(g.vertices)
     return Verdict(
         False,
         "cover-sizes",
         {
             "cover_sizes": sizes,
-            "witness_small": sorted(small),
-            "witness_large": sorted(large),
+            "witness_small": sorted(verts - largest),
+            "witness_large": sorted(verts - smallest),
         },
     )
 

@@ -43,6 +43,7 @@ from .graphs import (
     classify,
     iter_perfect_matchings,
     lex_min_matching,
+    maximal_independent_sets,
     memoized,
     minimal_vertex_covers,
     vertex_bits,
@@ -264,6 +265,10 @@ def find_star_labeling(g: Graph) -> PairedLabeling:
     perfect matching of the graph pairs X with Y (Y is independent, so each
     y must be matched into X), hence for unmixed graphs such a matching
     always exists; when it does not, the deficient set is reported.
+
+    The covers are the complements of the maximal independent sets in
+    reverse order, so X is the complement of the last set of size n, and
+    no other cover is named.
     """
     membership = classify(g)
     if not membership.in_class:
@@ -273,8 +278,10 @@ def find_star_labeling(g: Graph) -> PairedLabeling:
             + ("; it has isolated vertices" if membership.has_isolated else "")
         )
     n = membership.height
-    x_set = next(c for c in minimal_vertex_covers(g) if len(c) == n)
-    matching, deficiency = lex_min_matching(g, x_set, frozenset(g.vertices) - x_set)
+    # |V| = 2n, so Y = V - X has n vertices as well
+    y_set = next(s for s in reversed(maximal_independent_sets(g)) if len(s) == n)
+    x_set = frozenset(g.vertices) - y_set
+    matching, deficiency = lex_min_matching(g, x_set, y_set)
     if matching is None:
         s, ns = deficiency
         raise StructureError(

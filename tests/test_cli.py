@@ -550,6 +550,31 @@ def test_check_enumerates_the_input_graph_once(capsys, monkeypatch, tmp_path):
     assert len(runs) == 2
 
 
+def test_check_of_a_bare_matching_names_no_cover_of_its_input(
+    capsys, monkeypatch, tmp_path
+):
+    # the cover sizes and X are read off the sets, and the 11 components
+    # of the matching are enumerated inside one call
+    n = 11
+    path = tmp_path / "pairs.graph"
+    path.write_text(f"pairs {n}\n")
+    runs = []
+    enumerate_ = graphs._bron_kerbosch
+
+    def counted(g):
+        runs.append(g.vertices)
+        return enumerate_(g)
+
+    monkeypatch.setattr(graphs, "_bron_kerbosch", counted)
+    named = count_builds(monkeypatch, graphs.Graph, "_minimal_vertex_covers")
+    code, out, _ = run_cli(capsys, "check", str(path), "--json", "--routes", "a")
+    document = json.loads(out)
+    assert code == 0 and document["unmixed"]["value"] is True
+    assert document["unmixed"]["certificate"]["cover_sizes"] == [n] * 2**n
+    assert len([v for v in runs if len(v) == 2 * n]) == 1
+    assert not [g for g in named if len(g.vertices) == 2 * n]
+
+
 def test_invariants_type_mismatch_exits_three(capsys, monkeypatch):
     covers = graphs.minimal_vertex_covers
     monkeypatch.setattr(

@@ -12,6 +12,7 @@ from cmgraphs.criteria import (
 )
 import cmgraphs.criteria as criteria
 import cmgraphs.pairing as pairing
+from cmgraphs.census import member_from_mask, optional_edges
 from cmgraphs.errors import PreconditionError, RouteDisagreementError
 from cmgraphs.graphs import (
     Graph,
@@ -22,7 +23,9 @@ from cmgraphs.graphs import (
 from cmgraphs.graphio import parse_graph_file
 from cmgraphs.pairing import make_labeling
 from cmgraphs.transform import b_graft, o_set
+from cmgraphs.verdicts import Verdict
 from conftest import fixture_path, std_pairs
+from oracles import brute_minimal_covers
 
 
 def test_unmixed_structural_examples(ex31_pl):
@@ -169,6 +172,32 @@ def test_minimal_prime_shape_catches_mixed():
     verdict = minimal_prime_shape(pl)
     assert verdict.value is False
     assert verdict.certificate["cover"] == ["x2", "y1", "y2"]
+
+
+def test_minimal_prime_shape_names_the_first_failing_cover():
+    # the sets are walked in reverse, which is the covers' order by
+    # sorted names, so the certificate is that of the first cover that
+    # does not meet some pair exactly once
+    failing = 0
+    for n in (1, 2, 3):
+        for mask in range(1 << len(optional_edges(n))):
+            pl = member_from_mask(n, mask)
+            g = pl.graph
+            expected = Verdict(True, "cover-shape", None)
+            for cover in brute_minimal_covers(g.vertices, g.edge_list()):
+                hits = [len({pl.x(i), pl.y(i)} & cover) for i in range(1, n + 1)]
+                bad = next((i for i, h in enumerate(hits, 1) if h != 1), None)
+                if bad is not None:
+                    certificate = {
+                        "cover": sorted(cover),
+                        "pair_index": bad,
+                        "hits": hits[bad - 1],
+                    }
+                    expected = Verdict(False, "cover-shape", certificate)
+                    failing += 1
+                    break
+            assert minimal_prime_shape(pl) == expected
+    assert failing > 100
 
 
 def test_generator_bounds(ex31_pl, c4_pl):

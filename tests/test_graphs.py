@@ -10,6 +10,7 @@ from cmgraphs.census import enumerate_class, member_from_mask, optional_edges
 from cmgraphs.errors import InputFormatError
 from cmgraphs.graphs import (
     Graph,
+    _bron_kerbosch,
     add_edges,
     adjacency,
     classify,
@@ -27,7 +28,7 @@ from cmgraphs.graphs import (
     vertex_bits,
 )
 from cmgraphs.graphio import parse_graph_file
-from cmgraphs.pairing import make_labeling, unique_perfect_matching
+from cmgraphs.pairing import find_star_labeling, make_labeling, unique_perfect_matching
 from cmgraphs.transform import index_subsets, o_set
 from conftest import FIXTURES, count_builds, golden_path, std_pairs
 from oracles import (
@@ -424,13 +425,41 @@ def _covers_as_first_defined(g):
     return tuple(sorted(covers, key=lambda c: tuple(sorted(c))))
 
 
+def _disjoint_union(parts):
+    """The graphs side by side, the k-th one's names suffixed with the
+    k-th letter, so that the components' bits interleave."""
+    vertices, edges = [], []
+    for k, g in enumerate(parts):
+        tag = "abcdefgh"[k]
+        vertices += [v + tag for v in g.vertices]
+        edges += [(a + tag, b + tag) for a, b in g.edge_list()]
+    return Graph.build(vertices=vertices, edges=edges)
+
+
+def _disconnected_cases(rng):
+    """The empty graph, edgeless graphs, isolated vertices beside edges
+    and disjoint unions of two to four seeded random graphs."""
+    graphs = [Graph.build()]
+    graphs += [Graph.build(vertices=[f"v{i}" for i in range(k)]) for k in (1, 2, 7)]
+    graphs += [
+        Graph.build(vertices=["a", "m", "z"], edges=[("b", "c")]),
+        Graph.build(vertices=["c"], edges=[("a", "b"), ("b", "d"), ("e", "f")]),
+    ]
+    for _ in range(60):
+        k = rng.randint(2, 4)
+        graphs.append(_disjoint_union(_named_random_graphs(rng, k, largest=5)[-k:]))
+    return graphs
+
+
 def _order_cases():
     """Seeded graphs on up to 14 vertices named x1 .. x14 (x10 sorts
-    before x2), the empty, edgeless and isolated-vertex cases, seeded
-    class members, and the fixtures and families of the check benchmark."""
+    before x2), the empty, edgeless and isolated-vertex cases, disjoint
+    unions, seeded class members, and the fixtures and families of the
+    check benchmark."""
     rng = random.Random(20091024)
     graphs = _named_random_graphs(rng, 300, largest=14)
     assert any(len(g.vertices) == 14 for g in graphs)
+    graphs += _disconnected_cases(rng)
     graphs += [pl.graph for pl in enumerate_class(4, mode="sample", seed=5, count=40)]
     paths = sorted(glob.glob(os.path.join(FIXTURES, "*.graph")))
     paths.append(golden_path("example5_1_graft.graph"))
@@ -445,7 +474,10 @@ def test_enumeration_comes_out_in_sorted_name_order():
     # the sets and the covers are ordered without a sort on names, so
     # both must still equal the references element by element
     for g in _order_cases():
+        masks = _bron_kerbosch(g)
+        assert len(set(masks)) == len(masks)
         sets, covers = maximal_independent_sets(g), minimal_vertex_covers(g)
+        assert len(sets) == len(masks)
         assert sets == maximal_independent_sets_def(g)
         assert covers == _covers_as_first_defined(g)
         if len(g.vertices) <= 9:
@@ -471,6 +503,22 @@ def test_unmixedness_witnesses_are_the_extreme_covers_by_name():
         assert (verdict.value, verdict.route) == (sizes[0] == sizes[-1], "cover-sizes")
         assert verdict.certificate == certificate
     assert mixed > 100
+
+
+def test_unmixedness_and_the_labeling_read_sizes_without_naming_covers():
+    # brute-force unmixedness names only its two witnesses, and the
+    # labeling only X, the first cover of size n, so the named covers
+    # are never built
+    rng = random.Random(20091025)
+    members = list(_class_population(3)) + [pairs_graph(11), _whiskered_path(9)]
+    for g in _named_random_graphs(rng, 100) + _disconnected_cases(rng) + members:
+        is_unmixed_bruteforce(g)
+        assert "_minimal_vertex_covers" not in vars(g)
+    for g in members:
+        pl = find_star_labeling(g)
+        first = next(c for c in _covers_as_first_defined(g) if len(c) == pl.n)
+        assert set(pl.x_names) == first
+        assert "_minimal_vertex_covers" not in vars(g)
 
 
 def test_the_600_pair_chain_enumerates_its_601_sets():
