@@ -4,6 +4,9 @@ For a pair count n the candidate extra edges (beyond the mandatory
 matching) are the cover-side edges x_i x_j and the cross edges x_i y_j,
 i != j; edges inside the independent side can never occur.  Every subset
 of candidates yields a labeled graph which is kept when it is in class.
+A draw is a mask over the candidates, and its graph is built from the
+bare matching's neighbour masks with one bit pair set per drawn edge;
+the checks read masks, so a draw's edges are named only in a bundle.
 
 Each enumerated graph is pushed through every proven equivalence the
 package implements; disagreements are collected as violations carrying a
@@ -28,7 +31,7 @@ from .criteria import (
     route_agreement,
 )
 from .errors import CapacityError, CmGraphsError, RouteDisagreementError
-from .graphs import bit_positions, classify, pairs_graph, rewired, vertex_bits
+from .graphs import Graph, bit_positions, classify, pairs_graph
 from .invariants import invariant_report
 from .pairing import (
     PairedLabeling,
@@ -64,7 +67,7 @@ def _bare_member(n: int):
     positions of each candidate edge's ends in its graph; built once per
     pair count."""
     bare = pairs_graph(n)
-    position = vertex_bits(bare).position
+    position = bare.position
     ends = tuple((position[a], position[b]) for a, b in optional_edges(n))
     pairs = tuple((f"x{i}", f"y{i}") for i in range(1, n + 1))
     return PairedLabeling(bare, pairs), ends
@@ -73,15 +76,15 @@ def _bare_member(n: int):
 def member_from_mask(n: int, mask: int) -> PairedLabeling:
     """The labeled member whose extra edges are the candidates at the set
     bits of `mask`; bits above the candidate count are ignored.  Its graph
-    is `rewired` from the bare matching's neighbour masks, so its edges
-    are named only when they are read."""
+    is built from the bare matching's neighbour masks, with one bit pair
+    set per set bit of the draw."""
     bare, ends = _bare_member(n)
-    neighbours = list(vertex_bits(bare.graph).neighbours)
+    neighbours = list(bare.graph.neighbours)
     for b in bit_positions(mask & ((1 << len(ends)) - 1)):
         i, j = ends[b]
         neighbours[i] |= 1 << j
         neighbours[j] |= 1 << i
-    return PairedLabeling(rewired(bare.graph, neighbours), bare.pairs)
+    return PairedLabeling(Graph(bare.graph.vertices, tuple(neighbours)), bare.pairs)
 
 
 def _masks(n: int, mode: str, seed, count):
@@ -249,9 +252,7 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
         check = mask_check(pl)
         for t in index_subsets(pl.n):
             deformed = o_set(pl, t)
-            if not classify(deformed).in_class or check(
-                vertex_bits(deformed).neighbours
-            ):
+            if not classify(deformed).in_class or check(deformed.neighbours):
                 record("transform-preserves-class", {"subset": list(t)})
                 break
 

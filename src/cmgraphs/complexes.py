@@ -61,9 +61,7 @@ def complementary_complex(g: Graph) -> SimplicialComplex:
     """The complex whose faces are the independent sets of the graph;
     its facets are the maximal independent sets, which are already
     incomparable, sorted, and cover every vertex."""
-    return SimplicialComplex(
-        tuple(sorted(g.vertices)), maximal_independent_sets(g)
-    )
+    return SimplicialComplex(g.vertices, maximal_independent_sets(g))
 
 
 def is_pure(c: SimplicialComplex) -> Verdict:

@@ -319,7 +319,7 @@ def generator_bounds(pl: PairedLabeling) -> Verdict:
     Cohen-Macaulay; the certificate reports the slack of each.  Reads
     the one unmixedness verdict (which may raise its disagreement)."""
     n = pl.n
-    edge_count = len(pl.graph.edges)
+    edge_count = sum(nb.bit_count() for nb in pl.graph.neighbours) // 2
     unmixed = _crosschecked_unmixed(pl).value
     cm = pl.short_cycle is None if unmixed else None
     certificate = {

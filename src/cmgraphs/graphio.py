@@ -16,7 +16,7 @@ vertex lines, then sorted edge lines) which reparses to an equal graph.
 from dataclasses import dataclass
 
 from .errors import CapacityError, InputFormatError
-from .graphs import Graph, edge_key
+from .graphs import Graph
 
 # the largest `pairs N`; a larger count is a capacity error, raised before
 # any of its pairs is built
@@ -33,7 +33,7 @@ class ParsedGraph:
 
 def parse_graph(text: str) -> ParsedGraph:
     vertices: set[str] = set()
-    edges: set[frozenset[str]] = set()
+    edges: list[tuple[str, str]] = []
     pairs: list[tuple[str, str]] | None = None
     xside: list[str] | None = None
     yside: list[str] | None = None
@@ -58,8 +58,7 @@ def parse_graph(text: str) -> ParsedGraph:
             a, b = args
             if a == b:
                 fail(f"loop edge {a!r}-{a!r} is not allowed")
-            edges.add(edge_key(a, b))
-            vertices.update(args)
+            edges.append((a, b))
         elif directive == "pairs":
             if pairs is not None:
                 fail("pairs may be declared only once")
@@ -76,9 +75,7 @@ def parse_graph(text: str) -> ParsedGraph:
             if n < 1:
                 fail("pairs takes one positive integer")
             pairs = [(f"x{i}", f"y{i}") for i in range(1, n + 1)]
-            for x, y in pairs:
-                vertices.update((x, y))
-                edges.add(edge_key(x, y))
+            edges += pairs
         elif directive == "xside":
             if not args:
                 fail("xside needs at least one name")
@@ -92,7 +89,7 @@ def parse_graph(text: str) -> ParsedGraph:
         else:
             fail(f"unknown directive {directive!r}")
 
-    graph = Graph(tuple(sorted(vertices)), frozenset(edges))
+    graph = Graph.build(vertices, edges)
     if pairs is not None and xside is None and yside is None:
         xside = [x for x, _ in pairs]
         yside = [y for _, y in pairs]

@@ -1,27 +1,25 @@
 """Finite simple graphs with exact enumeration of covers, independent sets
 and perfect matchings.
 
-Vertex names are opaque strings.  Every enumeration returns a fixed
-deterministic order (lexicographic on sorted vertex names) so reports and
-golden files are byte-stable.  A `Graph` is immutable, so the facts every
-analysis needs (the bitset view, maximal independent sets, minimal vertex
-covers) are computed on first use and memoized on that instance by
-`memoized`, a descriptor that stores each value in the instance
-`__dict__`, as `functools.cached_property` does but without its lock.
-The memo holds only immutable values and dies with the graph;
-equality, hashing, repr and pickling see only the vertices and edges.
-One thing in it can come from another graph: `rewired` builds a graph
-from neighbour masks over another graph's vertices, with no edge set.
-Deformed graphs are built so from the masks `transform.o_set` writes,
-and census members from the bare matching's masks.  Such a graph shares
-the other graph's immutable names and positions, never builds the view
-from edges, and names its `edges` off the masks on first read.
+Vertex names are opaque strings.  A `Graph` is its sorted vertex names
+and one neighbour mask per vertex, where bit i of a mask stands for
+`vertices[i]`; equality, hashing, repr and pickling see those two fields
+only.  `Graph.build` makes a graph from named edges, `Graph(vertices,
+neighbours)` from masks, as deformations and census members are made.
+The masks are the graph's one adjacency: `position` (name to bit),
+`edges`, `edge_list` and `has_edge` are views of them, and `adjacency`
+names its neighbour sets off them on each call.  Every enumeration
+returns a fixed deterministic order (lexicographic on sorted vertex
+names) so reports and golden files are byte-stable.
 
-The bitset view numbers the vertices by sorted name: bit i of a mask
-stands for the i-th name, which is `vertices[i]` for every graph the
-package builds.  It is the graph's one adjacency, one neighbour mask per
-vertex; `adjacency` names its sets off those masks on each call.  The
-perfect-matching backtracker (route d) runs on the neighbour masks too.
+A `Graph` is immutable, so the facts every analysis needs (the views
+above, the independence number, the maximal independent sets, the
+minimal vertex covers) are computed on first use and memoized on that
+instance by `memoized`, a descriptor that stores each value in the
+instance `__dict__`, as `functools.cached_property` does but without its
+lock.  The memo holds only immutable values and dies with the graph.
+
+The perfect-matching backtracker (route d) runs on the neighbour masks.
 The height and class membership read only the neighbour masks: the
 independence number comes from an exact reduce-and-branch search, so
 deciding membership lists no independent set.  The maximal independent
@@ -49,29 +47,17 @@ names every cover, for callers that read covers by name.
 from dataclasses import asdict, dataclass
 from itertools import compress
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .errors import InputFormatError
 from .verdicts import Verdict
 
 
-def edge_key(a: str, b: str) -> frozenset[str]:
-    """Normalize an unordered edge; loops are rejected."""
-    if a == b:
-        raise InputFormatError(f"loop edge {a!r}-{a!r} is not allowed")
-    return frozenset((a, b))
-
-
-def edge_pair(e: frozenset[str]) -> tuple[str, str]:
-    a, b = sorted(e)
-    return a, b
-
-
 class memoized:
     """A value computed on first read and stored in the instance
-    `__dict__` under the attribute's name; later reads find it there, as
-    a non-data descriptor yields to the instance dictionary.  Nothing is
-    stored when the function raises, and the function is `.func`.
+    `__dict__` under the attribute's name, where later reads find it
+    without calling the function again.  Nothing is stored when the
+    function raises, and the function is `.func`.
 
     It is `functools.cached_property` without the lock that Python 3.11
     takes on every first read (1.1 µs a read against 0.38 µs, measured on
@@ -94,60 +80,67 @@ class memoized:
         return value
 
 
-class VertexBits(NamedTuple):
-    """A graph's bitset view: bit i stands for `names[i]`."""
-
-    names: tuple[str, ...]  # the vertex names, sorted
-    position: Mapping[str, int]  # name -> bit position
-    neighbours: tuple[int, ...]  # per position, the mask of its neighbours
-
-
 @dataclass(frozen=True)
 class Graph:
-    vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
+    vertices: tuple[str, ...]  # sorted; bit i stands for vertices[i]
+    neighbours: tuple[int, ...]  # per vertex, the mask of its neighbours
 
     @staticmethod
     def build(vertices=(), edges=()) -> "Graph":
-        """Construct a graph; edge endpoints are declared implicitly.
+        """Construct a graph from named edges, each a pair of names;
+        edge endpoints are declared implicitly and loops are rejected.
 
         >>> g = Graph.build(edges=[("a", "b"), ("b", "c")])
         >>> g.vertices
         ('a', 'b', 'c')
         """
         vs = set(vertices)
-        es = set()
-        for e in edges:
-            a, b = e
-            es.add(edge_key(a, b))
+        ends = []
+        for a, b in edges:
+            if a == b:
+                raise InputFormatError(f"loop edge {a!r}-{a!r} is not allowed")
+            ends.append((a, b))
             vs.add(a)
             vs.add(b)
-        return Graph(tuple(sorted(vs)), frozenset(es))
-
-    def edge_list(self) -> list[tuple[str, str]]:
-        """Edges as sorted (a, b) pairs, a < b, in lexicographic order."""
-        return sorted(edge_pair(e) for e in self.edges)
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.edges
-
-    def __reduce__(self):
-        return Graph, (self.vertices, self.edges)
-
-    @memoized
-    def _vertex_bits(self) -> VertexBits:
-        names = tuple(sorted(self.vertices))
+        names = tuple(sorted(vs))
         position = dict(zip(names, range(len(names))))
         neighbours = [0] * len(names)
-        for a, b in self.edges:
+        for a, b in ends:
             i, j = position[a], position[b]
             neighbours[i] |= 1 << j
             neighbours[j] |= 1 << i
-        return VertexBits(names, MappingProxyType(position), tuple(neighbours))
+        return Graph(names, tuple(neighbours))
+
+    @memoized
+    def position(self) -> Mapping[str, int]:
+        """Read-only map from each vertex name to its bit position."""
+        return MappingProxyType(dict(zip(self.vertices, range(len(self.vertices)))))
+
+    @memoized
+    def edges(self) -> frozenset[frozenset[str]]:
+        """The edges as unordered name pairs."""
+        return frozenset(map(frozenset, self.edge_list()))
+
+    def edge_list(self) -> list[tuple[str, str]]:
+        """Edges as sorted (a, b) pairs, a < b, in lexicographic order:
+        the names are sorted, so the order of the bit pairs is theirs."""
+        names = self.vertices
+        return [
+            (names[i], names[j])
+            for i, nb in enumerate(self.neighbours)
+            for j in bit_positions(nb >> (i + 1) << (i + 1))
+        ]
+
+    def has_edge(self, a: str, b: str) -> bool:
+        i, j = self.position.get(a), self.position.get(b)
+        return i is not None and j is not None and bool(self.neighbours[i] >> j & 1)
+
+    def __reduce__(self):
+        return Graph, (self.vertices, self.neighbours)
 
     @memoized
     def _independence_number(self) -> int:
-        return _independence_number(self._vertex_bits.neighbours)
+        return _independence_number(self.neighbours)
 
     @memoized
     def _independent_masks(self) -> tuple[int, ...]:
@@ -155,7 +148,7 @@ class Graph:
 
     @memoized
     def _maximal_independent_sets(self) -> tuple[frozenset[str], ...]:
-        return _named_sets(self._vertex_bits.names, self._independent_masks)
+        return _named_sets(self.vertices, self._independent_masks)
 
     @memoized
     def _minimal_vertex_covers(self) -> tuple[frozenset[str], ...]:
@@ -163,50 +156,14 @@ class Graph:
         return tuple(verts - s for s in reversed(maximal_independent_sets(self)))
 
 
-def _edges_off_masks(g: Graph) -> frozenset[frozenset[str]]:
-    """`Graph.edges` for a graph `rewired` built, named off its neighbour
-    masks on first read.  A graph built from its edges holds them in its
-    `__dict__`, which the memo yields to, so it reads them as a plain
-    attribute.  The memo is set after the dataclass is made, so `edges`
-    stays a required field with no default."""
-    names, _, neighbours = g._vertex_bits
-    return frozenset(
-        frozenset((names[i], names[j]))
-        for i, nb in enumerate(neighbours)
-        for j in bit_positions(nb >> (i + 1) << (i + 1))
-    )
-
-
-Graph.edges = memoized(_edges_off_masks, "edges")
-
-
-def rewired(g: Graph, neighbours) -> Graph:
-    """A graph on `g`'s vertices whose neighbour masks are `neighbours`:
-    its bitset view is `g`'s names and positions with those masks, and
-    it holds no edge set until its `edges` are read."""
-    out = object.__new__(Graph)
-    names, position, _ = vertex_bits(g)
-    out.__dict__.update(
-        vertices=g.vertices,
-        _vertex_bits=VertexBits(names, position, tuple(neighbours)),
-    )
-    return out
-
-
 def adjacency(g: Graph) -> Mapping[str, frozenset[str]]:
-    """Read-only neighbour sets, named off the bitset view on each call."""
-    names, _, neighbours = vertex_bits(g)
+    """Read-only neighbour sets, named off the neighbour masks on each call."""
+    names = g.vertices
     width = f"0{len(names)}b"
-    rows = (format(nb, width)[::-1].encode().translate(_SELECT) for nb in neighbours)
+    rows = (format(nb, width)[::-1].encode().translate(_SELECT) for nb in g.neighbours)
     return MappingProxyType(
         {v: frozenset(compress(names, row)) for v, row in zip(names, rows)}
     )
-
-
-def vertex_bits(g: Graph) -> VertexBits:
-    """The bitset view (names, positions, neighbour masks), memoized on
-    the graph."""
-    return g._vertex_bits
 
 
 def bit_positions(mask: int) -> list[int]:
@@ -224,8 +181,7 @@ def degrees(g: Graph) -> dict[str, int]:
 
 
 def isolated_vertices(g: Graph) -> tuple[str, ...]:
-    names, _, neighbours = vertex_bits(g)
-    return tuple(v for v, nb in zip(names, neighbours) if not nb)
+    return tuple(v for v, nb in zip(g.vertices, g.neighbours) if not nb)
 
 
 def pairs_graph(n: int) -> Graph:
@@ -241,24 +197,24 @@ def induced_subgraph(g: Graph, w) -> Graph:
     unknown = w - set(g.vertices)
     if unknown:
         raise InputFormatError(f"unknown vertices: {sorted(unknown)}")
-    return Graph(tuple(sorted(w)), frozenset(e for e in g.edges if e <= w))
+    return Graph.build(w, (e for e in g.edges if e <= w))
 
 
 def remove_edges(g: Graph, f) -> Graph:
     """Drop a family of edges; the vertex set is unchanged."""
-    gone = {edge_key(a, b) for a, b in f}
-    return Graph(g.vertices, g.edges - gone)
+    gone = Graph.build(edges=f).edges
+    return Graph.build(g.vertices, g.edges - gone)
 
 
 def add_edges(g: Graph, f) -> Graph:
     """Add a family of edges between already declared vertices."""
-    extra = set()
+    extra = []
     known = set(g.vertices)
     for a, b in f:
         if a not in known or b not in known:
             raise InputFormatError(f"edge {a!r}-{b!r} uses an undeclared vertex")
-        extra.add(edge_key(a, b))
-    return Graph(g.vertices, g.edges | extra)
+        extra.append((a, b))
+    return Graph.build(g.vertices, [*g.edge_list(), *extra])
 
 
 # binary digits to the 0/1 bytes that `itertools.compress` selects by
@@ -289,7 +245,7 @@ def _bron_kerbosch(g: Graph) -> tuple[int, ...]:
     its one search as it is, and a graph with no vertex its one empty
     set.  A bare matching of n pairs takes n searches of two sets each,
     where one search over the whole graph walks a tree with 2**n leaves."""
-    neighbours = vertex_bits(g).neighbours
+    neighbours = g.neighbours
     full = (1 << len(neighbours)) - 1
     nonadj = [full & ~nb & ~(1 << i) for i, nb in enumerate(neighbours)]
     parts = [_pivoted_search(nonadj, c) for c in _components(neighbours)]
@@ -444,7 +400,7 @@ def classify(g: Graph) -> ClassMembership:
     """
     n_vertices = len(g.vertices)
     h = height(g)
-    isolated = 0 in vertex_bits(g).neighbours
+    isolated = 0 in g.neighbours
     in_class = n_vertices > 0 and n_vertices == 2 * h and not isolated
     return ClassMembership(n_vertices, h, isolated, in_class)
 
@@ -487,7 +443,7 @@ def iter_perfect_matchings(g: Graph):
     tuple of sorted pairs.  An explicit stack holds, per depth, the
     uncovered bits left after that depth's lowest one and the partners
     still to try, so depth is unbounded."""
-    names, _, neighbours = vertex_bits(g)
+    names, neighbours = g.vertices, g.neighbours
 
     def choices(uncovered):
         low = uncovered & -uncovered

@@ -8,20 +8,24 @@ obstruction cycles through pairs by breadth-first search, reorders labelings
 so cross edges point upward, and decides uniqueness of the perfect matching.
 
 Like a `Graph`, a `PairedLabeling` memoizes what every criterion reads:
-its pair relations (`PairRelations`), read from the graph's neighbour
-masks, its 2-pair cycle (`short_cycle`, which route a and the relabeling
-read) and its unmixedness verdict (`unmixed`, which
+the bit position of each x_i and y_i in its graph with the mask of each
+side (`bits`, the one place names are turned into positions), its pair
+relations (`PairRelations`), read from the graph's neighbour masks, its
+2-pair cycle (`short_cycle`, which route a and the relabeling read) and
+its unmixedness verdict (`unmixed`, which
 `criteria._crosschecked_unmixed` decides and keeps).  The relations are
 the one record of the links y_i x_k that `transform.o_set` rewires and
-`transform.restricted_o_full` reads.  All three are built on first use;
-equality, hashing, repr and pickling see only the graph and the pairs,
-and `with_graph` starts a labeling without them.
+`transform.restricted_o_full` reads.  All of them are built on first
+use; equality, hashing, repr and pickling see only the graph and the
+pairs, and `with_graph` starts a labeling without them.
 
 `validate_labeling` checks the names (at least one pair, distinct names
 on disjoint sides that partition the vertices), then the edges on the
 neighbour masks, through the check `mask_check` builds for the pairs.
 A deformation keeps the vertices and the pairs, so the census checks a
 draw's names once and each of its deformations with that one check.
+Cycle witnesses are checked on the masks too; edges are named only in
+dumps and error reports.
 """
 
 import heapq
@@ -45,10 +49,18 @@ from .graphs import (
     lex_min_matching,
     maximal_independent_sets,
     memoized,
-    minimal_vertex_covers,
-    vertex_bits,
 )
 from .verdicts import Verdict
+
+
+class PairBits(NamedTuple):
+    """Per pair, in pair order, the bit positions of x_i and y_i in the
+    labeling's graph, and the masks of each side."""
+
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    x_mask: int
+    y_mask: int
 
 
 class PairRelations(NamedTuple):
@@ -70,26 +82,36 @@ class PairedLabeling:
         return PairedLabeling, (self.graph, self.pairs)
 
     @memoized
-    def relations(self) -> PairRelations:
-        """The pair relations, read from the neighbour masks in one pass."""
-        _, position, neighbours = vertex_bits(self.graph)
-        x_index, y_index = {}, {}
+    def bits(self) -> PairBits:
+        """The pairs' bit positions and side masks, read once from the
+        graph's `position` for the relations, the validator and the
+        deformations."""
+        position = self.graph.position
+        xs = tuple(position[x] for x, _ in self.pairs)
+        ys = tuple(position[y] for _, y in self.pairs)
         x_mask = y_mask = 0
-        for i, (x, y) in enumerate(self.pairs, start=1):
-            px, py = position[x], position[y]
-            x_index[px] = y_index[py] = i
+        for px, py in zip(xs, ys):
             x_mask |= 1 << px
             y_mask |= 1 << py
+        return PairBits(xs, ys, x_mask, y_mask)
 
-        def indices(v, index, side, i):
-            found = bit_positions(neighbours[position[v]] & side)
-            return frozenset(index[p] for p in found) - {i}
+    @memoized
+    def relations(self) -> PairRelations:
+        """The pair relations, read from the neighbour masks in one pass."""
+        xs, ys, x_mask, y_mask = self.bits
+        neighbours = self.graph.neighbours
+        x_index = dict(zip(xs, range(1, len(xs) + 1)))
+        y_index = dict(zip(ys, range(1, len(ys) + 1)))
+
+        def indices(p, index, side, i):
+            found = bit_positions(neighbours[p] & side)
+            return frozenset(index[q] for q in found) - {i}
 
         cross, links, cover = {}, {}, {}
-        for i, (x, y) in enumerate(self.pairs, start=1):
-            cross[i] = indices(x, y_index, y_mask, i)
-            links[i] = indices(y, x_index, x_mask, i)
-            cover[i] = indices(x, x_index, x_mask, i)
+        for i, (px, py) in enumerate(zip(xs, ys), start=1):
+            cross[i] = indices(px, y_index, y_mask, i)
+            links[i] = indices(py, x_index, x_mask, i)
+            cover[i] = indices(px, x_index, x_mask, i)
         return PairRelations(*map(MappingProxyType, (cross, links, cover)))
 
     @memoized
@@ -161,7 +183,7 @@ def validate_labeling(pl: PairedLabeling) -> list[str]:
     if xs | ys != set(g.vertices):
         problems.append("pairs must partition the vertex set")
         return problems
-    return problems + mask_check(pl)(vertex_bits(g).neighbours)
+    return problems + mask_check(pl)(g.neighbours)
 
 
 def mask_check(pl: PairedLabeling):
@@ -178,12 +200,9 @@ def mask_check(pl: PairedLabeling):
     disjoint, V - X is Y and the one scan answers both.  A deformation
     keeps the vertices and the pairs, so one check serves every
     deformation of a labeling."""
-    names, position, _ = vertex_bits(pl.graph)
-    matching = [(position[x], position[y], x, y) for x, y in pl.pairs]
-    x_mask = y_mask = 0
-    for px, py, _, _ in matching:
-        x_mask |= 1 << px
-        y_mask |= 1 << py
+    names = pl.graph.vertices
+    xs, ys, x_mask, y_mask = pl.bits
+    matching = [(px, py, x, y) for px, py, (x, y) in zip(xs, ys, pl.pairs)]
     outside = ((1 << len(names)) - 1) & ~x_mask
     shared = outside == y_mask
 
@@ -243,16 +262,17 @@ def make_labeling(g: Graph, pairs) -> PairedLabeling:
 
 
 def cycle_witness_holds(pl: PairedLabeling, w: CycleWitness) -> bool:
-    """Independent check that a cycle witness names real edges."""
+    """Independent check that a cycle witness names real edges: for each
+    step i -> j, the neighbour mask of y_i holds x_i and x_j."""
     idx = w.indices
     if len(idx) < 2 or len(set(idx)) != len(idx):
         return False
-    g = pl.graph
+    xs, ys, _, _ = pl.bits
+    neighbours = pl.graph.neighbours
     for t, i in enumerate(idx):
         j = idx[(t + 1) % len(idx)]
-        if not g.has_edge(pl.x(i), pl.y(i)):
-            return False
-        if not g.has_edge(pl.y(i), pl.x(j)):
+        nb = neighbours[ys[i - 1]]
+        if not nb >> xs[i - 1] & 1 or not nb >> xs[j - 1] & 1:
             return False
     return True
 
@@ -306,7 +326,9 @@ def all_star_labelings(g: Graph):
 
     For a minimum cover X, Y = V - X is independent and |Y| = |X|, so
     every perfect matching of the graph pairs X with Y; orienting each
-    one by X gives that cover's labelings, in sorted order.
+    one by X gives that cover's labelings, in sorted order.  The covers
+    are taken in their order, which is that of the maximal independent
+    sets reversed, each as the complement of a set Y of size n.
 
     Exponential; used only for cross-validation at small sizes.
     """
@@ -315,11 +337,11 @@ def all_star_labelings(g: Graph):
         return
     n = membership.height
     matchings = tuple(iter_perfect_matchings(g))
-    for cover in minimal_vertex_covers(g):
-        if len(cover) != n:
+    for y_set in reversed(maximal_independent_sets(g)):
+        if len(y_set) != n:
             continue
         oriented = sorted(
-            tuple(sorted((a, b) if a in cover else (b, a) for a, b in m))
+            tuple(sorted((b, a) if a in y_set else (a, b) for a, b in m))
             for m in matchings
         )
         for pairs in oriented:

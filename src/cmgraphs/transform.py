@@ -5,19 +5,16 @@ constructor.
 The rewiring operator for pair i detaches every cross edge x_k y_i
 (k != i) from y_i and reattaches it as x_k x_i; the matching edge is kept,
 so the vertex set, the class membership and the labeling all survive.
+The deformations are written on neighbour masks, by the labeling's bit
+positions, and the graphs are built from those masks; only the block
+graft, which joins named blocks, builds its graph from named edges.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from .errors import InputFormatError, RouteDisagreementError, StructureError
-from .graphs import (
-    Graph,
-    isolated_vertices,
-    lex_min_matching,
-    rewired,
-    vertex_bits,
-)
+from .graphs import Graph, isolated_vertices, lex_min_matching
 from .pairing import PairedLabeling, validate_labeling
 
 
@@ -32,9 +29,8 @@ def o_set(pl: PairedLabeling, t) -> Graph:
     with the bits y_i and x_k cleared on each other and x_i and x_k set
     on each other.  The masks are set and cleared, never toggled, so a
     cover edge x_k x_i that is already there, or that two links produce,
-    stays one edge.  The new graph is built from them by `rewired`, with
-    no edge set: it names its edges off the masks only when they are
-    read.  When no pair in t has a link, the input graph itself is
+    stays one edge.  The new graph is built from them on the parent's
+    vertices.  When no pair in t has a link, the input graph itself is
     returned.
     """
     t, n = set(t), pl.n
@@ -48,19 +44,18 @@ def o_set(pl: PairedLabeling, t) -> Graph:
     g = pl.graph
     if not moved:
         return g
-    _, position, neighbours = vertex_bits(g)
-    pairs, masks = pl.pairs, list(neighbours)
+    xs, ys, _, _ = pl.bits
+    masks = list(g.neighbours)
     for i in moved:
-        xi, yi = pairs[i - 1]
-        pi, py = position[xi], position[yi]
+        pi, py = xs[i - 1], ys[i - 1]
         x_bit, y_bit, linked = 1 << pi, 1 << py, 0
         for k in links[i]:
-            pk = position[pairs[k - 1][0]]
+            pk = xs[k - 1]
             masks[pk] = masks[pk] & ~y_bit | x_bit
             linked |= 1 << pk
         masks[py] &= ~linked
         masks[pi] |= linked
-    return rewired(g, masks)
+    return Graph(g.vertices, tuple(masks))
 
 
 def index_subsets(n: int):
@@ -75,17 +70,20 @@ def restricted_o_full(pl: PairedLabeling) -> Graph:
 
     On the x vertices that graph keeps every cover edge x_i x_j and gains
     x_k x_i for each link y_i x_k, so it is read off the pair relations:
-    x_i x_j for each j in `cover[i] | links[i]`.  Its covers and
-    independent sets drive the type, level and Gorenstein computations.
+    x_i x_j for each j in `cover[i] | links[i]`, set as bits both ways
+    on the sorted x names.  Its covers and independent sets drive the
+    type, level and Gorenstein computations.
     """
     _, links, cover = pl.relations
-    x = pl.x_names
-    edges = frozenset(
-        frozenset((x[i - 1], x[j - 1]))
-        for i in range(1, pl.n + 1)
-        for j in cover[i] | links[i]
-    )
-    return Graph(tuple(sorted(x)), edges)
+    names = tuple(sorted(pl.x_names))
+    rank = dict(zip(names, range(len(names))))
+    at = [rank[x] for x in pl.x_names]  # bit of x_i, at index i - 1
+    masks = [0] * len(names)
+    for i in range(1, pl.n + 1):
+        for j in cover[i] | links[i]:
+            masks[at[i - 1]] |= 1 << at[j - 1]
+            masks[at[j - 1]] |= 1 << at[i - 1]
+    return Graph(names, tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -107,9 +105,8 @@ class BipartiteBlock:
             raise InputFormatError("block sides must partition the vertices")
         if len(xs) != len(ys) or not xs:
             raise InputFormatError("block sides must be nonempty and equal-size")
-        for e in self.graph.edges:
-            if len(e & xs) != 1:
-                a, b = sorted(e)
+        for a, b in self.graph.edge_list():
+            if (a in xs) == (b in xs):
                 raise InputFormatError(
                     f"block edge {a}-{b} does not join the two sides"
                 )

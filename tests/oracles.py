@@ -439,13 +439,13 @@ def o_set_def(pl, t):
     previous one left."""
     g = pl.graph
     for i in sorted(set(t)):
-        rewired = [
+        moved = [
             k for k in range(1, pl.n + 1) if k != i and g.has_edge(pl.x(k), pl.y(i))
         ]
         edges = set(g.edges)
-        edges -= {frozenset((pl.x(k), pl.y(i))) for k in rewired}
-        edges |= {frozenset((pl.x(k), pl.x(i))) for k in rewired}
-        g = Graph(g.vertices, frozenset(edges))
+        edges -= {frozenset((pl.x(k), pl.y(i))) for k in moved}
+        edges |= {frozenset((pl.x(k), pl.x(i))) for k in moved}
+        g = Graph.build(g.vertices, edges)
     return g
 
 

@@ -18,7 +18,7 @@ from cmgraphs.census import (
 )
 from cmgraphs.cli import main
 from cmgraphs.errors import CapacityError, CmGraphsError
-from cmgraphs.graphs import Graph, add_edges, classify, remove_edges, vertex_bits
+from cmgraphs.graphs import Graph, add_edges, classify, remove_edges
 from cmgraphs.pairing import validate_labeling
 from cmgraphs.transform import index_subsets, o_set
 from cmgraphs.verdicts import Verdict
@@ -197,12 +197,12 @@ def test_a_member_built_from_its_mask_is_the_member_of_its_edges():
         pl = member_from_mask(n, mask)
         g, named = pl.graph, _named_member(n, mask)
         assert pl.pairs == tuple(std_pairs(n))
-        assert vertex_bits(g) == vertex_bits(named)
+        assert g.neighbours == named.neighbours and g.vertices == named.vertices
         assert "edges" not in vars(g)  # named only when read
-        assert g.edges == named.edges and g.vertices == named.vertices
+        assert g.edges == named.edges
         assert g == named and hash(g) == hash(named)
         restored = pickle.loads(pickle.dumps(g))
-        assert restored == named and vertex_bits(restored) == vertex_bits(named)
+        assert restored == named and pickle.dumps(restored) == pickle.dumps(named)
 
 
 def test_mask_bits_above_the_candidates_are_ignored():
@@ -214,7 +214,6 @@ def test_mask_bits_above_the_candidates_are_ignored():
             high = member_from_mask(n, mask | rng.getrandbits(40) << width)
             member = member_from_mask(n, mask)
             assert high == member
-            assert vertex_bits(high.graph) == vertex_bits(member.graph)
 
 
 def test_cross_validate_exhaustive_counts():
@@ -443,8 +442,8 @@ def test_rational_homology_disagreement_is_recorded_once(monkeypatch):
 
 
 def _count_graph_work(monkeypatch):
-    """Record each call of `graphs.adjacency` and each graph that builds
-    its bitset view from its edges."""
+    """Record each call of `graphs.adjacency` and each graph that names
+    its edges."""
     adjacency_calls, adjacency = [], graphs.adjacency
 
     def counted_adjacency(g):
@@ -452,26 +451,24 @@ def _count_graph_work(monkeypatch):
         return adjacency(g)
 
     monkeypatch.setattr(graphs, "adjacency", counted_adjacency)
-    return adjacency_calls, count_builds(monkeypatch, Graph, "_vertex_bits")
+    return adjacency_calls, count_builds(monkeypatch, Graph, "edges")
 
 
 def test_a_draw_that_is_not_cm_builds_no_view_and_no_adjacency(monkeypatch):
-    # the drawn graph is handed its view by member_from_mask, each
-    # deformation by o_set, and route d matches on the masks, so no graph
-    # builds a view from its edges.  The bare matching the draws are
-    # rewired from is built, with its view, before the count starts
-    census._bare_member(4)
-    adjacency_calls, views_built = _count_graph_work(monkeypatch)
+    # the drawn graph is built from masks by member_from_mask, each
+    # deformation by o_set, and every check reads the masks, so no graph
+    # names its edges
+    adjacency_calls, edges_named = _count_graph_work(monkeypatch)
     for mask, unmixed in ((264, True), (9, False)):
         adjacency_calls.clear()
-        views_built.clear()
+        edges_named.clear()
         outcome = census._check_draw((4, 0, mask, False))
         assert outcome == {
             "summary": {"unmixed": unmixed, "cm": False, "cm_type": None},
             "violations": [],
         }
         assert adjacency_calls == []
-        assert views_built == []
+        assert edges_named == []
 
 
 def test_a_cm_draw_reads_the_adjacency_for_its_degrees(monkeypatch):

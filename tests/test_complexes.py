@@ -32,7 +32,7 @@ from oracles import brute_maximal_independents, is_strongly_connected_def
 
 def _random_graphs(rng, count):
     """Seeded graphs on up to 7 vertices, isolated vertices included."""
-    graphs = [Graph((), frozenset()), Graph(("b", "a"), frozenset())]
+    graphs = [Graph.build(), Graph.build(("b", "a"))]
     for _ in range(count):
         vs = [f"u{i}" for i in range(rng.randint(1, 7))]
         p = rng.choice([0.2, 0.4, 0.6])

@@ -25,11 +25,10 @@ from cmgraphs.graphs import (
     minimal_vertex_covers,
     pairs_graph,
     remove_edges,
-    vertex_bits,
 )
 from cmgraphs.graphio import parse_graph_file
 from cmgraphs.pairing import find_star_labeling, make_labeling, unique_perfect_matching
-from cmgraphs.transform import index_subsets, o_set
+from cmgraphs.transform import index_subsets, o_set, restricted_o_full
 from conftest import FIXTURES, count_builds, golden_path, std_pairs
 from oracles import (
     brute_height,
@@ -49,6 +48,13 @@ def test_build_normalizes_and_rejects_loops():
     assert g.edge_list() == [("a", "b")]
     with pytest.raises(InputFormatError):
         Graph.build(edges=[("a", "a")])
+
+
+def test_has_edge_reads_the_masks():
+    g = Graph.build(vertices=["c"], edges=[("b", "a")])
+    assert g.has_edge("a", "b") and g.has_edge("b", "a")
+    assert not g.has_edge("a", "c") and not g.has_edge("a", "a")
+    assert not g.has_edge("a", "z") and not g.has_edge("z", "z")
 
 
 def test_induced_subgraph_empty_restriction(ex31):
@@ -269,7 +275,7 @@ def test_derived_graphs_get_their_own_facts(ex31_pl):
     _facts(ex31_pl.graph)
     derived.append(o_set(ex31_pl, {2, 3}))
     for h in derived:
-        fresh = Graph(h.vertices, h.edges)
+        fresh = Graph.build(h.vertices, h.edges)
         assert _facts(h) == _facts(fresh)
         assert set(maximal_independent_sets(h)) == {
             frozenset(s)
@@ -282,8 +288,8 @@ def test_derived_graphs_get_their_own_facts(ex31_pl):
 
 
 def test_memoized_graph_keeps_identity_semantics(ex31):
-    g = Graph(ex31.vertices, ex31.edges)
-    fresh = Graph(ex31.vertices, ex31.edges)
+    g = Graph.build(ex31.vertices, ex31.edges)
+    fresh = Graph.build(ex31.vertices, ex31.edges)
     classify(g)
     _facts(g)
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
@@ -307,21 +313,18 @@ def test_iterative_perfect_matchings_match_the_recursive_reference():
 
 def test_mask_matchings_ignore_the_declared_vertex_order():
     # vertices declared in shuffled order, names x1..x12 (x10 sorts
-    # before x2): bits follow sorted names, whatever the declared order
+    # before x2): the graph keeps them sorted and bits follow that order,
+    # whatever the declared order
     rng = random.Random(41)
     names = [f"x{i}" for i in range(1, 13)]
-    unsorted = 0
     for _ in range(150):
         vs = rng.sample(names, rng.choice([2, 4, 6, 8, 10, 12, 5, 7]))
         p = rng.choice([0.3, 0.5, 0.8])
-        edges = [frozenset(e) for e in itertools.combinations(vs, 2) if rng.random() < p]
-        g = Graph(tuple(vs), frozenset(edges))
-        unsorted += list(g.vertices) != sorted(g.vertices)
+        edges = [e for e in itertools.combinations(vs, 2) if rng.random() < p]
+        g = Graph.build(vs, edges)
+        assert g.vertices == tuple(sorted(vs))
         assert list(iter_perfect_matchings(g)) == list(iter_perfect_matchings_def(g))
-    assert unsorted > 100
-    full = Graph(tuple(reversed(names)), frozenset(
-        frozenset(e) for e in itertools.combinations(names, 2)
-    ))
+    full = Graph.build(reversed(names), itertools.combinations(names, 2))
     found = list(iter_perfect_matchings(full))
     assert len(found) == 10395  # 11!!
     assert found == list(iter_perfect_matchings_def(full))
@@ -527,7 +530,7 @@ def test_the_600_pair_chain_enumerates_its_601_sets():
     g = _chain(600)
     sets = maximal_independent_sets(g)
     assert len(set(sets)) == len(sets) == 601
-    names, position, neighbours = vertex_bits(g)
+    names, position, neighbours = g.vertices, g.position, g.neighbours
     full = (1 << len(names)) - 1
     for s in sets:
         bits = [position[v] for v in s]
@@ -564,16 +567,52 @@ def test_classify_from_masks_matches_brute_force():
 
 
 def test_graph_identity_ignores_the_mask_memo(ex31):
-    g = Graph(ex31.vertices, ex31.edges)
-    fresh = Graph(ex31.vertices, ex31.edges)
+    g = Graph.build(ex31.vertices, ex31.edges)
+    fresh = Graph.build(ex31.vertices, ex31.edges)
     classify(g)
     maximal_independent_sets(g)
-    assert {"_vertex_bits", "_independent_masks"} <= set(vars(g))
+    assert g.has_edge("x1", "y1") and g.edges
+    memo = {"position", "edges", "_independence_number", "_independent_masks"}
+    assert memo <= set(vars(g))
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
     assert pickle.dumps(g) == pickle.dumps(fresh)
     restored = pickle.loads(pickle.dumps(g))
-    assert restored == g and not set(vars(restored)) - {"vertices", "edges"}
+    assert restored == g and not set(vars(restored)) - {"vertices", "neighbours"}
     assert classify(restored) == classify(g)
+
+
+def _random_mask_graphs(rng, count):
+    """Seeded graphs built straight from symmetric neighbour masks over
+    sorted names, up to 12 vertices (x10 sorts before x2)."""
+    graphs = []
+    for _ in range(count):
+        names = tuple(sorted(f"x{i}" for i in range(1, rng.randint(0, 12) + 1)))
+        masks = [0] * len(names)
+        p = rng.random()
+        for i, j in itertools.combinations(range(len(names)), 2):
+            if rng.random() < p:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        graphs.append(Graph(names, tuple(masks)))
+    return graphs
+
+
+def test_a_graph_built_from_masks_is_the_graph_of_its_edges():
+    # every census draw with n <= 3, each of its deformations and its
+    # restricted deformation, and seeded graphs built from masks: named
+    # edges rebuild the same graph, with the same hash and pickle bytes
+    graphs = _random_mask_graphs(random.Random(23), 300)
+    for n in (1, 2, 3):
+        for mask in range(1 << len(optional_edges(n))):
+            pl = member_from_mask(n, mask)
+            graphs += [o_set(pl, t) for t in index_subsets(n)]
+            graphs.append(restricted_o_full(pl))
+    assert len(graphs) > 4000
+    for g in graphs:
+        named = Graph.build(g.vertices, g.edges)
+        assert named == g and hash(named) == hash(g) and repr(named) == repr(g)
+        assert pickle.dumps(named) == pickle.dumps(g)
+        assert g.vertices == tuple(sorted(g.vertices))
 
 
 class _Counted:
@@ -609,19 +648,18 @@ def test_a_memo_whose_function_raises_stores_nothing():
 
 
 def test_counting_the_builds_of_a_memo_goes_through_its_function(monkeypatch):
-    built = count_builds(monkeypatch, Graph, "_vertex_bits")
+    built = count_builds(monkeypatch, Graph, "_independence_number")
     g = pairs_graph(3)
     classify(g)
     classify(g)
     maximal_independent_sets(g)
-    assert built == [g] and "_vertex_bits" in vars(g)
-    assert vertex_bits(g).names == g.vertices
+    assert built == [g] and vars(g)["_independence_number"] == 3
 
 
 def test_classify_enumerates_no_independent_set(ex31):
-    for g in (Graph(ex31.vertices, ex31.edges), Graph.build(), pairs_graph(3)):
+    for g in (Graph.build(ex31.vertices, ex31.edges), Graph.build(), pairs_graph(3)):
         classify(g)
-        assert "_vertex_bits" in vars(g)
+        assert "_independence_number" in vars(g)
         assert "_independent_masks" not in vars(g)
         assert "_maximal_independent_sets" not in vars(g)
 

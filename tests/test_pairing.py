@@ -144,6 +144,34 @@ def test_cycle_witness_holds_rejects_junk(c4_pl):
     assert not cycle_witness_holds(c4_pl, CycleWitness((1, 1)))
 
 
+def test_cycle_witness_check_on_masks_matches_the_named_edges():
+    # every sequence of distinct pair indices on every member with
+    # n <= 3, and on members whose matching edge is dropped: the masks
+    # give the verdict the named edges x_i y_i and y_i x_j give
+    from cmgraphs.census import enumerate_class
+    from cmgraphs.graphs import remove_edges
+
+    def by_name(pl, idx):
+        g = pl.graph
+        return all(
+            g.has_edge(pl.x(i), pl.y(i)) and g.has_edge(pl.y(i), pl.x(j))
+            for i, j in zip(idx, idx[1:] + idx[:1])
+        )
+
+    held = checked = 0
+    for n in (2, 3):
+        for pl in enumerate_class(n):
+            broken = pl.with_graph(remove_edges(pl.graph, [pl.pairs[0]]))
+            for r in range(2, n + 1):
+                for idx in itertools.permutations(range(1, n + 1), r):
+                    for v in (pl, broken):
+                        got = cycle_witness_holds(v, CycleWitness(idx))
+                        assert got == by_name(v, idx)
+                        held += got
+                        checked += 1
+    assert checked > 10000 and 0 < held < checked // 2
+
+
 def test_relabel_identity(ex31_pl):
     assert relabel_for_double_star(ex31_pl).pairs == ex31_pl.pairs
 

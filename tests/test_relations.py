@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-import cmgraphs.pairing as pairing
 import cmgraphs.transform as transform
 from cmgraphs.census import enumerate_class
 from cmgraphs.criteria import _crosschecked_unmixed, _structural_scan
@@ -19,8 +18,6 @@ from cmgraphs.graphs import (
     induced_subgraph,
     pairs_graph,
     remove_edges,
-    rewired,
-    vertex_bits,
 )
 from cmgraphs.pairing import (
     PairedLabeling,
@@ -32,6 +29,7 @@ from cmgraphs.pairing import (
     validate_labeling,
 )
 from cmgraphs.transform import index_subsets, o_set, restricted_o_full
+from conftest import count_builds
 from oracles import (
     find_cycle_def,
     o_set_def,
@@ -219,7 +217,7 @@ def corrupted_masks(pl, masks, rng):
     """`masks` (over `pl`'s vertices), and the same with one matching edge
     dropped, one y-y edge added, one x cut off from every vertex outside
     X, and one x cut off from Y."""
-    position = vertex_bits(pl.graph).position
+    position = pl.graph.position
     xs = [position[x] for x in pl.x_names]
     ys = [position[y] for y in pl.y_names]
     x_mask = sum(1 << p for p in xs)
@@ -245,9 +243,9 @@ def test_the_mask_check_of_a_deformation_agrees_with_both_validators():
     for pl in members:
         check = mask_check(pl)
         for t in index_subsets(pl.n):
-            deformed = vertex_bits(o_set(pl, t)).neighbours
+            deformed = o_set(pl, t).neighbours
             for masks in corrupted_masks(pl, deformed, rng):
-                v = pl.with_graph(rewired(pl.graph, masks))
+                v = pl.with_graph(Graph(pl.graph.vertices, tuple(masks)))
                 got = check(masks)
                 assert got == validate_labeling(v) == validate_labeling_def(v)
                 failed += bool(got)
@@ -291,23 +289,20 @@ def std_labeling():
 
 
 def test_relations_are_built_once_per_labeling(monkeypatch):
+    # the validator in make_labeling has read the pairs' bit positions
+    # already; the relations read that record, not the names
     pl = std_labeling()
-    read = []
-    real = pairing.vertex_bits
-
-    def counted(g):
-        read.append(g)
-        return real(g)
-
-    monkeypatch.setattr(pairing, "vertex_bits", counted)
+    assert "bits" in vars(pl)
+    read = count_builds(monkeypatch, PairedLabeling, "bits")
+    built = count_builds(monkeypatch, PairedLabeling, "relations")
     _structural_scan(pl)
     _structural_scan(pl)
     upward = relabel_for_double_star(pl)
     # the order is already upward, so the relabeling returns pl itself
-    assert upward is pl and len(read) == 1
+    assert upward is pl and built == [pl]
     satisfies_double_star(upward)
     find_cycle(pl)
-    assert len(read) == 1
+    assert read == [] and built == [pl]
     assert pl.relations.cross == {1: {2, 3}, 2: {3}, 3: set()}
     assert pl.relations.cover == {1: set(), 2: {3}, 3: {2}}
     with pytest.raises(TypeError):
@@ -324,7 +319,6 @@ def test_o_set_on_a_deformed_labeling_matches_the_oracle():
         deformed = pl.with_graph(o_set(pl, s))
         got = o_set(deformed, t)
         expected = o_set_def(pl.with_graph(o_set_def(pl, s)), t)
-        assert vertex_bits(got) == vertex_bits(expected)
         assert got == expected
 
 

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import pathlib
 
 from cmgraphs.graphs import Graph
@@ -83,8 +84,8 @@ def test_brute_force_unmixedness_is_called_in_criteria_and_the_cli_only():
 
 
 def test_graph_has_no_attribute_hook():
-    # a deformed graph names its edges through a non-data descriptor on
-    # `edges` alone; a class-level hook would run on every attribute load
+    # a graph's views (`position`, `edges`) are memoized descriptors of
+    # their own; a class-level hook would run on every attribute load
     hooks = [
         f"{cls.__name__}.{name}"
         for cls in Graph.__mro__
@@ -96,6 +97,20 @@ def test_graph_has_no_attribute_hook():
         "a class-level __getattr__ on Graph made every Graph attribute load "
         "about 40% slower, and a check_families pass 4.4% slower"
     )
+
+
+def test_a_graph_is_its_names_and_masks_in_one_form():
+    # every graph, built from names or from masks, holds the same two
+    # fields; none is made field by field past its constructor
+    assert [f.name for f in dataclasses.fields(Graph)] == ["vertices", "neighbours"]
+    package = pathlib.Path(ROOT, "src", "cmgraphs")
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    ]
+    assert found == []
 
 
 def test_no_package_module_uses_cached_property():

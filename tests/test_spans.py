@@ -1,15 +1,26 @@
 """The benchmark's tracer wraps functions by name; every name it lists
 must still exist in the package, or a traced benchmark run crashes."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import runpy
+import sys
+import types
+from pathlib import Path
 
-from conftest import ROOT
+import pytest
 
-SPANS = os.path.join(ROOT, "perfbench", "spans.py")
-LAYERS = os.path.join(ROOT, "perfbench", "layers.json")
+from conftest import FIXTURES, ROOT
+
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SPANS = os.path.join(PERFBENCH, "spans.py")
+LAYERS = os.path.join(PERFBENCH, "layers.json")
+
+with open(LAYERS, encoding="utf-8") as _fh:
+    WORKLOADS = sorted({row["workload"] for row in json.load(_fh)["rows"]})
 
 
 def test_every_traced_name_exists():
@@ -60,3 +71,58 @@ def test_the_traced_oracle_counts_the_faces_it_checks():
     assert verdict.value is True
     assert verdict.certificate["faces_checked"] == 27
     assert tracer.counters["complexes.reisner_cm.faces"] == 27
+
+
+def _run_in_memory(name, monkeypatch):
+    """`perfbench/<name>.py` compiled in memory and bound as module `name`
+    for the test, so the benchmark's own imports by name find it and
+    nothing is written under perfbench/."""
+    module = types.ModuleType(name)
+    module.__dict__.update(runpy.run_path(os.path.join(PERFBENCH, f"{name}.py")))
+    monkeypatch.setitem(sys.modules, name, module)
+    return module
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_layer_metric_fires_on_one_pass_of_its_workload(
+    workload, tmp_path, monkeypatch
+):
+    # the check `perfbench/selftest.py` makes on a traced benchmark run,
+    # on one seed-1 pass: a refactor that moves work out of a traced
+    # function, or stops calling it, leaves its metric at zero
+    import cmgraphs.cli as cli  # imports every traced module
+
+    _run_in_memory("checks", monkeypatch)
+    inputs = _run_in_memory("inputs", monkeypatch)
+    spans = _run_in_memory("spans", monkeypatch)
+    items = inputs.WORKLOADS[workload](inputs.DEFAULT_SEED, Path(FIXTURES))
+    argvs = []
+    for item in items:
+        if item.text is None:
+            argvs.append(list(item.argv))
+            continue
+        path = tmp_path / f"{item.name}.graph"
+        path.write_text(item.text, encoding="utf-8")
+        argvs.append(["check", str(path), *item.argv])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.unwrapped_bindings() == []
+        codes = []
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                codes.append(cli.main(argv))
+    finally:
+        tracer.uninstall()
+    assert set(codes) <= {0, 1, 2}
+    values = spans.layer_values(tracer, sum(i.draws for i in items), 1.0)
+    with open(LAYERS, encoding="utf-8") as fh:
+        rows = [r for r in json.load(fh)["rows"] if r["workload"] == workload]
+    metrics = [m for row in rows for m in row["metrics"] if not m.startswith("trace.")]
+    assert metrics
+    assert values.get("criteria.route_inconclusive", 0) == 0
+    silent = [
+        m for m in metrics if m != "criteria.route_inconclusive" and not values.get(m)
+    ]
+    assert silent == []
