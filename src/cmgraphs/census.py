@@ -12,6 +12,14 @@ Each enumerated graph is pushed through every proven equivalence the
 package implements; disagreements are collected as violations carrying a
 full reproduction bundle.  Violations are data, not errors: a clean run
 returns an empty list.
+
+The claim that every deformation O_t keeps the class and the labeling is
+checked on all 2^n pair-index subsets t of a draw.  The draw is validated
+once in full; then `transform.deformations` walks the subsets as a
+lattice keyed by their linked pairs, so each distinct deformation is
+built once, from a smaller one, and its masks are checked once, while
+`classify` still reads every subset.  That sweep is why a sampled census
+stops above `criteria.DEFORMATION_SUBSET_CAP` pairs.
 """
 
 import functools
@@ -22,6 +30,7 @@ import time
 from dataclasses import dataclass
 
 from .criteria import (
+    DEFORMATION_SUBSET_CAP,
     _crosschecked_unmixed,
     cm_routes,
     cm_structural_doublestar,
@@ -41,7 +50,7 @@ from .pairing import (
     relabel_for_double_star,
     validate_labeling,
 )
-from .transform import index_subsets, o_set
+from .transform import deformations
 
 EXHAUSTIVE_PAIR_CAP = 4
 
@@ -245,14 +254,15 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
                 )
 
     # the names are checked once: a deformation keeps the vertices and
-    # the pairs, so each one is checked on its masks alone
+    # the pairs, so each one is checked on its masks alone, and only when
+    # it is first built.  A repeat is the same object, which passed, and
+    # the undeformed graph is the one just validated
     if validate_labeling(pl):
         record("transform-preserves-class", {"subset": []})
     else:
         check = mask_check(pl)
-        for t in index_subsets(pl.n):
-            deformed = o_set(pl, t)
-            if not classify(deformed).in_class or check(deformed.neighbours):
+        for t, deformed, built in deformations(pl):
+            if not classify(deformed).in_class or built and check(deformed.neighbours):
                 record("transform-preserves-class", {"subset": list(t)})
                 break
 
@@ -310,10 +320,17 @@ def cross_validate(
 
     The homology oracles and the labeling-invariance sweep run when the
     graphs have at most six vertices; all cheaper equivalences always run.
-    Same arguments, same report (wall-clock runtime aside).
+    Same arguments, same report (wall-clock runtime aside).  Sample mode
+    raises `CapacityError` above `DEFORMATION_SUBSET_CAP` pairs before it
+    draws, since every draw sweeps all 2^n deformations.
     """
     if threads < 0:
         raise CmGraphsError(f"thread count must be 0 (one per CPU) or more, got {threads}")
+    if mode == "sample" and n > DEFORMATION_SUBSET_CAP:
+        raise CapacityError(
+            f"sampled censuses are capped at {DEFORMATION_SUBSET_CAP} pairs "
+            f"(each draw sweeps 2^n deformations); got {n}"
+        )
     started = time.monotonic()
     masks = _masks(n, mode, seed, count)
     full_oracles = 2 * n <= 6

@@ -197,9 +197,16 @@ def _route_e(pl: PairedLabeling) -> Verdict:
             for _ in range(256)
         ]
         exhaustive = False
+    # a deformation depends only on the linked pairs of t, and one whose
+    # linked pairs were seen has passed, so it is skipped; no deformed
+    # graph is kept, since each holds its named maximal independent sets
+    links, seen = pl.relations.links, set()
     for t in subsets:
-        deformed = o_set(pl, t)
-        verdict = is_unmixed_bruteforce(deformed)
+        key = tuple(i for i in t if links[i])
+        if key in seen:
+            continue
+        seen.add(key)
+        verdict = is_unmixed_bruteforce(o_set(pl, t))
         if not verdict.value:
             return Verdict(
                 False,

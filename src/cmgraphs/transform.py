@@ -1,15 +1,17 @@
 """Graph deformations: the per-pair rewiring operator, its composition
-over index sets, the restriction to the cover side, and the block-graft
-constructor.
+over index sets, the walk over every index subset, the restriction to
+the cover side, and the block-graft constructor.
 
 The rewiring operator for pair i detaches every cross edge x_k y_i
 (k != i) from y_i and reattaches it as x_k x_i; the matching edge is kept,
 so the vertex set, the class membership and the labeling all survive.
 The deformations are written on neighbour masks, by the labeling's bit
-positions, and the graphs are built from those masks; only the block
-graft, which joins named blocks, builds its graph from named edges.
+positions, in one place (`rewire`), and the graphs are built from those
+masks; only the block graft, which joins named blocks, builds its graph
+from named edges.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -18,30 +20,22 @@ from .graphs import Graph, isolated_vertices, lex_min_matching
 from .pairing import PairedLabeling, validate_labeling
 
 
-def o_set(pl: PairedLabeling, t) -> Graph:
-    """Compose the rewiring operator over an index set.
+def rewire(pl: PairedLabeling, g: Graph, pairs) -> Graph:
+    """`g`, which is `pl.graph` or its deformation `o_set(pl, s)`, with
+    the rewiring operator applied for each pair index in `pairs`: the
+    deformation `o_set(pl, s | pairs)`.
 
-    The operators touch disjoint y-stars, so the composition is one
-    rewrite of the original edges: each link y_i x_k (i in t, k in
-    `pl.relations.links[i]`) becomes the cover edge x_k x_i.  The removed
-    edges are x-y and the added ones x-x, so the order of the rewrites
-    does not matter.  Only the neighbour masks are written: the parent's,
-    with the bits y_i and x_k cleared on each other and x_i and x_k set
-    on each other.  The masks are set and cleared, never toggled, so a
-    cover edge x_k x_i that is already there, or that two links produce,
-    stays one edge.  The new graph is built from them on the parent's
-    vertices.  When no pair in t has a link, the input graph itself is
-    returned.
+    Each link y_i x_k of `pl` (i in `pairs`) becomes the cover edge
+    x_k x_i.  Only the neighbour masks are written: `g`'s, with the bits
+    y_i and x_k cleared on each other and x_i and x_k set on each other.
+    The masks are set and cleared, never toggled, so a cover edge x_k x_i
+    that is already there, or that two links produce, stays one edge, and
+    a pair rewired twice is rewired once.  The new graph is built from
+    them on `g`'s vertices; when no pair in `pairs` has a link, `g`
+    itself is returned.
     """
-    t, n = set(t), pl.n
-    out_of_range = {i for i in t if not 1 <= i <= n}
-    if out_of_range:
-        raise InputFormatError(
-            f"pair indices {sorted(out_of_range)} out of range 1..{n}"
-        )
     links = pl.relations.links
-    moved = [i for i in t if links[i]]
-    g = pl.graph
+    moved = [i for i in pairs if links[i]]
     if not moved:
         return g
     xs, ys, _, _ = pl.bits
@@ -58,11 +52,68 @@ def o_set(pl: PairedLabeling, t) -> Graph:
     return Graph(g.vertices, tuple(masks))
 
 
+def o_set(pl: PairedLabeling, t) -> Graph:
+    """Compose the rewiring operator over an index set.
+
+    The operators touch disjoint y-stars, so the composition is one
+    rewrite of the original edges: each link y_i x_k (i in t, k in
+    `pl.relations.links[i]`) becomes the cover edge x_k x_i.  The removed
+    edges are x-y and the added ones x-x, so the order of the rewrites
+    does not matter, and rewiring one pair leaves the links of every
+    other pair as they were.  Hence `o_set(pl, s | t)` is t's rewiring
+    applied to `o_set(pl, s)`, with the links read from the original
+    graph: `o_set` is `rewire` on `pl.graph`, and `deformations` builds
+    each subset's graph from a smaller one.  When no pair in t has a
+    link, the input graph itself is returned.
+    """
+    t, n = set(t), pl.n
+    out_of_range = {i for i in t if not 1 <= i <= n}
+    if out_of_range:
+        raise InputFormatError(
+            f"pair indices {sorted(out_of_range)} out of range 1..{n}"
+        )
+    return rewire(pl, pl.graph, t)
+
+
 def index_subsets(n: int):
     """Every subset of the pair indices 1..n as a sorted tuple, by size
     and then lexicographically."""
     for size in range(n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
+
+
+@functools.cache
+def _subset_bits(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """`index_subsets(n)`, each subset with its mask, bit i for pair i;
+    built once per pair count."""
+    return tuple((t, sum(1 << i for i in t)) for t in index_subsets(n))
+
+
+def deformations(pl: PairedLabeling):
+    """Each subset t of `index_subsets(pl.n)`, in that order, with its
+    deformation `o_set(pl, t)` and whether this is the first time that
+    graph is built.
+
+    The deformation depends only on the linked pairs of t, those i with a
+    link y_i x_k, so the subsets are walked as a lattice keyed by their
+    linked pairs, as a mask.  A key first occurs as a subset of its own
+    (every later subset with that key is larger), so its graph is built
+    there, by one `rewire` from the graph of the key without its last
+    pair, which came earlier; every later subset with that key gets the
+    same object.  The key of no pair is the input graph, never built.
+    """
+    links = pl.relations.links
+    linked = sum(1 << i for i in links if links[i])
+    built = {0: pl.graph}
+    for t, bits in _subset_bits(pl.n):
+        key = bits & linked
+        g = built.get(key)
+        if g is None:
+            last = key.bit_length() - 1
+            g = built[key] = rewire(pl, built[key ^ 1 << last], (last,))
+            yield t, g, True
+        else:
+            yield t, g, False
 
 
 def restricted_o_full(pl: PairedLabeling) -> Graph:

@@ -1,5 +1,7 @@
 import os
+import runpy
 import sys
+import types
 
 import pytest
 
@@ -14,6 +16,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "fixtures")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SCHEMA = os.path.join(ROOT, "schema", "analysis-v1.json")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 # minimal 6-vertex triangulation of the real projective plane: torsion
 # makes characteristic 2 differ from characteristic 0
@@ -46,6 +49,16 @@ def count_builds(monkeypatch, cls, name):
 
     monkeypatch.setattr(cls, name, memoized(counted, name))
     return built
+
+
+def perfbench_module(name, monkeypatch):
+    """`perfbench/<name>.py` compiled in memory and bound as module `name`
+    for the test, so the benchmark's own imports by name find it and
+    nothing is written under perfbench/."""
+    module = types.ModuleType(name)
+    module.__dict__.update(runpy.run_path(os.path.join(PERFBENCH, f"{name}.py")))
+    monkeypatch.setitem(sys.modules, name, module)
+    return module
 
 
 def fixture_path(name):

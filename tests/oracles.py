@@ -10,16 +10,25 @@ Bron-Kerbosch enumerator, dense Gauss-Jordan ranks over F_p and Q,
 strong connectivity by testing every facet pair, pair relations probed
 pair by pair with `has_edge`, as the package did before a labeling
 memoized them, the labeling validator on adjacency name sets, every
-labeling by a matching search of its own per minimum cover, and the
-recursive perfect-matching backtracker and lexicographic matcher.
+labeling by a matching search of its own per minimum cover, the
+recursive perfect-matching backtracker and lexicographic matcher, and
+route e's walk that deforms and checks every subset it is given.
 """
 
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 
+import cmgraphs.criteria as criteria
 from cmgraphs.errors import PreconditionError
-from cmgraphs.graphs import Graph, adjacency, classify, minimal_vertex_covers
+from cmgraphs.graphs import (
+    Graph,
+    adjacency,
+    classify,
+    is_unmixed_bruteforce,
+    minimal_vertex_covers,
+)
 from cmgraphs.pairing import CycleWitness, PairedLabeling
 from cmgraphs.verdicts import Verdict
 
@@ -447,6 +456,36 @@ def o_set_def(pl, t):
         edges |= {frozenset((pl.x(k), pl.x(i))) for k in moved}
         g = Graph.build(g.vertices, edges)
     return g
+
+
+def route_e_def(pl):
+    """Route e walking every subset: each one is deformed pair by pair
+    and checked by brute force, up to the first mixed deformation; the
+    subset cap is read when called, so a patched cap applies here too."""
+    n = pl.n
+    if n <= criteria.DEFORMATION_SUBSET_CAP:
+        subsets = [
+            t for size in range(n + 1)
+            for t in itertools.combinations(range(1, n + 1), size)
+        ]
+        exhaustive = True
+    else:
+        rng = random.Random(0)
+        subsets = [
+            tuple(i for i in range(1, n + 1) if rng.random() < 0.5)
+            for _ in range(256)
+        ]
+        exhaustive = False
+    name = criteria.ROUTE_NAMES["e"]
+    for t in subsets:
+        verdict = is_unmixed_bruteforce(o_set_def(pl, t))
+        if not verdict.value:
+            return Verdict(
+                False, name, {"subset": list(t), "deformed": verdict.certificate}
+            )
+    if exhaustive:
+        return Verdict(True, name, {"subsets_checked": len(subsets)})
+    return Verdict(None, name, {"subsets_sampled": len(subsets)})
 
 
 def all_star_labelings_def(g):

@@ -28,6 +28,7 @@ from oracles import (
     brute_is_unmixed,
     find_cycle_def,
     is_independent_def,
+    o_set_def,
 )
 
 _EMPTY_SUMMARY = {"unmixed": False, "cm": False, "cm_type": None}
@@ -161,6 +162,28 @@ def test_worker_count_is_bounded(monkeypatch, capsys):
     assert main(["census", "--n", "3", "--threads", "-1"]) == 1
     assert "thread count" in capsys.readouterr().err
     assert requested == [4, 4, 3]
+
+
+def test_a_sampled_census_is_capped_at_the_deformation_subset_cap(monkeypatch, capsys):
+    # each draw sweeps all 2^n pair-index subsets, so sample mode stops
+    # above criteria.DEFORMATION_SUBSET_CAP pairs before it draws; the
+    # class stream runs no sweep and has no such cap
+    cap = criteria.DEFORMATION_SUBSET_CAP
+    assert cap == 12
+    drawn = []
+    monkeypatch.setattr(census, "_masks", lambda *args: drawn.append(args) or [])
+    with pytest.raises(CapacityError, match="capped at 12 pairs"):
+        cross_validate(cap + 1, mode="sample", seed=1, count=1)
+    argv = ["census", "--n", "13", "--mode", "sample", "--seed", "1", "--count", "1"]
+    assert main(argv) == 2
+    assert "capped at 12 pairs" in capsys.readouterr().err
+    assert drawn == []
+    monkeypatch.undo()
+
+    # X covers every candidate edge, so each draw is in class
+    _stub_check_member(monkeypatch)
+    assert cross_validate(cap, mode="sample", seed=1, count=3).population == 3
+    assert len(list(enumerate_class(cap + 1, mode="sample", seed=1, count=2))) == 2
 
 
 def test_omitted_count_draws_ten_thousand(monkeypatch):
@@ -456,8 +479,8 @@ def _count_graph_work(monkeypatch):
 
 def test_a_draw_that_is_not_cm_builds_no_view_and_no_adjacency(monkeypatch):
     # the drawn graph is built from masks by member_from_mask, each
-    # deformation by o_set, and every check reads the masks, so no graph
-    # names its edges
+    # deformation by transform.rewire, and every check reads the masks, so
+    # no graph names its edges
     adjacency_calls, edges_named = _count_graph_work(monkeypatch)
     for mask, unmixed in ((264, True), (9, False)):
         adjacency_calls.clear()
@@ -512,44 +535,80 @@ def _count_mask_checks(monkeypatch):
     return calls
 
 
+def _builds(monkeypatch):
+    """Record each deformation the census sweep builds: the calls of
+    `transform.rewire` made by `transform.deformations`."""
+    built, rewire = [], transform.rewire
+
+    def counted(pl, g, pairs):
+        deformed = rewire(pl, g, pairs)
+        if sys._getframe(1).f_code.co_name == "deformations":
+            built.append(deformed)
+        return deformed
+
+    monkeypatch.setattr(transform, "rewire", counted)
+    return built
+
+
 def test_a_draw_checks_each_deformation_once(monkeypatch):
-    # one classify and one full validate_labeling for the draw, then per
-    # pair-index subset one o_set, one classify and one check of the
-    # masks.  On the unmixed draw route e deforms too, up to its first
-    # mixed deformation (the second subset)
+    # one classify and one full validate_labeling for the draw, then one
+    # classify per pair-index subset, and one build and one check of the
+    # masks per distinct deformation other than the drawn graph.  Draws 9
+    # and 264 link one and two of their four pairs, draw 312 all four.  On
+    # the unmixed draw route e deforms too, up to its first mixed
+    # deformation (the second subset)
     classified = _count_calls(monkeypatch, graphs, "classify")
     validated = _count_calls(monkeypatch, pairing, "validate_labeling")
     deformed = _count_calls(monkeypatch, transform, "o_set")
     checked = _count_mask_checks(monkeypatch)
-    for mask, unmixed, o_set_calls in ((9, False, 16), (264, True, 18)):
-        for calls in (classified, validated, deformed, checked):
+    built = _builds(monkeypatch)
+    for mask, unmixed, linked, o_set_calls in (
+        (9, False, 1, 0),
+        (264, True, 2, 2),
+        (312, False, 4, 0),
+    ):
+        for calls in (classified, validated, deformed, checked, built):
             calls.clear()
+        pl = member_from_mask(4, mask)
+        distinct = {o_set_def(pl, t) for t in index_subsets(4)}
+        assert len(distinct) == 2**linked
         outcome = census._check_draw((4, 0, mask, False))
         assert outcome["summary"]["unmixed"] is unmixed
         assert not outcome["summary"]["cm"] and outcome["violations"] == []
         assert len(classified) == 17
         assert len(validated) == 1
-        assert len(checked) == 16
+        assert set(built) == distinct - {pl.graph}
+        assert len(built) == len(distinct) - 1
+        assert checked == [g.neighbours for g in built]
         assert len(deformed) == o_set_calls
 
 
 def test_a_deformation_that_breaks_the_labeling_is_recorded(monkeypatch):
     # a y-y edge leaves the deformation in class with height n but makes
-    # Y dependent, so only the check of that deformation's masks sees it
-    deform = census.o_set
+    # Y dependent, so only the check of that deformation's masks sees it.
+    # Draw 76 links pairs 2 and 3 but not pair 1, so the subsets (1, 2)
+    # and (1, 3) reuse the graphs of (2,) and (3,) and are not checked
+    # again; the edge is added where the sweep builds the graph of (2, 3)
+    draw = member_from_mask(3, 76)
+    assert [i for i in (1, 2, 3) if draw.relations.links[i]] == [2, 3]
+    target, rewire = o_set(draw, (2, 3)), transform.rewire
 
-    def breaking(pl, t):
-        g = deform(pl, t)
-        return add_edges(g, [("y1", "y2")]) if t == (2, 3) else g
+    def breaking(pl, g, pairs):
+        deformed = rewire(pl, g, pairs)
+        if deformed == target and sys._getframe(1).f_code.co_name == "deformations":
+            return add_edges(deformed, [("y1", "y2")])
+        return deformed
 
-    monkeypatch.setattr(census, "o_set", breaking)
-    broken = add_edges(member_from_mask(3, 0).graph, [("y1", "y2")])
+    monkeypatch.setattr(transform, "rewire", breaking)
+    broken = add_edges(target, [("y1", "y2")])
     assert classify(broken).in_class and classify(broken).height == 3
-    outcome = census._check_draw((3, 5, 0, False))
+    checked = _count_mask_checks(monkeypatch)
+    outcome = census._check_draw((3, 5, 76, False))
     assert outcome["summary"]["cm"]
     assert [(v["index"], v["check"], v["details"]) for v in outcome["violations"]] == [
         (5, "transform-preserves-class", {"subset": [2, 3]})
     ]
+    assert checked[-1] == broken.neighbours and len(checked) == 3
 
 
 def test_each_labeling_of_a_draw_builds_its_relations_once(monkeypatch):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cmgraphs.criteria import (
@@ -12,7 +14,8 @@ from cmgraphs.criteria import (
 )
 import cmgraphs.criteria as criteria
 import cmgraphs.pairing as pairing
-from cmgraphs.census import member_from_mask, optional_edges
+from cmgraphs.census import enumerate_class, member_from_mask, optional_edges
+from cmgraphs.cli import _labeling_for
 from cmgraphs.errors import PreconditionError, RouteDisagreementError
 from cmgraphs.graphs import (
     Graph,
@@ -20,12 +23,12 @@ from cmgraphs.graphs import (
     is_unmixed_bruteforce,
     pairs_graph,
 )
-from cmgraphs.graphio import parse_graph_file
+from cmgraphs.graphio import parse_graph, parse_graph_file
 from cmgraphs.pairing import make_labeling
-from cmgraphs.transform import b_graft, o_set
+from cmgraphs.transform import b_graft, index_subsets, o_set
 from cmgraphs.verdicts import Verdict
-from conftest import fixture_path, std_pairs
-from oracles import brute_minimal_covers
+from conftest import FIXTURES, fixture_path, perfbench_module, std_pairs
+from oracles import brute_minimal_covers, o_set_def, route_e_def
 
 
 def test_unmixed_structural_examples(ex31_pl):
@@ -92,6 +95,56 @@ def test_route_e_samples_above_the_subset_cap(ex31_pl, c4_pl, monkeypatch):
     deformed = is_unmixed_bruteforce(o_set(c4_pl, sampled.certificate["subset"]))
     assert deformed.value is False
     assert sampled.certificate["deformed"] == deformed.certificate
+
+
+def _route_e_labelings(monkeypatch):
+    """Every member with at most three pairs, then the labelings of the
+    benchmark's oracle_routes inputs for two seeds."""
+    members = [pl for n in (1, 2, 3) for pl in enumerate_class(n)]
+    perfbench_module("checks", monkeypatch)
+    inputs = perfbench_module("inputs", monkeypatch)
+    texts = {
+        item.text
+        for seed in (inputs.DEFAULT_SEED, 2)
+        for item in inputs.oracle_routes(seed, Path(FIXTURES))
+    }
+    return members, [_labeling_for(parse_graph(text)) for text in sorted(texts)]
+
+
+def test_route_e_skips_a_subset_whose_linked_pairs_it_checked(monkeypatch):
+    # a deformation depends only on the linked pairs of its subset, so the
+    # skip changes no verdict or certificate of the walk over every subset,
+    # exhaustive or sampled; brute force runs once per distinct deformation
+    # up to the first mixed one
+    members, inputs = _route_e_labelings(monkeypatch)
+    assert len(members) == 521 and len(inputs) > 20
+    calls, brute = [], criteria.is_unmixed_bruteforce
+
+    def counted(g):
+        calls.append(g)
+        return brute(g)
+
+    monkeypatch.setattr(criteria, "is_unmixed_bruteforce", counted)
+    skipped = 0
+    for pl in members + inputs:
+        calls.clear()
+        verdict = criteria._route_e(pl)
+        assert verdict == route_e_def(pl)
+        subsets = list(index_subsets(pl.n))
+        if verdict.value is False:
+            subsets = subsets[: subsets.index(tuple(verdict.certificate["subset"])) + 1]
+        distinct = {o_set_def(pl, t) for t in subsets}
+        assert len(calls) == len(set(calls)) == len(distinct)
+        skipped += len(subsets) - len(distinct)
+    assert skipped > 100
+
+    monkeypatch.setattr(criteria, "DEFORMATION_SUBSET_CAP", 0)
+    sampled = 0
+    for pl in members + inputs:
+        verdict = criteria._route_e(pl)
+        assert verdict == route_e_def(pl)
+        sampled += verdict.value is None
+    assert sampled > 20
 
 
 def test_cm_verdict_all_routes_true(ex31_pl):

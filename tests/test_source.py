@@ -128,3 +128,43 @@ def test_no_package_module_uses_cached_property():
         "Python 3.11: 1.1 µs a read against 0.38 µs for graphs.memoized, "
         "with about 8,600 first reads in one census_sample pass"
     )
+
+
+def _clears_bits(node):
+    """Whether `node` is `a & ~b` or `a &= ~b`."""
+    if isinstance(node, ast.BinOp):
+        op, right = node.op, node.right
+    elif isinstance(node, ast.AugAssign):
+        op, right = node.op, node.value
+    else:
+        return False
+    return (
+        isinstance(op, ast.BitAnd)
+        and isinstance(right, ast.UnaryOp)
+        and isinstance(right.op, ast.Invert)
+    )
+
+
+def _owners(node, owner=None):
+    """(innermost enclosing function name, node) for every node under
+    `node`; the owner is None at module level."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield inner, child
+        yield from _owners(child, inner)
+
+
+def test_a_pair_is_rewired_in_one_function():
+    # the deformations clear y_i and x_k on each other in
+    # `transform.rewire` only; `o_set`, the census sweep and route e
+    # reach the masks through it
+    package = pathlib.Path(ROOT, "src", "cmgraphs")
+    found = {
+        (name, owner)
+        for name in ("transform.py", "census.py", "criteria.py")
+        for owner, node in _owners(
+            ast.parse((package / name).read_text(encoding="utf-8"))
+        )
+        if _clears_bits(node)
+    }
+    assert found == {("transform.py", "rewire")}

@@ -7,15 +7,12 @@ import io
 import json
 import os
 import runpy
-import sys
-import types
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, ROOT
+from conftest import FIXTURES, PERFBENCH, perfbench_module
 
-PERFBENCH = os.path.join(ROOT, "perfbench")
 SPANS = os.path.join(PERFBENCH, "spans.py")
 LAYERS = os.path.join(PERFBENCH, "layers.json")
 
@@ -73,16 +70,6 @@ def test_the_traced_oracle_counts_the_faces_it_checks():
     assert tracer.counters["complexes.reisner_cm.faces"] == 27
 
 
-def _run_in_memory(name, monkeypatch):
-    """`perfbench/<name>.py` compiled in memory and bound as module `name`
-    for the test, so the benchmark's own imports by name find it and
-    nothing is written under perfbench/."""
-    module = types.ModuleType(name)
-    module.__dict__.update(runpy.run_path(os.path.join(PERFBENCH, f"{name}.py")))
-    monkeypatch.setitem(sys.modules, name, module)
-    return module
-
-
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_every_layer_metric_fires_on_one_pass_of_its_workload(
     workload, tmp_path, monkeypatch
@@ -92,9 +79,9 @@ def test_every_layer_metric_fires_on_one_pass_of_its_workload(
     # function, or stops calling it, leaves its metric at zero
     import cmgraphs.cli as cli  # imports every traced module
 
-    _run_in_memory("checks", monkeypatch)
-    inputs = _run_in_memory("inputs", monkeypatch)
-    spans = _run_in_memory("spans", monkeypatch)
+    perfbench_module("checks", monkeypatch)
+    inputs = perfbench_module("inputs", monkeypatch)
+    spans = perfbench_module("spans", monkeypatch)
     items = inputs.WORKLOADS[workload](inputs.DEFAULT_SEED, Path(FIXTURES))
     argvs = []
     for item in items:

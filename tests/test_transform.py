@@ -14,9 +14,11 @@ from cmgraphs.transform import (
     BGraftSpec,
     BipartiteBlock,
     b_graft,
+    deformations,
     index_subsets,
     o_set,
     restricted_o_full,
+    rewire,
 )
 from conftest import FIXTURES, fixture_path, std_pairs
 from oracles import o_set_def
@@ -124,6 +126,64 @@ def test_o_preserves_class_and_labeling_exhaustive_small():
                 assert validate_labeling(deformed) == []
 
 
+def _linked_both_ways():
+    # x1 x2 is already a cover edge and both links y1 x2 and y2 x1 exist,
+    # so every subset either keeps that edge or makes it a second time
+    both_ways = make_labeling(
+        add_edges(pairs_graph(2), [("x1", "x2"), ("x1", "y2"), ("x2", "y1")]),
+        std_pairs(2),
+    )
+    assert both_ways.relations.links == {1: {2}, 2: {1}}
+    return both_ways
+
+
+def test_the_deformation_lattice_is_o_set_on_every_subset(ex31_pl):
+    # each subset in order, with the neighbours of o_set and of the
+    # definition; subsets with the same linked pairs share one object,
+    # built at the first of them, which is those pairs themselves
+    members = [pl for n in (1, 2, 3) for pl in enumerate_class(n)]
+    members += enumerate_class(4, mode="sample", seed=14, count=300)
+    members += enumerate_class(5, mode="sample", seed=15, count=40)
+    members += [_linked_both_ways(), ex31_pl]
+    shared = 0
+    for pl in members:
+        links = pl.relations.links
+        walked = list(deformations(pl))
+        assert [t for t, _, _ in walked] == list(index_subsets(pl.n))
+        first = {}
+        for t, g, built in walked:
+            assert g.vertices == pl.graph.vertices
+            assert g.neighbours == o_set(pl, t).neighbours
+            assert g.neighbours == o_set_def(pl, t).neighbours
+            key = tuple(i for i in t if links[i])
+            if key in first:
+                assert g is first[key] and not built
+                shared += 1
+            else:
+                assert key == t and built is (t != ())
+                first[key] = g
+        assert first[()] is pl.graph
+        assert len({g.neighbours for g in first.values()}) == len(first)
+    assert shared > 2500
+    # pair 1 of Example 3.1 has no link
+    walked = {t: g for t, g, _ in deformations(ex31_pl)}
+    assert walked[(1,)] is ex31_pl.graph
+    assert walked[(1, 2)] is walked[(2,)] and walked[(1, 2, 3)] is walked[(2, 3)]
+
+
+def test_rewiring_a_deformation_composes_the_subsets():
+    # the lattice builds each graph from a smaller one; rewiring a pair
+    # that is already rewired changes nothing
+    members = [pl for n in (1, 2, 3) for pl in enumerate_class(n)]
+    members.append(_linked_both_ways())
+    for pl in members:
+        subsets = list(index_subsets(pl.n))
+        for s in subsets:
+            deformed = o_set(pl, s)
+            for t in subsets:
+                assert rewire(pl, deformed, t) == o_set(pl, set(s) | set(t))
+
+
 def _handed_over_view_is_the_definitions_view(pl):
     for t in index_subsets(pl.n):
         d = o_set(pl, t)
@@ -144,13 +204,7 @@ def test_o_set_hands_over_the_view_its_edges_give(ex31_pl, c4_pl, graft_spec):
             members.append(find_star_labeling(graph))
         except CmGraphsError:
             pass
-    # x1 x2 is already a cover edge and both links y1 x2 and y2 x1 exist,
-    # so every subset either keeps that edge or makes it a second time
-    both_ways = make_labeling(
-        add_edges(pairs_graph(2), [("x1", "x2"), ("x1", "y2"), ("x2", "y1")]),
-        std_pairs(2),
-    )
-    assert both_ways.relations.links == {1: {2}, 2: {1}}
+    both_ways = _linked_both_ways()
     assert o_set(both_ways, {1, 2}).edge_list() == [
         ("x1", "x2"), ("x1", "y1"), ("x2", "y2")
     ]
