@@ -23,7 +23,6 @@ stops above `criteria.DEFORMATION_SUBSET_CAP` pairs.
 """
 
 import functools
-import json
 import multiprocessing
 import random
 import time
@@ -51,6 +50,7 @@ from .pairing import (
     validate_labeling,
 )
 from .transform import deformations
+from .verdicts import indented_json
 
 EXHAUSTIVE_PAIR_CAP = 4
 
@@ -162,7 +162,7 @@ class CensusReport:
         }
 
     def canonical_json(self) -> str:
-        return json.dumps(self.canonical_dict(), indent=2, sort_keys=False)
+        return indented_json(self.canonical_dict())
 
     def histogram_csv(self) -> str:
         lines = ["type,count"]

@@ -42,6 +42,7 @@ from .pairing import (
     relabel_for_double_star,
 )
 from .transform import BGraftSpec, BipartiteBlock, b_graft, o_set
+from .verdicts import indented_json
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -133,7 +134,7 @@ def _analysis_document(path, routes: str, field) -> tuple[dict, int]:
 
 def _print_document(document: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(document, indent=2))
+        print(indented_json(document))
         return
     cls = document["class"]
     print(
@@ -186,7 +187,7 @@ def _cmd_classify(args) -> int:
     parsed = parse_graph_file(args.file)
     membership = classify(parsed.graph)
     if args.json:
-        print(json.dumps(membership.to_dict(), indent=2))
+        print(indented_json(membership.to_dict()))
     else:
         for k, v in membership.to_dict().items():
             print(f"{k}: {v}")
@@ -254,7 +255,7 @@ def _cmd_invariants(args) -> int:
         for monomial in report.socle_monomials:
             print(" ".join(monomial))
     else:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(indented_json(report.to_dict()))
     return EXIT_OK
 
 
@@ -292,7 +293,7 @@ def _cmd_census(args) -> int:
         raise
     payload = report.canonical_dict()
     payload["runtime_ms"] = report.runtime_ms
-    print(json.dumps(payload, indent=2))
+    print(indented_json(payload))
     return EXIT_OK
 
 
@@ -387,7 +388,7 @@ def main(argv=None) -> int:
     except RouteDisagreementError as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
         if exc.dump is not None:
-            print(json.dumps(exc.dump, indent=2), file=sys.stderr)
+            print(indented_json(exc.dump), file=sys.stderr)
         return EXIT_DISAGREEMENT
     except CmGraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -395,7 +396,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         argv = sys.argv[1:] if argv is None else list(argv)
-        print(json.dumps({"argv": argv}, indent=2), file=sys.stderr)
+        print(indented_json({"argv": argv}), file=sys.stderr)
         return EXIT_DISAGREEMENT
 
 

@@ -2,19 +2,30 @@
 graph, purity, strong connectedness, shellability, and exact reduced
 homology backing a Cohen-Macaulayness oracle.
 
-The oracle (`reisner_cm`) ranks each distinct link once, on bitmasks.
-Each link is first strongly collapsed (dominated vertices deleted,
-Barmak-Minian), so only a core with two or more vertices is eliminated.  `reduced_homology_ranks` stays unreduced,
-the reference for the oracle.
+Names stay at the boundary.  Each complex memoizes one bit order (its
+facets' vertices in sorted-name order, `bit_order`) and its facets as
+masks in that order (`facet_masks`), and routes b, c and f read them:
+strong connectedness indexes ridges by mask, the shelling search keeps
+its difference table and dead states as masks, `check_shelling` tests
+the definition on the masks with no table of the search's, and the
+homology oracle lists its faces as masks (`face_masks`).  Names are
+spelled only in certificates, shelling orders and `all_faces`.
+
+The oracle (`reisner_cm`) ranks each distinct link once.  Each link is
+first strongly collapsed (dominated vertices deleted, Barmak-Minian), so
+only a core with two or more vertices is eliminated.
+`reduced_homology_ranks` stays unreduced, the reference for the oracle.
 
 Dimension conventions: dim F = |F| - 1, so the empty face has dimension
 -1 and the complex whose only facet is the empty face has dimension -1.
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import CapacityError, InputFormatError, PreconditionError
-from .graphs import Graph, maximal_independent_sets
+from .graphs import Graph, bit_positions, maximal_independent_sets, memoized
 from .linalg import rank_mod_p, rank_rational
 from .verdicts import Verdict
 
@@ -30,7 +41,8 @@ class SimplicialComplex:
     @staticmethod
     def from_facets(faces, vertices=None) -> "SimplicialComplex":
         """Keep only the inclusion-maximal faces; vertices default to
-        their union.  Declared vertices must all appear in some facet."""
+        their union.  Declared vertices must all appear in some facet; a
+        name declared twice is kept once."""
         fs = {frozenset(f) for f in faces}
         facets = [f for f in fs if not any(f < g for g in fs)]
         facets.sort(key=lambda f: tuple(sorted(f)))
@@ -45,7 +57,7 @@ class SimplicialComplex:
                 raise InputFormatError(
                     f"declared vertices lie in no facet: {sorted(missing)}"
                 )
-        return SimplicialComplex(tuple(sorted(vertices)), tuple(facets))
+        return SimplicialComplex(tuple(sorted(set(vertices))), tuple(facets))
 
     @property
     def dim(self) -> int:
@@ -55,6 +67,41 @@ class SimplicialComplex:
 
     def facet_lists(self) -> list[list[str]]:
         return [sorted(f) for f in self.facets]
+
+    # The memo below lives in the instance `__dict__` (`graphs.memoized`):
+    # equality, hashing and repr see the two fields only, and pickling
+    # sends them alone.
+
+    @memoized
+    def bit_order(self) -> Mapping[str, int]:
+        """Read-only map from each vertex of the facets to its bit, in
+        sorted-name order, so a mask's bits read upward are its names
+        in sorted order."""
+        return MappingProxyType(_bit_order(self.facets))
+
+    @memoized
+    def facet_masks(self) -> tuple[int, ...]:
+        """The facets as masks over `bit_order`, in `facets` order."""
+        bits = self.bit_order
+        return tuple(_mask(f, bits) for f in self.facets)
+
+    @memoized
+    def face_masks(self) -> tuple[int, ...]:
+        """Every face as a mask, in `all_faces` order: by size, then by
+        sorted names.  Of two masks of one size the first holds the
+        lowest bit in which they differ, so a sort of the masks' binary
+        strings read lowest bit first, descending, gives the name order."""
+        width = f"0{len(self.bit_order)}b"
+        masks = sorted(
+            _submask_closure(self.facet_masks),
+            key=lambda s: format(s, width)[::-1],
+            reverse=True,
+        )
+        masks.sort(key=int.bit_count)
+        return tuple(masks)
+
+    def __reduce__(self):
+        return SimplicialComplex, (self.vertices, self.facets)
 
 
 def complementary_complex(g: Graph) -> SimplicialComplex:
@@ -85,32 +132,46 @@ def is_strongly_connected(c: SimplicialComplex) -> Verdict:
     lexicographically first and last facets, or the component partition.
 
     Two facets are adjacent when they share a ridge (a facet minus one
-    vertex); a breadth-first search from each unvisited facet in index
-    order, visiting neighbours in ascending index order, yields the
-    components and, from facet 0, the chain.
+    vertex).  On the complex's facet masks each ridge `f ^ bit` maps to
+    the mask of the indices of the facets that hold it, so a facet's
+    neighbours are one mask of indices.  A breadth-first search from
+    each unvisited facet in index order, visiting neighbours in
+    ascending index order, yields the components and, from facet 0, the
+    chain.
     """
     _require_pure(c, "strong connectedness")
     m = len(c.facets)
     if m <= 1:
         chain = [sorted(f) for f in c.facets]
         return Verdict(True, "facet-chain", {"chain": chain})
-    ridges: dict[frozenset[str], list[int]] = {}
-    for i, f in enumerate(c.facets):
-        for v in f:
-            ridges.setdefault(f - {v}, []).append(i)
-    parent: dict[int, int | None] = {}
+    masks = c.facet_masks
+    ridges: dict[int, int] = {}
+    for i, f in enumerate(masks):
+        index, rest = 1 << i, f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ridges[f ^ low] = ridges.get(f ^ low, 0) | index
+    parent: list[int | None] = [None] * m
+    seen = 0
     components = []
     for root in range(m):
-        if root in parent:
+        if seen >> root & 1:
             continue
-        parent[root] = None
+        seen |= 1 << root
         queue = [root]
         for i in queue:  # the queue grows while it is walked
-            f = c.facets[i]
-            for j in sorted({k for v in f for k in ridges[f - {v}]} - {i}):
-                if j not in parent:
-                    parent[j] = i
-                    queue.append(j)
+            f = rest = masks[i]
+            near = 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                near |= ridges[f ^ low]
+            near &= ~seen
+            seen |= near
+            for j in bit_positions(near):
+                parent[j] = i
+                queue.append(j)
         components.append(sorted(queue))
     if len(components) > 1:
         return Verdict(
@@ -135,9 +196,13 @@ def find_shelling(c: SimplicialComplex) -> list[frozenset[str]] | None:
     """Backtracking search for a shelling order of a pure complex.
 
     Returns the first order found (deterministic) or None once the search
-    space is exhausted, which proves there is none.  Subsets of already
-    placed facets are memoized as dead states, so exhaustion does not
-    revisit permutations.  More facets than the cap is a capacity error.
+    space is exhausted, which proves there is none.  It runs on the
+    complex's facet masks: the differences F_i - F_j are masks, a facet
+    attaches when the OR of its single-vertex differences to the placed
+    facets meets its difference to each of them, and the sets of placed
+    facets are index masks, memoized as dead states so exhaustion does
+    not revisit permutations.  More facets than the cap is a capacity
+    error.
     """
     _require_pure(c, "shelling")
     facets = list(c.facets)
@@ -148,55 +213,59 @@ def find_shelling(c: SimplicialComplex) -> list[frozenset[str]] | None:
         )
     if m <= 1:
         return facets
-    diff = [[fi - fj for fj in facets] for fi in facets]
-    single = [
-        [next(iter(d)) if len(d) == 1 else None for d in row] for row in diff
-    ]
-    dead: set[frozenset[int]] = set()
+    masks = c.facet_masks
+    diff = [[fi & ~fj for fj in masks] for fi in masks]
+    single = [[d if d & (d - 1) == 0 else 0 for d in row] for row in diff]
+    dead: set[int] = set()
 
     def attachable(i: int, placed: list[int]) -> bool:
-        glue = {single[i][k] for k in placed if single[i][k] is not None}
+        glue, ones = 0, single[i]
+        for k in placed:
+            glue |= ones[k]
         if not glue:
             return False
-        return all(glue & diff[i][j] for j in placed)
+        row = diff[i]
+        return all(glue & row[j] for j in placed)
 
     order: list[int] = []
 
-    def search(placed_set: frozenset[int]) -> bool:
+    def search(placed: int) -> bool:
         if len(order) == m:
             return True
-        if placed_set in dead:
+        if placed in dead:
             return False
         for i in range(m):
-            if i in placed_set:
+            if placed >> i & 1:
                 continue
             if order and not attachable(i, order):
                 continue
             order.append(i)
-            if search(placed_set | {i}):
+            if search(placed | 1 << i):
                 return True
             order.pop()
-        dead.add(placed_set)
+        dead.add(placed)
         return False
 
-    if search(frozenset()):
+    if search(0):
         return [facets[i] for i in order]
     return None
 
 
 def check_shelling(c: SimplicialComplex, order) -> bool:
     """Independent validation of a shelling order, straight from the
-    definition (no incremental bookkeeping shared with the search)."""
+    definition: for every i and every j < i, some v in F_i - F_j has
+    F_i - F_k = {v} for some k < i.  It reads the complex's facet masks
+    and shares no table or bookkeeping with the search."""
     facets = [frozenset(f) for f in order]
     if sorted(facets, key=lambda f: tuple(sorted(f))) != list(c.facets):
         return False
-    for i in range(1, len(facets)):
+    mask = dict(zip(c.facets, c.facet_masks))
+    masks = [mask[f] for f in facets]
+    for i in range(1, len(masks)):
+        fi = masks[i]
+        drops = {fi & ~masks[k] for k in range(i)}  # F_i - F_k, k < i
         for j in range(i):
-            ok = any(
-                any(facets[i] - facets[k] == {v} for k in range(i))
-                for v in facets[i] - facets[j]
-            )
-            if not ok:
+            if not any(1 << v in drops for v in bit_positions(fi & ~masks[j])):
                 return False
     return True
 
@@ -219,8 +288,8 @@ def _bit_order(faces) -> dict[str, int]:
     return {v: 1 << i for i, v in enumerate(sorted(set().union(*faces)))}
 
 
-def _mask(face, bits: dict[str, int]) -> int:
-    return sum(bits[v] for v in face)
+def _mask(face, bits: Mapping[str, int]) -> int:
+    return sum(map(bits.__getitem__, face))
 
 
 def _submask_closure(generators) -> set[int]:
@@ -245,19 +314,23 @@ def _submask_closure(generators) -> set[int]:
 
 def all_faces(c: SimplicialComplex) -> list[frozenset[str]]:
     """Every face, from the empty set up, deduplicated across facets and
-    sorted by (dimension, vertex names)."""
-    bits = _bit_order(c.facets)
-    vertices = list(bits)
-    spelled = []  # each face's names, read off its bits upward: sorted
-    for s in _submask_closure(_mask(f, bits) for f in c.facets):
-        names = []
-        while s:
+    sorted by (dimension, vertex names): the complex's `face_masks`,
+    spelled.  The face cap is read on each call, so a listing memoized
+    under a larger cap raises too."""
+    masks = c.face_masks
+    if len(masks) > HOMOLOGY_FACE_CAP:
+        raise CapacityError(
+            f"face count exceeds the homology bound {HOMOLOGY_FACE_CAP}"
+        )
+    # a face is spelled as its mask less the lowest bit, a smaller face
+    # spelled before it, joined with that bit's name
+    spelled = {0: frozenset()}
+    names = {1 << i: frozenset([v]) for i, v in enumerate(c.bit_order)}
+    for s in masks:
+        if s:
             low = s & -s
-            names.append(vertices[low.bit_length() - 1])
-            s ^= low
-        spelled.append(tuple(names))
-    spelled.sort(key=lambda t: (len(t), t))
-    return [frozenset(t) for t in spelled]
+            spelled[s] = spelled[s ^ low] | names[low]
+    return [spelled[s] for s in masks]
 
 
 def _betti(faces: set[int], field) -> list[int]:
@@ -361,7 +434,8 @@ def reisner_cm(c: SimplicialComplex, field=2) -> Verdict:
     """Cohen-Macaulayness oracle: every face's link must have vanishing
     reduced homology strictly below the link's own dimension.
 
-    Faces and facets are bitmasks over the vertices.  The link of F is
+    Faces and facets are the complex's masks (`face_masks`,
+    `facet_masks`), listed through `all_faces`.  The link of F is
     generated by the masks G & ~F over the facets G containing F;
     homology is computed once per distinct link (`_link_betti`), and a
     link that strongly collapses to a point, a cone among them, is
@@ -370,11 +444,9 @@ def reisner_cm(c: SimplicialComplex, field=2) -> Verdict:
     """
     label = field_label(field)
     face_list = all_faces(c)
-    bits = _bit_order(c.facets)
-    facets = [_mask(g, bits) for g in c.facets]
+    facets = c.facet_masks
     link_betti: dict[frozenset[int], list[int]] = {}
-    for f in face_list:
-        fm = _mask(f, bits)
+    for f, fm in zip(face_list, c.face_masks):
         link = frozenset(g & ~fm for g in facets if g & fm == fm)
         betti = link_betti.get(link)
         if betti is None:

@@ -1,3 +1,4 @@
+import json
 import os
 import runpy
 import sys
@@ -7,10 +8,13 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import cmgraphs.census as census
+import cmgraphs.cli as cli
 from cmgraphs.graphio import parse_graph_file
 from cmgraphs.graphs import memoized
 from cmgraphs.pairing import find_star_labeling
 from cmgraphs.transform import BGraftSpec, BipartiteBlock
+from cmgraphs.verdicts import indented_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "fixtures")
@@ -59,6 +63,22 @@ def perfbench_module(name, monkeypatch):
     module.__dict__.update(runpy.run_path(os.path.join(PERFBENCH, f"{name}.py")))
     monkeypatch.setitem(sys.modules, name, module)
     return module
+
+
+def written_as_json_dumps(value):
+    """`indented_json(value)`, checked against `json.dumps(value,
+    indent=2)`."""
+    text = indented_json(value)
+    assert text == json.dumps(value, indent=2)
+    return text
+
+
+@pytest.fixture(autouse=True)
+def documents_match_json_dumps(monkeypatch):
+    """Every document a test writes through the command line or a census
+    report is checked against `json.dumps(indent=2)`."""
+    for module in (cli, census):
+        monkeypatch.setattr(module, "indented_json", written_as_json_dumps)
 
 
 def fixture_path(name):

@@ -12,7 +12,9 @@ pair by pair with `has_edge`, as the package did before a labeling
 memoized them, the labeling validator on adjacency name sets, every
 labeling by a matching search of its own per minimum cover, the
 recursive perfect-matching backtracker and lexicographic matcher, and
-route e's walk that deforms and checks every subset it is given.
+route e's walk that deforms and checks every subset it is given.  The
+`*_named` references keep routes b and c as they ran on named frozensets
+before the complex kept its facets as masks.
 """
 
 import itertools
@@ -21,7 +23,8 @@ from collections import deque
 from fractions import Fraction
 
 import cmgraphs.criteria as criteria
-from cmgraphs.errors import PreconditionError
+from cmgraphs.complexes import SHELLING_FACET_CAP
+from cmgraphs.errors import CapacityError, PreconditionError
 from cmgraphs.graphs import (
     Graph,
     adjacency,
@@ -287,6 +290,127 @@ def is_strongly_connected_def(c):
     return Verdict(
         True, "facet-chain", {"chain": [sorted(c.facets[i]) for i in path]}
     )
+
+
+def _require_pure_named(c, op):
+    sizes = sorted(len(f) for f in c.facets)
+    if len(set(sizes)) > 1:
+        raise PreconditionError(
+            f"{op} is defined for pure complexes only",
+            witness={"facet_sizes": sizes},
+        )
+
+
+def is_strongly_connected_named(c):
+    """Strong connectivity with ridges as named frozensets: each ridge
+    f - {v} lists the facets that hold it, and a breadth-first search from
+    each unvisited facet visits neighbours in ascending index order."""
+    _require_pure_named(c, "strong connectedness")
+    m = len(c.facets)
+    if m <= 1:
+        chain = [sorted(f) for f in c.facets]
+        return Verdict(True, "facet-chain", {"chain": chain})
+    ridges = {}
+    for i, f in enumerate(c.facets):
+        for v in f:
+            ridges.setdefault(f - {v}, []).append(i)
+    parent = {}
+    components = []
+    for root in range(m):
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for i in queue:
+            f = c.facets[i]
+            for j in sorted({k for v in f for k in ridges[f - {v}]} - {i}):
+                if j not in parent:
+                    parent[j] = i
+                    queue.append(j)
+        components.append(sorted(queue))
+    if len(components) > 1:
+        return Verdict(
+            False,
+            "facet-chain",
+            {
+                "components": [
+                    [sorted(c.facets[i]) for i in comp] for comp in components
+                ]
+            },
+        )
+    path = [m - 1]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return Verdict(
+        True, "facet-chain", {"chain": [sorted(c.facets[i]) for i in path]}
+    )
+
+
+def find_shelling_named(c):
+    """The backtracking shelling search on named frozensets: a table of
+    differences F_i - F_j, the single-vertex ones as names, and dead
+    states keyed by the frozenset of placed indices."""
+    _require_pure_named(c, "shelling")
+    facets = list(c.facets)
+    m = len(facets)
+    if m > SHELLING_FACET_CAP:
+        raise CapacityError(
+            f"{m} facets exceed the shelling search bound {SHELLING_FACET_CAP}"
+        )
+    if m <= 1:
+        return facets
+    diff = [[fi - fj for fj in facets] for fi in facets]
+    single = [
+        [next(iter(d)) if len(d) == 1 else None for d in row] for row in diff
+    ]
+    dead = set()
+
+    def attachable(i, placed):
+        glue = {single[i][k] for k in placed if single[i][k] is not None}
+        if not glue:
+            return False
+        return all(glue & diff[i][j] for j in placed)
+
+    order = []
+
+    def search(placed_set):
+        if len(order) == m:
+            return True
+        if placed_set in dead:
+            return False
+        for i in range(m):
+            if i in placed_set:
+                continue
+            if order and not attachable(i, order):
+                continue
+            order.append(i)
+            if search(placed_set | {i}):
+                return True
+            order.pop()
+        dead.add(placed_set)
+        return False
+
+    if search(frozenset()):
+        return [facets[i] for i in order]
+    return None
+
+
+def check_shelling_named(c, order):
+    """A shelling order by the definition on named frozensets: for every
+    i and j < i, some v in F_i - F_j has F_i - F_k = {v} for some k < i."""
+    facets = [frozenset(f) for f in order]
+    if sorted(facets, key=lambda f: tuple(sorted(f))) != list(c.facets):
+        return False
+    for i in range(1, len(facets)):
+        for j in range(i):
+            ok = any(
+                any(facets[i] - facets[k] == {v} for k in range(i))
+                for v in facets[i] - facets[j]
+            )
+            if not ok:
+                return False
+    return True
 
 
 def structural_scan_def(pl):

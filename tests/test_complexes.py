@@ -1,6 +1,9 @@
 import itertools
 import json
+import pickle
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from cmgraphs.complexes import (
     reisner_cm,
 )
 from cmgraphs.errors import CapacityError, InputFormatError, PreconditionError
+from cmgraphs.graphio import parse_graph, parse_graph_file
 from cmgraphs.graphs import (
     Graph,
     maximal_independent_sets,
@@ -26,8 +30,14 @@ from cmgraphs.graphs import (
     pairs_graph,
 )
 from cmgraphs.verdicts import Verdict
-from conftest import RP2_FACETS
-from oracles import brute_maximal_independents, is_strongly_connected_def
+from conftest import FIXTURES, RP2_FACETS, perfbench_module
+from oracles import (
+    brute_maximal_independents,
+    check_shelling_named,
+    find_shelling_named,
+    is_strongly_connected_def,
+    is_strongly_connected_named,
+)
 
 
 def _random_graphs(rng, count):
@@ -46,6 +56,38 @@ def test_from_facets_keeps_maximal_only():
     assert c.facet_lists() == [["a", "b"], ["b", "c"]]
     with pytest.raises(InputFormatError):
         SimplicialComplex.from_facets([{"a"}], vertices=["a", "b"])
+
+
+def test_from_facets_keeps_a_repeated_declared_vertex_once():
+    # as `Graph.build` does, so the complex's one bit order sees each
+    # name once
+    c = SimplicialComplex.from_facets(
+        [("a", "b"), ("b", "c")], vertices=["a", "b", "c", "a"]
+    )
+    assert c.vertices == ("a", "b", "c")
+    assert c == SimplicialComplex.from_facets([("a", "b"), ("b", "c")])
+
+
+def test_a_complex_memoizes_one_bit_order_outside_its_fields():
+    # the bit order and the masks are computed once per complex, and
+    # equality, hashing, repr and pickling see the two fields alone
+    c = SimplicialComplex.from_facets([("b", "c"), ("a", "b"), ("c", "d")])
+    fresh = SimplicialComplex(c.vertices, c.facets)
+    assert dict(c.bit_order) == {"a": 1, "b": 2, "c": 4, "d": 8}
+    assert c.facet_masks == (0b0011, 0b0110, 0b1100)
+    assert c.face_masks == (0, 1, 2, 4, 8, 0b0011, 0b0110, 0b1100)
+    assert c.facet_masks is c.facet_masks
+    assert c.bit_order is c.bit_order
+    with pytest.raises(TypeError):
+        c.bit_order["e"] = 16
+    assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+    assert pickle.dumps(c) == pickle.dumps(fresh)
+    restored = pickle.loads(pickle.dumps(c))
+    assert restored == c and "facet_masks" not in vars(restored)
+    assert all_faces(c) == [
+        frozenset(n for n, bit in c.bit_order.items() if s & bit)
+        for s in c.face_masks
+    ]
 
 
 def test_complementary_complex_examples(c4, ex31):
@@ -127,7 +169,45 @@ def test_strong_connectivity(c4, ex31):
         is_strongly_connected(complementary_complex(path))
 
 
-def test_strong_connectivity_matches_facet_pair_reference():
+def _route_inputs(monkeypatch):
+    """The complexes of every member with at most three pairs, of the
+    fixtures and of the benchmark's oracle_routes inputs for seeds 1-3,
+    then seeded `from_facets` complexes that are not flag, pure or not."""
+    members = {
+        complementary_complex(pl.graph) for n in (1, 2, 3) for pl in enumerate_class(n)
+    }
+    cases = sorted(members, key=lambda c: (c.vertices, c.facet_lists()))
+    graphs = [
+        parse_graph_file(path).graph for path in sorted(Path(FIXTURES).glob("*.graph"))
+    ]
+    perfbench_module("checks", monkeypatch)
+    inputs = perfbench_module("inputs", monkeypatch)
+    texts = {
+        item.text
+        for seed in (1, 2, 3)
+        for item in inputs.oracle_routes(seed, Path(FIXTURES))
+    }
+    graphs += [parse_graph(text).graph for text in sorted(texts)]
+    cases += [complementary_complex(g) for g in graphs]
+    rng = random.Random(61)
+    verts = ["a", "b", "c", "d", "e", "f", "g"]
+    non_flag = []
+    while len(non_flag) < 120:
+        sizes = [rng.choice([2, 3])] if rng.random() < 0.6 else [2, 3, 3, 4]
+        facets = [
+            rng.sample(verts, rng.choice(sizes)) for _ in range(rng.randint(2, 8))
+        ]
+        c = SimplicialComplex.from_facets(facets)
+        if not _is_flag(c):
+            non_flag.append(c)
+    return cases + non_flag
+
+
+def test_strong_connectivity_matches_facet_pair_reference(monkeypatch):
+    # the mask route against the facet-pair reference and the named route
+    # it replaced: random graphs and complexes, every member with at most
+    # three pairs, the fixtures, the oracle_routes inputs and non-flag
+    # complexes; a non-pure complex raises the same error from all three
     rng = random.Random(47)
     verts = [f"v{i}" for i in range(7)]
     cases = [complementary_complex(g) for g in _random_graphs(rng, 300)]
@@ -137,20 +217,26 @@ def test_strong_connectivity_matches_facet_pair_reference():
             frozenset(rng.sample(verts, size)) for _ in range(rng.randint(1, 9))
         }
         cases.append(SimplicialComplex.from_facets(facets))
-    values = []
+    cases += _route_inputs(monkeypatch)
+    values, impure = [], 0
     for c in cases:
         try:
             want = is_strongly_connected_def(c)
         except PreconditionError as exc:
-            with pytest.raises(PreconditionError) as got:
-                is_strongly_connected(c)
-            assert str(got.value) == str(exc)
-            assert got.value.witness == exc.witness
+            for route in (is_strongly_connected, is_strongly_connected_named):
+                with pytest.raises(PreconditionError) as got:
+                    route(c)
+                assert str(got.value) == str(exc)
+                assert got.value.witness == exc.witness
+            impure += 1
             continue
+        want = json.dumps(want.to_dict())
+        assert json.dumps(is_strongly_connected_named(c).to_dict()) == want
         got = is_strongly_connected(c)
-        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert json.dumps(got.to_dict()) == want
         values.append(got.value)
     assert values.count(True) > 100 and values.count(False) > 50
+    assert impure > 100
 
 
 def test_find_shelling(ex31, c4):
@@ -215,10 +301,10 @@ def test_shelling_search_matches_permutation_bruteforce():
             continue
         checked += 1
         found = find_shelling(c)
-        brute = any(
-            check_shelling(c, list(p))
-            for p in itertools.permutations(c.facets)
-        )
+        orders = [list(p) for p in itertools.permutations(c.facets)]
+        valid = [check_shelling(c, order) for order in orders]
+        assert valid == [check_shelling_named(c, order) for order in orders]
+        brute = any(valid)
         assert (found is not None) == brute
         if found is not None:
             assert check_shelling(c, found)
@@ -226,6 +312,40 @@ def test_shelling_search_matches_permutation_bruteforce():
             assert reisner_cm(c, "Q").value is True
             assert is_strongly_connected(c).value is True
     assert checked > 60
+
+
+def test_shelling_matches_the_named_reference(monkeypatch):
+    # the mask search finds the named search's order, or proves there is
+    # none, or raises its error, on every route input; the mask validator
+    # agrees with the named one on the found order and on seeded
+    # permutations and a short order of each complex with at most 8 facets
+    rng = random.Random(73)
+    outcomes, checks = Counter(), Counter()
+    big = complementary_complex(pairs_graph(5))  # 32 facets
+    for c in _route_inputs(monkeypatch) + [big]:
+        try:
+            want = find_shelling_named(c)
+        except (PreconditionError, CapacityError) as exc:
+            with pytest.raises(type(exc)) as got:
+                find_shelling(c)
+            assert str(got.value) == str(exc)
+            assert getattr(got.value, "witness", None) == getattr(exc, "witness", None)
+            outcomes[type(exc).__name__] += 1
+            continue
+        got = find_shelling(c)
+        assert got == want
+        outcomes[got is not None] += 1
+        orders = [] if want is None else [want]
+        if len(c.facets) <= 8:
+            orders += [rng.sample(c.facets, len(c.facets)) for _ in range(8)]
+            orders.append(list(c.facets)[1:])
+        for order in orders:
+            valid = check_shelling(c, order)
+            assert valid == check_shelling_named(c, order)
+            checks[valid] += 1
+    assert outcomes[True] > 80 and outcomes[False] > 50
+    assert outcomes["PreconditionError"] > 400 and outcomes["CapacityError"] == 1
+    assert checks[True] > 300 and checks[False] > 800
 
 
 def test_homology_known_complexes():

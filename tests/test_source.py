@@ -168,3 +168,36 @@ def test_a_pair_is_rewired_in_one_function():
         if _clears_bits(node)
     }
     assert found == {("transform.py", "rewire")}
+
+
+def test_only_the_complex_memo_and_the_unreduced_reference_derive_a_bit_order():
+    # routes b, c and f read the complex's one memoized bit order; the
+    # unreduced homology reference keeps its own over any face list
+    owners = set(_call_sites("_bit_order"))
+    assert owners == {
+        ("complexes.py", "bit_order"),
+        ("complexes.py", "_ranks_from_faces"),
+    }
+
+
+def test_indented_json_is_written_in_one_place():
+    # `json.dumps(indent=2)` falls back to the pure-Python encoder; every
+    # indented document goes through `verdicts.indented_json`
+    package = pathlib.Path(ROOT, "src", "cmgraphs")
+    writer = next(
+        node
+        for node in ast.walk(ast.parse((package / "verdicts.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "indented_json"
+    )
+    found = [
+        (path.name, number)
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "indent=2" in line
+    ]
+    assert found
+    assert [
+        (name, number)
+        for name, number in found
+        if name != "verdicts.py" or not writer.lineno <= number <= writer.end_lineno
+    ] == []
