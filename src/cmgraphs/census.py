@@ -72,9 +72,9 @@ def optional_edges(n: int) -> tuple[tuple[str, str], ...]:
 
 @functools.cache
 def _bare_member(n: int):
-    """The bare matching's labeling for a pair count, and the bit
-    positions of each candidate edge's ends in its graph; built once per
-    pair count."""
+    """The bare matching's labeling for a pair count, whose `position`
+    and `bits` every draw shares, and the bit positions of each candidate
+    edge's ends in its graph; built once per pair count."""
     bare = pairs_graph(n)
     position = bare.position
     ends = tuple((position[a], position[b]) for a, b in optional_edges(n))
@@ -86,14 +86,20 @@ def member_from_mask(n: int, mask: int) -> PairedLabeling:
     """The labeled member whose extra edges are the candidates at the set
     bits of `mask`; bits above the candidate count are ignored.  Its graph
     is built from the bare matching's neighbour masks, with one bit pair
-    set per set bit of the draw."""
+    set per set bit of the draw.  Every draw of a pair count has the bare
+    matching's names and pairs, so the graph's `position` and the
+    labeling's `bits` are the bare member's, shared, not rebuilt."""
     bare, ends = _bare_member(n)
     neighbours = list(bare.graph.neighbours)
     for b in bit_positions(mask & ((1 << len(ends)) - 1)):
         i, j = ends[b]
         neighbours[i] |= 1 << j
         neighbours[j] |= 1 << i
-    return PairedLabeling(Graph(bare.graph.vertices, tuple(neighbours)), bare.pairs)
+    graph = Graph(bare.graph.vertices, tuple(neighbours))
+    vars(graph)["position"] = bare.graph.position
+    pl = PairedLabeling(graph, bare.pairs)
+    vars(pl)["bits"] = bare.bits
+    return pl
 
 
 def _masks(n: int, mode: str, seed, count):

@@ -2,7 +2,9 @@
 graph, purity, strong connectedness, shellability, and exact reduced
 homology backing a Cohen-Macaulayness oracle.
 
-Names stay at the boundary.  Each complex memoizes one bit order (its
+Names stay at the boundary.  A graph's complex is built once and kept
+on the graph (`complementary_complex`), so routes b, c and f read one
+object.  Each complex memoizes one bit order (its
 facets' vertices in sorted-name order, `bit_order`) and its facets as
 masks in that order (`facet_masks`), and routes b, c and f read them:
 strong connectedness indexes ridges by mask, the shelling search keeps
@@ -107,8 +109,13 @@ class SimplicialComplex:
 def complementary_complex(g: Graph) -> SimplicialComplex:
     """The complex whose faces are the independent sets of the graph;
     its facets are the maximal independent sets, which are already
-    incomparable, sorted, and cover every vertex."""
-    return SimplicialComplex(g.vertices, maximal_independent_sets(g))
+    incomparable, sorted, and cover every vertex.  It is built once per
+    graph and kept in the graph's instance `__dict__`, beside the
+    graph's own memos, so routes b, c and f share one complex and its
+    masks; equality, hashing, repr and pickling do not see it."""
+    if "complex" not in vars(g):
+        vars(g)["complex"] = SimplicialComplex(g.vertices, maximal_independent_sets(g))
+    return vars(g)["complex"]
 
 
 def is_pure(c: SimplicialComplex) -> Verdict:

@@ -37,11 +37,13 @@ walking any mask bit by bit.
 
 The minimal vertex covers are the complements of those sets;
 complementing flips the lowest differing bit, so the covers' order is
-the sets' order reversed.  So a cover's size is |V| minus its set's, and
-the callers that need only sizes or the first cover of some size
-(brute-force unmixedness, the labeling's X, the cover-shape check) read
-the sets and name just the covers they report.  `minimal_vertex_covers`
-names every cover, for callers that read covers by name.
+the sets' order reversed.  So a cover's size is |V| minus its set's.
+Brute-force unmixedness reads the sizes as popcounts of the masks, so an
+unmixed graph has no set named; a mixed one names the sets to report its
+two witnesses.  The callers that need the first cover of some size (the
+labeling's X, the cover-shape check) read the named sets and name just
+the covers they report.  `minimal_vertex_covers` names every cover, for
+callers that read covers by name.
 """
 
 from dataclasses import asdict, dataclass
@@ -412,15 +414,16 @@ def is_unmixed_bruteforce(g: Graph) -> Verdict:
     verdict adds the first cover of the smallest size and the last of the
     largest, in the covers' order (by sorted names).  The covers are the
     complements of the maximal independent sets, in reverse order, so
-    the sizes are read off the sets and only the two witnesses are
-    named: the complement of the last largest set and that of the first
+    the sizes are popcounts of the sets' masks, and an unmixed graph has
+    no set named.  A mixed one names its sets to take the two witnesses:
+    the complement of the last largest set and that of the first
     smallest one.
     """
-    sets = maximal_independent_sets(g)
     k = len(g.vertices)
-    sizes = sorted(k - len(s) for s in sets)
+    sizes = sorted(k - m.bit_count() for m in g._independent_masks)
     if sizes[0] == sizes[-1]:
         return Verdict(True, "cover-sizes", {"cover_sizes": sizes})
+    sets = maximal_independent_sets(g)
     largest = next(s for s in reversed(sets) if len(s) == k - sizes[0])
     smallest = next(s for s in sets if len(s) == k - sizes[-1])
     verts = frozenset(g.vertices)

@@ -19,7 +19,7 @@ from cmgraphs.census import (
 from cmgraphs.cli import main
 from cmgraphs.errors import CapacityError, CmGraphsError
 from cmgraphs.graphs import Graph, add_edges, classify, remove_edges
-from cmgraphs.pairing import validate_labeling
+from cmgraphs.pairing import PairedLabeling, validate_labeling
 from cmgraphs.transform import index_subsets, o_set
 from cmgraphs.verdicts import Verdict
 from conftest import count_builds, std_pairs
@@ -237,6 +237,25 @@ def test_mask_bits_above_the_candidates_are_ignored():
             high = member_from_mask(n, mask | rng.getrandbits(40) << width)
             member = member_from_mask(n, mask)
             assert high == member
+
+
+def test_draws_of_one_pair_count_share_the_bare_members_records():
+    # every draw has the bare matching's names and pairs, so its graph's
+    # position map and its labeling's bits are the bare member's, equal
+    # to the records a fresh labeling of the same graph builds
+    rng = random.Random(4369)
+    for n in (1, 2, 3, 4, 11):
+        width = len(optional_edges(n))
+        bare = member_from_mask(n, 0)
+        for _ in range(20):
+            pl = member_from_mask(n, rng.getrandbits(width) if width else 0)
+            g = pl.graph
+            fresh = PairedLabeling(Graph(g.vertices, g.neighbours), pl.pairs)
+            assert pl.bits == fresh.bits
+            assert dict(g.position) == dict(fresh.graph.position)
+            assert pl.bits is bare.bits and g.position is bare.graph.position
+            restored = pickle.loads(pickle.dumps(pl))
+            assert restored == pl and "bits" not in vars(restored)
 
 
 def test_cross_validate_exhaustive_counts():

@@ -526,6 +526,30 @@ def test_check_output_is_the_same_under_python_O(name):
     assert run("-O") == plain
 
 
+def test_check_of_pairs_18_fits_in_160_mb(tmp_path):
+    # the 2**18 cover sizes are popcounts of masks, and no set is named:
+    # naming them ends in MemoryError under this limit.  The limit is set
+    # in the child only, between fork and exec.
+    resource = pytest.importorskip("resource")
+    limit = 160 * 2**20
+    path = tmp_path / "pairs.graph"
+    path.write_text("pairs 18\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
+    )
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "cmgraphs", "check", str(path), "--json"],
+        env=env, capture_output=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert done.returncode == 0, done.stderr.decode()[-500:]
+    assert len(done.stdout) == 3_148_183
+
+
 def test_check_enumerates_the_input_graph_once(capsys, monkeypatch, tmp_path):
     n = 6
     path = tmp_path / "whiskered.graph"

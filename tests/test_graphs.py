@@ -524,6 +524,34 @@ def test_unmixedness_and_the_labeling_read_sizes_without_naming_covers():
         assert "_minimal_vertex_covers" not in vars(g)
 
 
+def test_an_unmixed_graph_has_no_maximal_independent_set_named():
+    # the cover sizes are popcounts of the Bron-Kerbosch masks; only a
+    # mixed graph names its sets, to take the two witnesses
+    members = [g for g in _class_population(3) if classify(g).in_class]
+    unmixed = mixed = 0
+    for g in members:
+        verdict = is_unmixed_bruteforce(g)
+        named = "_maximal_independent_sets" in vars(g)
+        assert named == (not verdict.value)
+        unmixed += verdict.value
+        mixed += not verdict.value
+    assert unmixed > 0 and mixed > 0
+    for g in (pairs_graph(11), _whiskered_path(15), _chain(34)):
+        assert is_unmixed_bruteforce(g).value is True
+        assert "_independent_masks" in vars(g)
+        assert "_maximal_independent_sets" not in vars(g)
+
+
+def test_cover_sizes_are_the_complements_of_the_named_sets():
+    rng = random.Random(20091026)
+    graphs = _named_random_graphs(rng, 200) + _disconnected_cases(rng)
+    for g in graphs:
+        k = len(g.vertices)
+        sizes = is_unmixed_bruteforce(g).certificate["cover_sizes"]
+        assert sizes == sorted(k - len(s) for s in maximal_independent_sets(g))
+    assert is_unmixed_bruteforce(Graph.build()).certificate == {"cover_sizes": [0]}
+
+
 def test_the_600_pair_chain_enumerates_its_601_sets():
     # the pivot scan stops at a vertex that leaves one branch; without
     # that, every node of this search scans all 1200 vertices
