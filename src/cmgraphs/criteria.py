@@ -200,7 +200,8 @@ def _route_e(pl: PairedLabeling) -> Verdict:
     # a deformation depends only on the linked pairs of t, and one whose
     # linked pairs were seen has passed, so it is skipped; no deformed
     # graph is kept, since each holds the masks of its maximal
-    # independent sets (a mixed one, which ends the walk, names them too)
+    # independent sets, or above `SIZE_COUNT_ABOVE` vertices their count
+    # by size (a mixed one, which ends the walk, lists and names them)
     links, seen = pl.relations.links, set()
     for t in subsets:
         key = tuple(i for i in t if links[i])

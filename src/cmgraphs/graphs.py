@@ -13,22 +13,22 @@ returns a fixed deterministic order (lexicographic on sorted vertex
 names) so reports and golden files are byte-stable.
 
 A `Graph` is immutable, so the facts every analysis needs (the views
-above, the independence number, the maximal independent sets, the
-minimal vertex covers) are computed on first use and memoized on that
-instance by `memoized`, a descriptor that stores each value in the
-instance `__dict__`, as `functools.cached_property` does but without its
-lock.  The memo holds only immutable values and dies with the graph.
+above, the independence number, the maximal independent sets, their
+count by size, the minimal vertex covers) are computed on first use and
+memoized on that instance by `memoized`, a descriptor that stores each
+value in the instance `__dict__`, as `functools.cached_property` does but
+without its lock.  The memo holds only immutable values and dies with the graph.
 
 The perfect-matching backtracker (route d) runs on the neighbour masks.
 The height and class membership read only the neighbour masks: the
 independence number comes from an exact reduce-and-branch search, so
 deciding membership lists no independent set.  The maximal independent
-sets are enumerated only when the sets themselves are asked for
-(brute-force unmixedness, the labeling's cover, complexes, invariants),
-once per graph, as masks: one iterative pivoted Bron-Kerbosch search per
-connected component, with an explicit stack and a pivot scan that stops
-at the first vertex that leaves at most one branch, and the components'
-sets joined as a product.  `maximal_independent_sets` turns the masks
+sets are enumerated only when the sets themselves are asked for (the
+labeling's cover, complexes, invariants, and brute-force unmixedness on
+a small or mixed graph), once per graph, as masks: one iterative pivoted
+Bron-Kerbosch search per connected component, with an explicit stack
+and a pivot scan that stops at the first vertex that leaves at most one
+branch, and the components' sets joined as a product.  `maximal_independent_sets` turns the masks
 into names once, ordered by their bit positions, which is the order of
 their sorted names.  The sets form an antichain, so that order is
 decided by the lowest bit in which two masks differ, and a C-level sort
@@ -38,11 +38,17 @@ walking any mask bit by bit.
 The minimal vertex covers are the complements of those sets;
 complementing flips the lowest differing bit, so the covers' order is
 the sets' order reversed.  So a cover's size is |V| minus its set's.
-Brute-force unmixedness reads the sizes as popcounts of the masks, so an
-unmixed graph has no set named; a mixed one names the sets to report its
-two witnesses.  The callers that need the first cover of some size (the
-labeling's X, the cover-shape check) read the named sets and name just
-the covers they report.  `minimal_vertex_covers` names every cover, for
+Brute-force unmixedness needs the sizes only.  On a graph with more than
+`SIZE_COUNT_ABOVE` vertices whose sets are not listed yet it counts them
+by size, memoized per graph: the same pivoted search per component, with
+each distinct (candidates, excluded) subproblem expanded once, since the
+sets below a node depend on that pair alone, and its count by size kept
+as a polynomial packed in one int.  An unmixed graph then has no set
+listed.  Otherwise brute force reads the sizes as popcounts of the
+masks, so an unmixed graph has no set named; a mixed one names the sets
+to report its two witnesses.  The callers that need the first cover of
+some size (the labeling's X, the cover-shape check) read the named sets
+and name just the covers they report.  `minimal_vertex_covers` names every cover, for
 callers that read covers by name.
 """
 
@@ -53,6 +59,13 @@ from typing import Mapping
 
 from .errors import InputFormatError
 from .verdicts import Verdict
+
+# Brute-force unmixedness counts the maximal independent sets of a graph
+# with more vertices than this by size, without listing them, unless they
+# are listed already.  At or below it the count costs about as much as
+# the listing, and the census lists each member's sets for its other
+# checks anyway.
+SIZE_COUNT_ABOVE = 10
 
 
 class memoized:
@@ -147,6 +160,10 @@ class Graph:
     @memoized
     def _independent_masks(self) -> tuple[int, ...]:
         return _bron_kerbosch(self)
+
+    @memoized
+    def _set_size_counts(self) -> tuple[tuple[int, int], ...]:
+        return _count_by_size(self.neighbours)
 
     @memoized
     def _maximal_independent_sets(self) -> tuple[frozenset[str], ...]:
@@ -248,13 +265,47 @@ def _bron_kerbosch(g: Graph) -> tuple[int, ...]:
     set.  A bare matching of n pairs takes n searches of two sets each,
     where one search over the whole graph walks a tree with 2**n leaves."""
     neighbours = g.neighbours
-    full = (1 << len(neighbours)) - 1
-    nonadj = [full & ~nb & ~(1 << i) for i, nb in enumerate(neighbours)]
+    nonadj = _non_neighbours(neighbours)
     parts = [_pivoted_search(nonadj, c) for c in _components(neighbours)]
     out = parts[0] if parts else [0]
     for sets in parts[1:]:
         out = [a | b for a in out for b in sets]
     return tuple(out)
+
+
+def _count_by_size(neighbours) -> tuple[tuple[int, int], ...]:
+    """The number of maximal independent sets of each size, as (size,
+    count) pairs by ascending size, with no set listed.
+
+    The counts are held as a lowest size and one int, a polynomial in
+    2**w for the digit width w = |V| + 1: the count of sets of size
+    lowest + s is the digit at bit s * w.  A graph has at most 2**|V|
+    maximal independent sets, fewer than 2**w, so no digit carries into
+    the next.
+    A maximal independent set is one of each connected component, so the
+    components' lowest sizes add and their polynomials multiply, and a
+    graph with no vertex has its one empty set."""
+    width = len(neighbours) + 1
+    nonadj = _non_neighbours(neighbours)
+    lowest, poly = 0, 1
+    for c in _components(neighbours):
+        low, part = _counted_search(neighbours, nonadj, c, width)
+        lowest, poly = lowest + low, poly * part
+    digit = (1 << width) - 1
+    out = []
+    while poly:
+        s = ((poly & -poly).bit_length() - 1) // width
+        count = poly >> s * width & digit
+        out.append((lowest + s, count))
+        poly ^= count << s * width
+    return tuple(out)
+
+
+def _non_neighbours(neighbours) -> list[int]:
+    """Per vertex, the mask of the other vertices it is not adjacent to:
+    its neighbours in the complement graph."""
+    full = (1 << len(neighbours)) - 1
+    return [full & ~nb & ~(1 << i) for i, nb in enumerate(neighbours)]
 
 
 def _components(neighbours) -> list[int]:
@@ -276,17 +327,33 @@ def _components(neighbours) -> list[int]:
     return out
 
 
+def _pivot(nonadj, p: int, x: int) -> int:
+    """The Tomita pivot of a Bron-Kerbosch node with candidates P and
+    excluded X: the first vertex of P | X, in ascending bit order, with
+    the most non-neighbours in P, except that the scan stops at the first
+    vertex with popcount(P) - 1 or more: no vertex of P has more, and
+    such a pivot leaves at most one vertex to branch on.  On a long
+    sparse graph this ends most scans at once, where a full scan costs
+    one popcount per vertex of P | X at every node."""
+    pivot, best, rest = 0, -1, p | x
+    enough = p.bit_count() - 1
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        count = (p & nonadj[u]).bit_count()
+        if count > best:
+            pivot, best = u, count
+            if count >= enough:
+                break
+        rest ^= low
+    return pivot
+
+
 def _pivoted_search(nonadj, component: int) -> list[int]:
     """The maximal independent sets inside `component`, as masks:
     the maximal cliques of the complement graph, by Bron-Kerbosch with
-    Tomita pivoting.  The pivot is the first vertex of P | X, in
-    ascending bit order, with the most non-neighbours in P, except that
-    the scan stops at the first vertex with popcount(P) - 1 or more: no
-    vertex of P has more, and such a pivot leaves at most one vertex to
-    branch on.  On a long sparse graph this ends most scans at once,
-    where a full scan costs one popcount per vertex of P | X at every
-    node.  An explicit stack replaces recursion, so the depth of the
-    search is not bounded by the interpreter's stack."""
+    Tomita pivoting (`_pivot`).  An explicit stack replaces recursion, so
+    the depth of the search is not bounded by the interpreter's stack."""
     out: list[int] = []
     stack = [(0, component, 0)]
     while stack:
@@ -295,18 +362,7 @@ def _pivoted_search(nonadj, component: int) -> list[int]:
             if not x:
                 out.append(r)
             continue
-        pivot, best, rest = 0, -1, p | x
-        enough = p.bit_count() - 1
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            count = (p & nonadj[u]).bit_count()
-            if count > best:
-                pivot, best = u, count
-                if count >= enough:
-                    break
-            rest ^= low
-        branch = p & ~nonadj[pivot]
+        branch = p & ~nonadj[_pivot(nonadj, p, x)]
         while branch:
             low = branch & -branch
             stay = nonadj[low.bit_length() - 1]
@@ -315,6 +371,67 @@ def _pivoted_search(nonadj, component: int) -> list[int]:
             x |= low
             branch ^= low
     return out
+
+
+def _counted_search(neighbours, nonadj, component: int, width: int):
+    """The lowest size and the size polynomial (`_count_by_size`) of the
+    maximal independent sets inside `component`, by `_pivoted_search`'s
+    search with each subproblem expanded once.  The sets found below a
+    node depend only on its candidates P and excluded X, not on the set
+    above it, so the polynomial of each distinct (P, X) is kept, and a
+    node's is the sum of its children's, each one size up for the vertex
+    it adds.  A polynomial starts at its own lowest size, so a node with
+    one size below it holds one digit, however deep it lies.  When the
+    pivot is a vertex of P with no neighbour in P, every such vertex lies
+    in every set below, so they are added in one step, and X keeps only
+    the vertices adjacent to none of them.  Post-order on an explicit
+    stack: a node is expanded when first seen and summed when seen again,
+    after its children."""
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    pending: dict[tuple[int, int], tuple[int, list]] = {}
+    stack = [(component, 0)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        if key in pending:
+            stack.pop()
+            added, children = pending.pop(key)
+            found = [memo[c] for c in children if memo[c][1]]
+            base = min(size for size, _ in found) if found else 0
+            memo[key] = base + added, sum(
+                poly << (size - base) * width for size, poly in found
+            )
+            continue
+        p, x = key
+        if not p:
+            stack.pop()
+            memo[key] = 0, 0 if x else 1
+            continue
+        pivot = _pivot(nonadj, p, x)
+        if p >> pivot & 1 and not neighbours[pivot] & p:
+            alone = 0
+            for v in bit_positions(p):
+                if not neighbours[v] & p:
+                    alone |= 1 << v
+                    x &= ~neighbours[v]
+            children = [(p ^ alone, x)]
+            added = alone.bit_count()
+        else:
+            children = []
+            branch = p & ~nonadj[pivot]
+            while branch:
+                low = branch & -branch
+                stay = nonadj[low.bit_length() - 1]
+                children.append((p & stay, x & stay))
+                p ^= low
+                x |= low
+                branch ^= low
+            added = 1
+        pending[key] = (added, children)
+        stack.extend(c for c in children if c not in memo)
+    return memo[(component, 0)]
 
 
 def _independence_number(neighbours) -> int:
@@ -413,13 +530,23 @@ def is_unmixed_bruteforce(g: Graph) -> Verdict:
     The certificate always carries the multiset of cover sizes; a false
     verdict adds the first cover of the smallest size and the last of the
     largest, in the covers' order (by sorted names).  The covers are the
-    complements of the maximal independent sets, in reverse order, so
-    the sizes are popcounts of the sets' masks, and an unmixed graph has
-    no set named.  A mixed one names its sets to take the two witnesses:
-    the complement of the last largest set and that of the first
-    smallest one.
+    complements of the maximal independent sets, in reverse order, so a
+    cover's size is |V| minus its set's.
+
+    A graph with more than `SIZE_COUNT_ABOVE` vertices whose sets are not
+    listed yet has them counted by size (`_count_by_size`); if they share
+    one size, the graph is unmixed and no set is listed or named.
+    Otherwise the sizes are popcounts of the listed masks, so an unmixed
+    graph still has no set named, and a mixed one names its sets to take
+    the two witnesses: the complement of the last largest set and that of
+    the first smallest one.
     """
     k = len(g.vertices)
+    if k > SIZE_COUNT_ABOVE and "_independent_masks" not in vars(g):
+        counts = g._set_size_counts
+        if len(counts) == 1:
+            [(size, count)] = counts
+            return Verdict(True, "cover-sizes", {"cover_sizes": [k - size] * count})
     sizes = sorted(k - m.bit_count() for m in g._independent_masks)
     if sizes[0] == sizes[-1]:
         return Verdict(True, "cover-sizes", {"cover_sizes": sizes})

@@ -21,7 +21,7 @@ from cmgraphs.errors import CapacityError, CmGraphsError
 from cmgraphs.graphs import Graph, add_edges, classify, remove_edges
 from cmgraphs.pairing import PairedLabeling, validate_labeling
 from cmgraphs.transform import index_subsets, o_set
-from cmgraphs.verdicts import Verdict
+from cmgraphs.verdicts import Verdict, indented_json
 from conftest import count_builds, std_pairs
 from oracles import (
     brute_height,
@@ -256,6 +256,22 @@ def test_draws_of_one_pair_count_share_the_bare_members_records():
             assert pl.bits is bare.bits and g.position is bare.graph.position
             restored = pickle.loads(pickle.dumps(pl))
             assert restored == pl and "bits" not in vars(restored)
+
+
+def test_census_with_every_graph_counted_matches_the_listing(monkeypatch):
+    # no census member has more than `SIZE_COUNT_ABOVE` vertices, so at the
+    # real threshold brute force reads each draw's listed sets; at 0 it
+    # counts them by size, and the structural scan is cross-checked
+    # against the count, on the draws and on route e's deformations
+    runs = ((3, {}), (4, {"mode": "sample", "seed": 27, "count": 40}))
+    listed = [cross_validate(n, **kwargs).canonical_dict() for n, kwargs in runs]
+    monkeypatch.setattr(graphs, "SIZE_COUNT_ABOVE", 0)
+    counted = count_builds(monkeypatch, Graph, "_set_size_counts")
+    for (n, kwargs), expected in zip(runs, listed):
+        report = cross_validate(n, **kwargs)
+        assert report.violations == []
+        assert indented_json(report.canonical_dict()) == indented_json(expected)
+    assert {len(g.vertices) for g in counted} == {6, 8}
 
 
 def test_cross_validate_exhaustive_counts():

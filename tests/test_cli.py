@@ -198,6 +198,20 @@ def test_usage_and_argument_errors_exit_one(capsys):
     assert exc.value.code == 0
 
 
+def test_unrecognized_arguments_after_a_subcommand_exit_one(capsys):
+    # the subcommand's parser reads its arguments and hands what it does
+    # not know to the top-level parser, which names itself in the error
+    c4 = fixture_path("c4.graph")
+    for argv, left in (
+        (("check", c4, "--bogus"), "--bogus"),
+        (("classify", c4, "--json", "extra", "-x"), "extra -x"),
+        (("census", "--n", "1", "--", "x"), "-- x"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: cmgraphs: unrecognized arguments: {left}\n"
+
+
 def test_main_reuses_one_parser(capsys):
     assert cli.build_parser() is cli.build_parser()
     calls = (
@@ -550,53 +564,57 @@ def test_check_of_pairs_18_fits_in_160_mb(tmp_path):
     assert len(done.stdout) == 3_148_183
 
 
-def test_check_enumerates_the_input_graph_once(capsys, monkeypatch, tmp_path):
-    n = 6
-    path = tmp_path / "whiskered.graph"
-    path.write_text(
-        f"pairs {n}\n" + "".join(f"edge x{i} x{i + 1}\n" for i in range(1, n))
-    )
-    runs = []
-    enumerate_ = graphs._bron_kerbosch
+def _listed_and_counted(monkeypatch):
+    """The vertex tuples of the graphs whose maximal independent sets are
+    listed (`_bron_kerbosch`), and the graphs whose sets are counted by
+    size."""
+    listed, list_sets = [], graphs._bron_kerbosch
 
-    def counted(g):
-        runs.append(g.vertices)
-        return enumerate_(g)
+    def listing(g):
+        listed.append(g.vertices)
+        return list_sets(g)
 
-    monkeypatch.setattr(graphs, "_bron_kerbosch", counted)
-    code, out, _ = run_cli(capsys, "check", str(path), "--json")
-    document = json.loads(out)
-    assert code == 0 and document["cm"]["value"] is True
-    assert document["invariants"] is not None
-    inputs = [v for v in runs if len(v) == 2 * n]
-    assert len(inputs) == 1
-    # the invariants add one enumeration of the restricted deformation
-    assert len(runs) == 2
+    monkeypatch.setattr(graphs, "_bron_kerbosch", listing)
+    return listed, count_builds(monkeypatch, graphs.Graph, "_set_size_counts")
+
+
+def test_check_counts_the_input_graph_once(capsys, monkeypatch, tmp_path):
+    # above the threshold brute force counts the input's sets by size and
+    # never lists them; the invariants list the restricted deformation's
+    # (n vertices).  At the threshold the input is listed once, as before
+    for n, listings_of_input, counts in ((6, 0, 1), (5, 1, 0)):
+        assert (2 * n > graphs.SIZE_COUNT_ABOVE) == bool(counts)
+        path = tmp_path / f"whiskered{n}.graph"
+        path.write_text(
+            f"pairs {n}\n" + "".join(f"edge x{i} x{i + 1}\n" for i in range(1, n))
+        )
+        listed, counted = _listed_and_counted(monkeypatch)
+        code, out, _ = run_cli(capsys, "check", str(path), "--json")
+        document = json.loads(out)
+        assert code == 0 and document["cm"]["value"] is True
+        assert document["invariants"] is not None
+        assert [len(v) for v in listed] == [2 * n] * listings_of_input + [n]
+        assert [len(g.vertices) for g in counted] == [2 * n] * counts
 
 
 def test_check_of_a_bare_matching_names_no_cover_of_its_input(
     capsys, monkeypatch, tmp_path
 ):
-    # the cover sizes and X are read off the sets, and the 11 components
-    # of the matching are enumerated inside one call
-    n = 11
-    path = tmp_path / "pairs.graph"
-    path.write_text(f"pairs {n}\n")
-    runs = []
-    enumerate_ = graphs._bron_kerbosch
-
-    def counted(g):
-        runs.append(g.vertices)
-        return enumerate_(g)
-
-    monkeypatch.setattr(graphs, "_bron_kerbosch", counted)
-    named = count_builds(monkeypatch, graphs.Graph, "_minimal_vertex_covers")
-    code, out, _ = run_cli(capsys, "check", str(path), "--json", "--routes", "a")
-    document = json.loads(out)
-    assert code == 0 and document["unmixed"]["value"] is True
-    assert document["unmixed"]["certificate"]["cover_sizes"] == [n] * 2**n
-    assert len([v for v in runs if len(v) == 2 * n]) == 1
-    assert not [g for g in named if len(g.vertices) == 2 * n]
+    # above the threshold the 11-pair matching's 2**11 covers are counted
+    # by size, once, and none is listed or named; at the threshold its
+    # 2**5 sets are listed once and none is named, as before
+    for n, listings, counts in ((11, 0, 1), (5, 1, 0)):
+        path = tmp_path / f"pairs{n}.graph"
+        path.write_text(f"pairs {n}\n")
+        listed, counted = _listed_and_counted(monkeypatch)
+        named = count_builds(monkeypatch, graphs.Graph, "_minimal_vertex_covers")
+        code, out, _ = run_cli(capsys, "check", str(path), "--json", "--routes", "a")
+        document = json.loads(out)
+        assert code == 0 and document["unmixed"]["value"] is True
+        assert document["unmixed"]["certificate"]["cover_sizes"] == [n] * 2**n
+        assert [len(v) for v in listed if len(v) == 2 * n] == [2 * n] * listings
+        assert [len(g.vertices) for g in counted] == [2 * n] * counts
+        assert not [g for g in named if len(g.vertices) == 2 * n]
 
 
 def test_invariants_type_mismatch_exits_three(capsys, monkeypatch):

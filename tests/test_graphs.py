@@ -3,12 +3,16 @@ import itertools
 import os
 import pickle
 import random
+import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from cmgraphs.census import enumerate_class, member_from_mask, optional_edges
 from cmgraphs.errors import InputFormatError
 from cmgraphs.graphs import (
+    SIZE_COUNT_ABOVE,
     Graph,
     _bron_kerbosch,
     add_edges,
@@ -26,10 +30,10 @@ from cmgraphs.graphs import (
     pairs_graph,
     remove_edges,
 )
-from cmgraphs.graphio import parse_graph_file
+from cmgraphs.graphio import parse_graph, parse_graph_file
 from cmgraphs.pairing import find_star_labeling, make_labeling, unique_perfect_matching
 from cmgraphs.transform import index_subsets, o_set, restricted_o_full
-from conftest import FIXTURES, count_builds, golden_path, std_pairs
+from conftest import FIXTURES, count_builds, golden_path, perfbench_module, std_pairs
 from oracles import (
     brute_height,
     brute_is_unmixed,
@@ -525,21 +529,82 @@ def test_unmixedness_and_the_labeling_read_sizes_without_naming_covers():
 
 
 def test_an_unmixed_graph_has_no_maximal_independent_set_named():
-    # the cover sizes are popcounts of the Bron-Kerbosch masks; only a
-    # mixed graph names its sets, to take the two witnesses
+    # at or below the threshold the cover sizes are popcounts of the
+    # Bron-Kerbosch masks, and only a mixed graph names its sets, to take
+    # the two witnesses; above it an unmixed graph's sets are counted by
+    # size, and none is listed
+    assert SIZE_COUNT_ABOVE == 10
     members = [g for g in _class_population(3) if classify(g).in_class]
     unmixed = mixed = 0
     for g in members:
         verdict = is_unmixed_bruteforce(g)
         named = "_maximal_independent_sets" in vars(g)
         assert named == (not verdict.value)
+        assert "_independent_masks" in vars(g)
+        assert "_set_size_counts" not in vars(g)
         unmixed += verdict.value
         mixed += not verdict.value
     assert unmixed > 0 and mixed > 0
     for g in (pairs_graph(11), _whiskered_path(15), _chain(34)):
         assert is_unmixed_bruteforce(g).value is True
-        assert "_independent_masks" in vars(g)
+        assert "_set_size_counts" in vars(g)
+        assert "_independent_masks" not in vars(g)
         assert "_maximal_independent_sets" not in vars(g)
+    # a mixed graph above the threshold lists and names its sets for the
+    # witnesses, as at or below it
+    mixed_path = Graph.build(edges=[(f"v{i:02d}", f"v{i + 1:02d}") for i in range(11)])
+    verdict = is_unmixed_bruteforce(mixed_path)
+    assert verdict.value is False and "witness_small" in verdict.certificate
+    assert "_maximal_independent_sets" in vars(mixed_path)
+    # sets listed already are read, not counted
+    listed = _whiskered_path(6)
+    maximal_independent_sets(listed)
+    assert is_unmixed_bruteforce(listed).certificate == {"cover_sizes": [6] * 21}
+    assert "_set_size_counts" not in vars(listed)
+
+
+def _size_histogram(g):
+    """The oracle's maximal independent sets counted by size, as (size,
+    count) pairs by ascending size."""
+    return tuple(sorted(Counter(map(len, maximal_independent_sets_def(g))).items()))
+
+
+def test_set_size_counts_match_the_oracle(monkeypatch):
+    rng = random.Random(27)
+    cases = _named_random_graphs(rng, 150, largest=16) + _disconnected_cases(rng)
+    cases += [_whiskered_path(n) for n in range(1, 16)]
+    cases += [_chain(n) for n in range(1, 35)]
+    cases += [pairs_graph(n) for n in range(1, 13)]
+    perfbench_module("checks", monkeypatch)
+    inputs = perfbench_module("inputs", monkeypatch)
+    blocks = [
+        inputs.read_block(Path(FIXTURES, f"example5_1.b{i}.graph")) for i in (1, 2, 3)
+    ]
+    cases += [parse_graph(inputs.graft_text(blocks, c)).graph for c in range(1, 5)]
+    for g in cases:
+        assert g._set_size_counts == _size_histogram(g)
+    assert Graph.build()._set_size_counts == ((0, 1),)
+    # the sets of a disjoint union are the products of its parts' sets, so
+    # n pairs have the oracle's two singletons of one pair to the n-th
+    # power; pairs 20 has 2**20 sets of one size on 40 vertices, where a
+    # digit that carried into the next would show
+    assert _size_histogram(pairs_graph(1)) == ((1, 2),)
+    for n in range(13, 21):
+        assert pairs_graph(n)._set_size_counts == ((n, 2**n),)
+
+
+def test_counting_a_long_chain_and_a_long_whiskered_path_is_fast():
+    # one component of 1,200 vertices, and 317,811 sets, whose listing
+    # takes about two seconds; counted, each takes under one
+    start = time.perf_counter()
+    chain, whiskered = _chain(600), _whiskered_path(26)
+    assert chain._set_size_counts == ((600, 601),)
+    assert whiskered._set_size_counts == ((26, 317_811),)
+    verdict = is_unmixed_bruteforce(whiskered)
+    assert verdict.certificate == {"cover_sizes": [26] * 317_811}
+    assert time.perf_counter() - start < 5
+    assert "_independent_masks" not in vars(chain)
+    assert "_independent_masks" not in vars(whiskered)
 
 
 def test_cover_sizes_are_the_complements_of_the_named_sets():

@@ -201,3 +201,45 @@ def test_indented_json_is_written_in_one_place():
         for name, number in found
         if name != "verdicts.py" or not writer.lineno <= number <= writer.end_lineno
     ] == []
+
+
+def _self_calls(tree):
+    """`name:line` for each call by which a function calls itself: a
+    method through `self.name(...)`, any other function through its bare
+    name.  A bare name inside a method is the module's, not the method."""
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if id(fn) in methods:
+                hit = (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and getattr(f.value, "id", None) == "self"
+                )
+            else:
+                hit = isinstance(f, ast.Name) and f.id == fn.name
+            if hit:
+                found.append(f"{fn.name}:{call.lineno}")
+    return found
+
+
+def test_no_function_in_graphs_calls_itself():
+    # the searches keep explicit stacks, so no input's depth is bounded by
+    # the interpreter's recursion limit
+    source = pathlib.Path(ROOT, "src", "cmgraphs", "graphs.py").read_text(encoding="utf-8")
+    assert _self_calls(ast.parse(source)) == []
+    recursive = "def f(n):\n    return f(n - 1) if n else 0\n"
+    method = "class A:\n    def g(self):\n        return g() + self.g()\n"
+    assert _self_calls(ast.parse(recursive + method)) == ["f:2", "g:5"]
