@@ -17,9 +17,12 @@ The claim that every deformation O_t keeps the class and the labeling is
 checked on all 2^n pair-index subsets t of a draw.  The draw is validated
 once in full; then `transform.deformations` walks the subsets as a
 lattice keyed by their linked pairs, so each distinct deformation is
-built once, from a smaller one, and its masks are checked once, while
-`classify` still reads every subset.  That sweep is why a sampled census
-stops above `criteria.DEFORMATION_SUBSET_CAP` pairs.
+built once, from a smaller one, and its masks are checked once.  Masks
+that pass prove membership, so the deformation is given the draw's
+`ClassMembership` in its memo, and `classify`, which still reads every
+subset, reads that memo: a draw runs one independence search, its own.
+That sweep is why a sampled census stops above
+`criteria.DEFORMATION_SUBSET_CAP` pairs.
 """
 
 import functools
@@ -262,13 +265,19 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
     # the names are checked once: a deformation keeps the vertices and
     # the pairs, so each one is checked on its masks alone, and only when
     # it is first built.  A repeat is the same object, which passed, and
-    # the undeformed graph is the one just validated
+    # the undeformed graph is the one just validated.  Masks that pass
+    # prove the draw's membership: the n matching edges need n cover
+    # vertices, X is a cover of n, and no vertex is isolated.  So the
+    # built graph's memo takes the draw's, which `classify` then reads
     if validate_labeling(pl):
         record("transform-preserves-class", {"subset": []})
     else:
-        check = mask_check(pl)
+        check, membership = mask_check(pl), pl.graph._membership
         for t, deformed, built in deformations(pl):
-            if not classify(deformed).in_class or built and check(deformed.neighbours):
+            broken = built and check(deformed.neighbours)
+            if built and not broken:
+                vars(deformed)["_membership"] = membership
+            if broken or not classify(deformed).in_class:
                 record("transform-preserves-class", {"subset": list(t)})
                 break
 

@@ -119,10 +119,17 @@ def _structural_scan(pl: PairedLabeling) -> Verdict:
 
 def _crosschecked_unmixed(pl: PairedLabeling) -> Verdict:
     """The labeling's one unmixedness verdict, kept in its memo on first
-    use; a disagreement keeps nothing, so every later reader raises it."""
+    use; a disagreement keeps nothing, so every later reader raises it.
+
+    A mixed structural verdict lists the graph's independent sets before
+    brute force runs: brute force then reads the sizes off those masks,
+    which its witnesses need anyway, instead of counting them by size
+    first.  It still decides from the masks alone."""
     if "unmixed" in vars(pl):
         return vars(pl)["unmixed"]
     structural = _structural_scan(pl)
+    if not structural.value:
+        pl.graph._independent_masks
     brute = is_unmixed_bruteforce(pl.graph)
     if structural.value != brute.value:
         raise RouteDisagreementError(

@@ -13,23 +13,28 @@ returns a fixed deterministic order (lexicographic on sorted vertex
 names) so reports and golden files are byte-stable.
 
 A `Graph` is immutable, so the facts every analysis needs (the views
-above, the independence number, the maximal independent sets, their
-count by size, the minimal vertex covers) are computed on first use and
-memoized on that instance by `memoized`, a descriptor that stores each
-value in the instance `__dict__`, as `functools.cached_property` does but
-without its lock.  The memo holds only immutable values and dies with the graph.
+above, the independence number, the class membership, the maximal
+independent sets, their count by size, the minimal vertex covers) are
+computed on first use and memoized on that instance by `memoized`, a
+descriptor that stores each value in the instance `__dict__`, as
+`functools.cached_property` does but without its lock.  The memo holds
+only immutable values and dies with the graph.
 
 The perfect-matching backtracker (route d) runs on the neighbour masks.
 The height and class membership read only the neighbour masks: the
 independence number comes from an exact reduce-and-branch search, so
-deciding membership lists no independent set.  The maximal independent
-sets are enumerated only when the sets themselves are asked for (the
-labeling's cover, complexes, invariants, and brute-force unmixedness on
-a small or mixed graph), once per graph, as masks: one iterative pivoted
-Bron-Kerbosch search per connected component, with an explicit stack
-and a pivot scan that stops at the first vertex that leaves at most one
-branch, and the components' sets joined as a product.  `maximal_independent_sets` turns the masks
-into names once, ordered by their bit positions, which is the order of
+deciding membership lists no independent set, and `classify` reads the
+membership memo.  One caller outside this module writes that memo: the
+census sweep gives a deformation whose masks pass its labeling's check
+the draw's membership, which that check proves, so a census draw runs
+one independence search.  The maximal independent sets are enumerated
+only when the sets themselves are asked for (the labeling's cover,
+complexes, invariants, and brute-force unmixedness on a small or mixed
+graph), once per graph, as masks: one iterative pivoted Bron-Kerbosch
+search per connected component, with an explicit stack and a pivot scan
+that stops at the first vertex that leaves at most one branch, and the
+components' sets joined as a product.  `maximal_independent_sets` turns
+the masks into names once, ordered by their bit positions, which is the order of
 their sorted names.  The sets form an antichain, so that order is
 decided by the lowest bit in which two masks differ, and a C-level sort
 of the masks' binary strings, read lowest bit first, produces it without
@@ -46,9 +51,12 @@ sets below a node depend on that pair alone, and its count by size kept
 as a polynomial packed in one int.  An unmixed graph then has no set
 listed.  Otherwise brute force reads the sizes as popcounts of the
 masks, so an unmixed graph has no set named; a mixed one names the sets
-to report its two witnesses.  The callers that need the first cover of
-some size (the labeling's X, the cover-shape check) read the named sets
-and name just the covers they report.  `minimal_vertex_covers` names every cover, for
+to report its two witnesses.  A labeling whose structural scan finds it
+mixed has the masks listed before brute force runs
+(`criteria._crosschecked_unmixed`), so its graph is listed, not
+counted.  The callers that need the first cover of some size (the
+labeling's X, the cover-shape check) read the named sets and name just
+the covers they report.  `minimal_vertex_covers` names every cover, for
 callers that read covers by name.
 """
 
@@ -156,6 +164,14 @@ class Graph:
     @memoized
     def _independence_number(self) -> int:
         return _independence_number(self.neighbours)
+
+    @memoized
+    def _membership(self) -> "ClassMembership":
+        n_vertices = len(self.vertices)
+        h = height(self)
+        isolated = 0 in self.neighbours
+        in_class = n_vertices > 0 and n_vertices == 2 * h and not isolated
+        return ClassMembership(n_vertices, h, isolated, in_class)
 
     @memoized
     def _independent_masks(self) -> tuple[int, ...]:
@@ -516,12 +532,9 @@ def classify(g: Graph) -> ClassMembership:
     vertex, and minimum cover size equal to half the vertex count.
 
     Membership does not require unmixedness; that is checked separately.
+    It is decided once per graph and memoized on it.
     """
-    n_vertices = len(g.vertices)
-    h = height(g)
-    isolated = 0 in g.neighbours
-    in_class = n_vertices > 0 and n_vertices == 2 * h and not isolated
-    return ClassMembership(n_vertices, h, isolated, in_class)
+    return g._membership
 
 
 def is_unmixed_bruteforce(g: Graph) -> Verdict:

@@ -1,6 +1,7 @@
 import pickle
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,8 @@ from cmgraphs.census import (
 )
 from cmgraphs.cli import main
 from cmgraphs.errors import CapacityError, CmGraphsError
-from cmgraphs.graphs import Graph, add_edges, classify, remove_edges
-from cmgraphs.pairing import PairedLabeling, validate_labeling
+from cmgraphs.graphs import ClassMembership, Graph, add_edges, classify, remove_edges
+from cmgraphs.pairing import PairedLabeling, mask_check, validate_labeling
 from cmgraphs.transform import index_subsets, o_set
 from cmgraphs.verdicts import Verdict, indented_json
 from conftest import count_builds, std_pairs
@@ -71,28 +72,40 @@ def test_every_member_passes_the_labeling_validator():
 
 def test_a_valid_deformed_labeling_proves_membership():
     # X is then a cover of size n and the matching has n edges, so the
-    # height is n: the sweep's classify calls re-prove what validation
-    # shows.  Each deformation is also taken without its first edge, and
-    # with a y-y edge, so that some labelings fail validation
-    passed = failed = 0
-    for n in (1, 2, 3):
-        for mask in range(1 << len(optional_edges(n))):
-            pl = member_from_mask(n, mask)
-            for t in index_subsets(n):
-                d = pl.with_graph(o_set(pl, t))
-                g = d.graph
-                variants = [d, d.with_graph(remove_edges(g, g.edge_list()[:1]))]
-                if n > 1:
-                    variants.append(d.with_graph(add_edges(g, [("y1", "y2")])))
-                for v in variants:
-                    if validate_labeling(v):
-                        failed += 1
-                        continue
-                    membership = classify(v.graph)
-                    assert membership.in_class and membership.height == n
-                    passed += 1
+    # height is n: the census sweep gives a deformation whose masks pass
+    # the draw's check the draw's membership instead of searching.  Each
+    # deformation is also taken without its first edge, and with a y-y
+    # edge, so that some labelings fail validation.  Every draw of n <= 3
+    # is taken, and a seeded sample at n = 4 and 5; every graph is freshly
+    # built, so `classify` runs its own independence search
+    rng = random.Random(28)
+    draws = [(n, mask) for n in (1, 2, 3) for mask in range(1 << len(optional_edges(n)))]
+    draws += [(4, rng.getrandbits(len(optional_edges(4)))) for _ in range(200)]
+    draws += [(5, rng.getrandbits(len(optional_edges(5)))) for _ in range(6)]
+    passed, failed = Counter(), Counter()
+    for n, mask in draws:
+        pl = member_from_mask(n, mask)
+        check = mask_check(pl)
+        for t in index_subsets(n):
+            d = pl.with_graph(o_set(pl, t))
+            g = d.graph
+            variants = [d, d.with_graph(remove_edges(g, g.edge_list()[:1]))]
+            if n > 1:
+                variants.append(d.with_graph(add_edges(g, [("y1", "y2")])))
+            for v in variants:
+                problems = validate_labeling(v)
+                assert check(v.graph.neighbours) == problems
+                if problems:
+                    failed[n] += 1
+                    continue
+                membership = classify(v.graph)
+                assert membership == ClassMembership(2 * n, n, False, True)
+                passed[n] += 1
     # every deformation passes, and some of the edited ones do too
-    assert passed > 1 * 2 + 8 * 4 + 512 * 8 and failed > 4000
+    assert sum(passed[n] for n in (1, 2, 3)) > 1 * 2 + 8 * 4 + 512 * 8
+    assert sum(failed[n] for n in (1, 2, 3)) > 4000
+    assert passed[4] > 6000 and failed[4] > 3000
+    assert passed[5] > 300 and failed[5] > 150
 
 
 def test_enumerate_class_capacity():
@@ -262,8 +275,10 @@ def test_census_with_every_graph_counted_matches_the_listing(monkeypatch):
     # no census member has more than `SIZE_COUNT_ABOVE` vertices, so at the
     # real threshold brute force reads each draw's listed sets; at 0 it
     # counts them by size, and the structural scan is cross-checked
-    # against the count, on the draws and on route e's deformations
-    runs = ((3, {}), (4, {"mode": "sample", "seed": 27, "count": 40}))
+    # against the count, on the unmixed draws and on route e's
+    # deformations.  A draw the scan finds mixed is listed, not counted,
+    # so the n=4 sample runs to its first unmixed draw, index 137
+    runs = ((3, {}), (4, {"mode": "sample", "seed": 27, "count": 140}))
     listed = [cross_validate(n, **kwargs).canonical_dict() for n, kwargs in runs]
     monkeypatch.setattr(graphs, "SIZE_COUNT_ABOVE", 0)
     counted = count_builds(monkeypatch, Graph, "_set_size_counts")
@@ -591,10 +606,13 @@ def test_a_draw_checks_each_deformation_once(monkeypatch):
     # masks per distinct deformation other than the drawn graph.  Draws 9
     # and 264 link one and two of their four pairs, draw 312 all four.  On
     # the unmixed draw route e deforms too, up to its first mixed
-    # deformation (the second subset)
+    # deformation (the second subset).  Masks that pass prove membership,
+    # so each built graph holds the draw's, and the draw's classify is the
+    # one independence search
     classified = _count_calls(monkeypatch, graphs, "classify")
     validated = _count_calls(monkeypatch, pairing, "validate_labeling")
     deformed = _count_calls(monkeypatch, transform, "o_set")
+    searched = _count_calls(monkeypatch, graphs, "_independence_number")
     checked = _count_mask_checks(monkeypatch)
     built = _builds(monkeypatch)
     for mask, unmixed, linked, o_set_calls in (
@@ -602,7 +620,7 @@ def test_a_draw_checks_each_deformation_once(monkeypatch):
         (264, True, 2, 2),
         (312, False, 4, 0),
     ):
-        for calls in (classified, validated, deformed, checked, built):
+        for calls in (classified, validated, deformed, searched, checked, built):
             calls.clear()
         pl = member_from_mask(4, mask)
         distinct = {o_set_def(pl, t) for t in index_subsets(4)}
@@ -611,11 +629,15 @@ def test_a_draw_checks_each_deformation_once(monkeypatch):
         assert outcome["summary"]["unmixed"] is unmixed
         assert not outcome["summary"]["cm"] and outcome["violations"] == []
         assert len(classified) == 17
+        assert len(searched) == 1
         assert len(validated) == 1
         assert set(built) == distinct - {pl.graph}
         assert len(built) == len(distinct) - 1
         assert checked == [g.neighbours for g in built]
         assert len(deformed) == o_set_calls
+        [drawn] = classified[0]
+        assert drawn == pl.graph and classify(drawn).in_class
+        assert all(vars(g)["_membership"] is vars(drawn)["_membership"] for g in built)
 
 
 def test_a_deformation_that_breaks_the_labeling_is_recorded(monkeypatch):
@@ -627,11 +649,14 @@ def test_a_deformation_that_breaks_the_labeling_is_recorded(monkeypatch):
     draw = member_from_mask(3, 76)
     assert [i for i in (1, 2, 3) if draw.relations.links[i]] == [2, 3]
     target, rewire = o_set(draw, (2, 3)), transform.rewire
+    made = []
 
     def breaking(pl, g, pairs):
         deformed = rewire(pl, g, pairs)
-        if deformed == target and sys._getframe(1).f_code.co_name == "deformations":
-            return add_edges(deformed, [("y1", "y2")])
+        if sys._getframe(1).f_code.co_name == "deformations":
+            if deformed == target:
+                deformed = add_edges(deformed, [("y1", "y2")])
+            made.append(deformed)
         return deformed
 
     monkeypatch.setattr(transform, "rewire", breaking)
@@ -644,6 +669,10 @@ def test_a_deformation_that_breaks_the_labeling_is_recorded(monkeypatch):
         (5, "transform-preserves-class", {"subset": [2, 3]})
     ]
     assert checked[-1] == broken.neighbours and len(checked) == 3
+    # the broken graph failed its check, so it was given no membership
+    # and never classified; the two built before it passed and hold one
+    assert made[-1] == broken and "_membership" not in vars(made[-1])
+    assert all("_membership" in vars(g) for g in made[:-1]) and len(made) == 3
 
 
 def test_each_labeling_of_a_draw_builds_its_relations_once(monkeypatch):

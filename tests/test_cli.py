@@ -617,6 +617,29 @@ def test_check_of_a_bare_matching_names_no_cover_of_its_input(
         assert not [g for g in named if len(g.vertices) == 2 * n]
 
 
+def test_check_lists_a_mixed_input_above_the_threshold_and_never_counts_it(
+    capsys, monkeypatch, tmp_path
+):
+    # the structural scan finds the labeling mixed, so its graph's sets
+    # are listed before brute force runs, which then reads them and counts
+    # nothing; brute force alone on the same graph counts, then lists, and
+    # gives the same certificate
+    text = "pairs 6\nedge x1 y2\nedge x2 x3\n"
+    path = tmp_path / "mixed6.graph"
+    path.write_text(text)
+    listed, counted = _listed_and_counted(monkeypatch)
+    code, out, _ = run_cli(capsys, "check", str(path), "--json", "--routes", "a")
+    document = json.loads(out)
+    assert code == 0 and document["unmixed"]["value"] is False
+    assert [len(v) for v in listed if len(v) == 12] == [12]
+    assert [g for g in counted if len(g.vertices) == 12] == []
+    alone = parse_graph(text).graph
+    brute = graphs.is_unmixed_bruteforce(alone)
+    assert "_set_size_counts" in vars(alone) and "_independent_masks" in vars(alone)
+    assert brute.value is False
+    assert brute.certificate.items() <= document["unmixed"]["certificate"].items()
+
+
 def test_invariants_type_mismatch_exits_three(capsys, monkeypatch):
     covers = graphs.minimal_vertex_covers
     monkeypatch.setattr(

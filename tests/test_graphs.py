@@ -665,7 +665,13 @@ def test_graph_identity_ignores_the_mask_memo(ex31):
     classify(g)
     maximal_independent_sets(g)
     assert g.has_edge("x1", "y1") and g.edges
-    memo = {"position", "edges", "_independence_number", "_independent_masks"}
+    memo = {
+        "position",
+        "edges",
+        "_independence_number",
+        "_membership",
+        "_independent_masks",
+    }
     assert memo <= set(vars(g))
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
     assert pickle.dumps(g) == pickle.dumps(fresh)

@@ -170,6 +170,44 @@ def test_a_pair_is_rewired_in_one_function():
     assert found == {("transform.py", "rewire")}
 
 
+def _membership_writes(tree):
+    """(innermost enclosing function, line) for each place that can write
+    a graph's membership memo: the key `"_membership"` as a string, as
+    `vars(g)`, `g.__dict__` or `setattr` take it, or the attribute as an
+    assignment target."""
+    return [
+        (owner, node.lineno)
+        for owner, node in _owners(tree)
+        if isinstance(node, ast.Constant) and node.value == "_membership"
+        or isinstance(node, ast.Attribute)
+        and node.attr == "_membership"
+        and not isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_a_graph_membership_is_written_from_outside_graphs_in_the_census_sweep_only():
+    # the sweep gives a deformation whose masks passed the draw's check
+    # the draw's membership, which that check proves; anywhere else a
+    # written membership would stand in for `classify` unproven
+    package = pathlib.Path(ROOT, "src", "cmgraphs")
+    found = [
+        (path.name, owner)
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "graphs.py"
+        for owner, _ in _membership_writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("census.py", "check_member")]
+    writes = (
+        "def f(g, m):\n"
+        "    vars(g)['_membership'] = m\n"
+        "    g.__dict__['_membership'] = m\n"
+        "    setattr(g, '_membership', m)\n"
+        "    g._membership = m\n"
+        "    return g._membership\n"
+    )
+    assert _membership_writes(ast.parse(writes)) == [("f", n) for n in (2, 3, 4, 5)]
+
+
 def test_only_the_complex_memo_and_the_unreduced_reference_derive_a_bit_order():
     # routes b, c and f read the complex's one memoized bit order; the
     # unreduced homology reference keeps its own over any face list
