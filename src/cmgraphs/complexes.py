@@ -1,17 +1,20 @@
-"""Simplicial complexes as facet lists: the independence complex of a
+"""Simplicial complexes as facet masks: the independence complex of a
 graph, purity, strong connectedness, shellability, and exact reduced
 homology backing a Cohen-Macaulayness oracle.
 
-Names stay at the boundary.  A graph's complex is built once and kept
-on the graph (`complementary_complex`), so routes b, c and f read one
-object.  Each complex memoizes one bit order (its
-facets' vertices in sorted-name order, `bit_order`) and its facets as
-masks in that order (`facet_masks`), and routes b, c and f read them:
-strong connectedness indexes ridges by mask, the shelling search keeps
-its difference table and dead states as masks, `check_shelling` tests
-the definition on the masks with no table of the search's, and the
-homology oracle lists its faces as masks (`face_masks`).  Names are
-spelled only in certificates, shelling orders and `all_faces`.
+A `SimplicialComplex` is its sorted vertex names and its facets as
+masks, where bit i stands for `vertices[i]`, kept as an antichain in
+`graphs.name_order`, the order of the facets' sorted names.
+`from_facets` makes one from named faces, as `Graph.build` makes a
+graph.  A graph's complex (`complementary_complex`) is the graph's own
+maximal independent set masks put in that order, built once and kept on
+the graph, so routes b, c and f read one object and no set is named to
+build it.  Purity, strong connectedness (ridges indexed by mask), the
+shelling search and `check_shelling` read the facet masks and their
+popcounts, and the homology oracle lists its faces as masks
+(`face_masks`).  Names are spelled only where a result is reported:
+the memoized `facets` view, which certificates, shelling orders and
+`format_complex` read, and `all_faces`.
 
 The oracle (`reisner_cm`) ranks each distinct link once.  Each link is
 first strongly collapsed (dominated vertices deleted, Barmak-Minian), so
@@ -23,11 +26,9 @@ Dimension conventions: dim F = |F| - 1, so the empty face has dimension
 """
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 from .errors import CapacityError, InputFormatError, PreconditionError
-from .graphs import Graph, bit_positions, maximal_independent_sets, memoized
+from .graphs import Graph, bit_positions, memoized, name_order, spelled
 from .linalg import rank_mod_p, rank_rational
 from .verdicts import Verdict
 
@@ -37,89 +38,78 @@ HOMOLOGY_FACE_CAP = 4096
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    vertices: tuple[str, ...]
-    facets: tuple[frozenset[str], ...]  # inclusion-incomparable, sorted
+    vertices: tuple[str, ...]  # sorted; bit i stands for vertices[i]
+    facet_masks: tuple[int, ...]  # an antichain, in `name_order`
 
     @staticmethod
     def from_facets(faces, vertices=None) -> "SimplicialComplex":
         """Keep only the inclusion-maximal faces; vertices default to
-        their union.  Declared vertices must all appear in some facet; a
-        name declared twice is kept once."""
+        their union.  Declared vertices must be exactly the vertices of
+        the facets; a name declared twice is kept once."""
         fs = {frozenset(f) for f in faces}
-        facets = [f for f in fs if not any(f < g for g in fs)]
-        facets.sort(key=lambda f: tuple(sorted(f)))
-        covered: set[str] = set()
-        for f in facets:
-            covered |= f
-        if vertices is None:
-            vertices = sorted(covered)
-        else:
-            missing = set(vertices) - covered
-            if missing:
-                raise InputFormatError(
-                    f"declared vertices lie in no facet: {sorted(missing)}"
-                )
-        return SimplicialComplex(tuple(sorted(set(vertices))), tuple(facets))
+        covered = set().union(*fs)
+        names = sorted(covered if vertices is None else set(vertices))
+        for problem, found in (
+            ("declared vertices lie in no facet", set(names) - covered),
+            ("facets use undeclared vertices", covered - set(names)),
+        ):
+            if found:
+                raise InputFormatError(f"{problem}: {sorted(found)}")
+        bit = {v: 1 << i for i, v in enumerate(names)}
+        masks = {sum(map(bit.__getitem__, f)) for f in fs}
+        facets: list[int] = []  # largest first, each kept unless a kept one holds it
+        for f in sorted(masks, key=int.bit_count, reverse=True):
+            if not any(f & g == f for g in facets):
+                facets.append(f)
+        return SimplicialComplex(tuple(names), tuple(name_order(facets)))
 
     @property
     def dim(self) -> int:
-        if not self.facets:
-            return -1
-        return max(len(f) for f in self.facets) - 1
+        return max((f.bit_count() for f in self.facet_masks), default=0) - 1
 
     def facet_lists(self) -> list[list[str]]:
         return [sorted(f) for f in self.facets]
 
-    # The memo below lives in the instance `__dict__` (`graphs.memoized`):
+    # The memos below live in the instance `__dict__` (`graphs.memoized`):
     # equality, hashing and repr see the two fields only, and pickling
     # sends them alone.
 
     @memoized
-    def bit_order(self) -> Mapping[str, int]:
-        """Read-only map from each vertex of the facets to its bit, in
-        sorted-name order, so a mask's bits read upward are its names
-        in sorted order."""
-        return MappingProxyType(_bit_order(self.facets))
-
-    @memoized
-    def facet_masks(self) -> tuple[int, ...]:
-        """The facets as masks over `bit_order`, in `facets` order."""
-        bits = self.bit_order
-        return tuple(_mask(f, bits) for f in self.facets)
+    def facets(self) -> tuple[frozenset[str], ...]:
+        """The facets by name, in `facet_masks` order, which is the order
+        of their sorted names; certificates and listings read them."""
+        return spelled(self.vertices, self.facet_masks)
 
     @memoized
     def face_masks(self) -> tuple[int, ...]:
         """Every face as a mask, in `all_faces` order: by size, then by
-        sorted names.  Of two masks of one size the first holds the
-        lowest bit in which they differ, so a sort of the masks' binary
-        strings read lowest bit first, descending, gives the name order."""
-        width = f"0{len(self.bit_order)}b"
-        masks = sorted(
-            _submask_closure(self.facet_masks),
-            key=lambda s: format(s, width)[::-1],
-            reverse=True,
-        )
+        sorted names.  The faces of one size are an antichain, so a
+        stable sort by size of their `name_order` gives it."""
+        masks = name_order(_submask_closure(self.facet_masks))
         masks.sort(key=int.bit_count)
         return tuple(masks)
 
     def __reduce__(self):
-        return SimplicialComplex, (self.vertices, self.facets)
+        return SimplicialComplex, (self.vertices, self.facet_masks)
 
 
 def complementary_complex(g: Graph) -> SimplicialComplex:
-    """The complex whose faces are the independent sets of the graph;
-    its facets are the maximal independent sets, which are already
-    incomparable, sorted, and cover every vertex.  It is built once per
-    graph and kept in the graph's instance `__dict__`, beside the
+    """The complex whose faces are the independent sets of the graph:
+    its vertices are the graph's, and its facet masks the graph's
+    maximal independent sets as masks, which are incomparable and cover
+    every vertex, in `name_order`; no set is named.  It is built once
+    per graph and kept in the graph's instance `__dict__`, beside the
     graph's own memos, so routes b, c and f share one complex and its
     masks; equality, hashing, repr and pickling do not see it."""
     if "complex" not in vars(g):
-        vars(g)["complex"] = SimplicialComplex(g.vertices, maximal_independent_sets(g))
+        vars(g)["complex"] = SimplicialComplex(
+            g.vertices, tuple(name_order(g._independent_masks))
+        )
     return vars(g)["complex"]
 
 
 def is_pure(c: SimplicialComplex) -> Verdict:
-    sizes = sorted(len(f) for f in c.facets)
+    sizes = sorted(f.bit_count() for f in c.facet_masks)
     value = len(set(sizes)) <= 1
     return Verdict(value, "facet-sizes", {"facet_sizes": sizes})
 
@@ -140,63 +130,51 @@ def is_strongly_connected(c: SimplicialComplex) -> Verdict:
 
     Two facets are adjacent when they share a ridge (a facet minus one
     vertex).  On the complex's facet masks each ridge `f ^ bit` maps to
-    the mask of the indices of the facets that hold it, so a facet's
-    neighbours are one mask of indices.  A breadth-first search from
-    each unvisited facet in index order, visiting neighbours in
-    ascending index order, yields the components and, from facet 0, the
-    chain.
+    the list of the indices of the facets that hold it, one entry per
+    facet and vertex, so the table holds F * d entries for F facets of
+    size d.  A breadth-first search from each unvisited facet in index
+    order, visiting neighbours in ascending index order, yields the
+    components and, from facet 0, the chain.
     """
     _require_pure(c, "strong connectedness")
-    m = len(c.facets)
-    if m <= 1:
-        chain = [sorted(f) for f in c.facets]
-        return Verdict(True, "facet-chain", {"chain": chain})
     masks = c.facet_masks
-    ridges: dict[int, int] = {}
+    m = len(masks)
+    if m <= 1:
+        return Verdict(True, "facet-chain", {"chain": c.facet_lists()})
+    ridges: dict[int, list[int]] = {}
     for i, f in enumerate(masks):
-        index, rest = 1 << i, f
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            ridges[f ^ low] = ridges.get(f ^ low, 0) | index
+        for v in bit_positions(f):
+            ridges.setdefault(f ^ 1 << v, []).append(i)
     parent: list[int | None] = [None] * m
-    seen = 0
+    seen = bytearray(m)
     components = []
     for root in range(m):
-        if seen >> root & 1:
+        if seen[root]:
             continue
-        seen |= 1 << root
+        seen[root] = 1
         queue = [root]
         for i in queue:  # the queue grows while it is walked
-            f = rest = masks[i]
-            near = 0
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                near |= ridges[f ^ low]
-            near &= ~seen
-            seen |= near
-            for j in bit_positions(near):
+            f = masks[i]
+            near = {
+                j for v in bit_positions(f) for j in ridges[f ^ 1 << v] if not seen[j]
+            }
+            for j in sorted(near):
+                seen[j] = 1
                 parent[j] = i
                 queue.append(j)
         components.append(sorted(queue))
+    facets = c.facets
     if len(components) > 1:
         return Verdict(
             False,
             "facet-chain",
-            {
-                "components": [
-                    [sorted(c.facets[i]) for i in comp] for comp in components
-                ]
-            },
+            {"components": [[sorted(facets[i]) for i in comp] for comp in components]},
         )
     path = [m - 1]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     path.reverse()
-    return Verdict(
-        True, "facet-chain", {"chain": [sorted(c.facets[i]) for i in path]}
-    )
+    return Verdict(True, "facet-chain", {"chain": [sorted(facets[i]) for i in path]})
 
 
 def find_shelling(c: SimplicialComplex) -> list[frozenset[str]] | None:
@@ -212,15 +190,14 @@ def find_shelling(c: SimplicialComplex) -> list[frozenset[str]] | None:
     error.
     """
     _require_pure(c, "shelling")
-    facets = list(c.facets)
-    m = len(facets)
+    masks = c.facet_masks
+    m = len(masks)
     if m > SHELLING_FACET_CAP:
         raise CapacityError(
             f"{m} facets exceed the shelling search bound {SHELLING_FACET_CAP}"
         )
     if m <= 1:
-        return facets
-    masks = c.facet_masks
+        return list(c.facets)
     diff = [[fi & ~fj for fj in masks] for fi in masks]
     single = [[d if d & (d - 1) == 0 else 0 for d in row] for row in diff]
     dead: set[int] = set()
@@ -254,20 +231,21 @@ def find_shelling(c: SimplicialComplex) -> list[frozenset[str]] | None:
         return False
 
     if search(0):
-        return [facets[i] for i in order]
+        return [c.facets[i] for i in order]
     return None
 
 
 def check_shelling(c: SimplicialComplex, order) -> bool:
     """Independent validation of a shelling order, straight from the
     definition: for every i and every j < i, some v in F_i - F_j has
-    F_i - F_k = {v} for some k < i.  It reads the complex's facet masks
-    and shares no table or bookkeeping with the search."""
-    facets = [frozenset(f) for f in order]
-    if sorted(facets, key=lambda f: tuple(sorted(f))) != list(c.facets):
+    F_i - F_k = {v} for some k < i.  The order must hold each facet
+    once; it is read as the complex's facet masks, and shares no table
+    or bookkeeping with the search."""
+    index = {f: i for i, f in enumerate(c.facets)}
+    picks = [index.get(frozenset(f)) for f in order]
+    if None in picks or sorted(picks) != list(range(len(index))):
         return False
-    mask = dict(zip(c.facets, c.facet_masks))
-    masks = [mask[f] for f in facets]
+    masks = [c.facet_masks[i] for i in picks]
     for i in range(1, len(masks)):
         fi = masks[i]
         drops = {fi & ~masks[k] for k in range(i)}  # F_i - F_k, k < i
@@ -287,16 +265,6 @@ def _rank(rows, field) -> int:
     if field == "Q":
         return rank_rational(rows)
     return rank_mod_p(rows, int(field))
-
-
-def _bit_order(faces) -> dict[str, int]:
-    """One bit per vertex of the faces, in sorted-name order, so a face's
-    bits read upward are its names in sorted order."""
-    return {v: 1 << i for i, v in enumerate(sorted(set().union(*faces)))}
-
-
-def _mask(face, bits: Mapping[str, int]) -> int:
-    return sum(map(bits.__getitem__, face))
 
 
 def _submask_closure(generators) -> set[int]:
@@ -332,7 +300,7 @@ def all_faces(c: SimplicialComplex) -> list[frozenset[str]]:
     # a face is spelled as its mask less the lowest bit, a smaller face
     # spelled before it, joined with that bit's name
     spelled = {0: frozenset()}
-    names = {1 << i: frozenset([v]) for i, v in enumerate(c.bit_order)}
+    names = {1 << i: frozenset([v]) for i, v in enumerate(c.vertices)}
     for s in masks:
         if s:
             low = s & -s
@@ -425,9 +393,9 @@ def _link_betti(link: frozenset[int], field) -> list[int]:
 
 def _ranks_from_faces(faces: list[frozenset[str]], field) -> list[int]:
     """Reduced homology ranks from a downward-closed nonempty face set,
-    dimensions -1 through the maximum face dimension."""
-    bits = _bit_order(faces)
-    return _betti({_mask(f, bits) for f in faces}, field)
+    dimensions -1 through the maximum face dimension: the faces of the
+    complex its maximal faces generate."""
+    return _betti(set(SimplicialComplex.from_facets(faces).face_masks), field)
 
 
 def reduced_homology_ranks(c: SimplicialComplex, field=2) -> list[int]:

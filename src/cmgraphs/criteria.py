@@ -40,7 +40,7 @@ from .graphs import (
     Graph,
     degrees,
     is_unmixed_bruteforce,
-    maximal_independent_sets,
+    name_order,
 )
 from .pairing import (
     PairedLabeling,
@@ -315,19 +315,29 @@ def cm_structural_doublestar(pl: PairedLabeling) -> Verdict:
 def minimal_prime_shape(pl: PairedLabeling) -> Verdict:
     """Every minimal vertex cover picks exactly one vertex per pair.  A
     cover meets a pair once exactly when its complement, a maximal
-    independent set, does; the sets are walked in reverse, which is the
-    covers' order, and only a cover that fails is named."""
-    verts = frozenset(pl.graph.vertices)
-    for s in reversed(maximal_independent_sets(pl.graph)):
-        for i in range(1, pl.n + 1):
-            hits = 2 - len({pl.x(i), pl.y(i)} & s)
-            if hits != 1:
-                return Verdict(
-                    False,
-                    "cover-shape",
-                    {"cover": sorted(verts - s), "pair_index": i, "hits": hits},
-                )
-    return Verdict(True, "cover-shape", None)
+    independent set, does, so the graph's set masks are tested pair by
+    pair on the labeling's bits.  The certificate is the first failing
+    cover in the covers' order, the sets' `name_order` reversed, and its
+    first failing pair; only that cover is named."""
+    pairs = list(zip(range(1, pl.n + 1), pl.bits.x, pl.bits.y))
+
+    def first_miss(s: int) -> tuple[int, int] | None:
+        """The first pair that the cover V - s does not meet exactly
+        once, and how many of the pair's vertices that cover holds."""
+        for i, px, py in pairs:
+            inside = (s >> px & 1) + (s >> py & 1)
+            if inside != 1:
+                return i, 2 - inside
+        return None
+
+    g = pl.graph
+    failing = [s for s in g._independent_masks if first_miss(s)]
+    if not failing:
+        return Verdict(True, "cover-shape", None)
+    s = name_order(failing)[-1]
+    i, hits = first_miss(s)
+    cover = [v for b, v in enumerate(g.vertices) if not s >> b & 1]
+    return Verdict(False, "cover-shape", {"cover": cover, "pair_index": i, "hits": hits})
 
 
 def generator_bounds(pl: PairedLabeling) -> Verdict:

@@ -29,16 +29,19 @@ census sweep gives a deformation whose masks pass its labeling's check
 the draw's membership, which that check proves, so a census draw runs
 one independence search.  The maximal independent sets are enumerated
 only when the sets themselves are asked for (the labeling's cover,
-complexes, invariants, and brute-force unmixedness on a small or mixed
-graph), once per graph, as masks: one iterative pivoted Bron-Kerbosch
-search per connected component, with an explicit stack and a pivot scan
-that stops at the first vertex that leaves at most one branch, and the
-components' sets joined as a product.  `maximal_independent_sets` turns
-the masks into names once, ordered by their bit positions, which is the order of
-their sorted names.  The sets form an antichain, so that order is
-decided by the lowest bit in which two masks differ, and a C-level sort
-of the masks' binary strings, read lowest bit first, produces it without
-walking any mask bit by bit.
+complexes, invariants, the cover-shape check, and brute-force
+unmixedness on a small or mixed graph), once per graph, as masks: one
+iterative pivoted Bron-Kerbosch search per connected component, with an
+explicit stack and a pivot scan that stops at the first vertex that
+leaves at most one branch, and the components' sets joined as a
+product.  The sets form an antichain, whose order by sorted names is
+decided by the lowest bit in which two masks differ; `name_order` is
+that order, the one place it is kept: a C-level sort of the masks'
+binary strings, read lowest bit first, that walks no mask bit by bit.
+The independence complex takes the masks in that order and names none;
+`maximal_independent_sets` names them, once, for the callers that read
+sets by name: the labeling's X, the invariants, and brute force's
+witnesses on a mixed graph.
 
 The minimal vertex covers are the complements of those sets;
 complementing flips the lowest differing bit, so the covers' order is
@@ -54,9 +57,9 @@ masks, so an unmixed graph has no set named; a mixed one names the sets
 to report its two witnesses.  A labeling whose structural scan finds it
 mixed has the masks listed before brute force runs
 (`criteria._crosschecked_unmixed`), so its graph is listed, not
-counted.  The callers that need the first cover of some size (the
-labeling's X, the cover-shape check) read the named sets and name just
-the covers they report.  `minimal_vertex_covers` names every cover, for
+counted.  The labeling's X, the first cover of size n, is read off the
+named sets; the cover-shape check tests the masks and names just the
+cover it reports.  `minimal_vertex_covers` names every cover, for
 callers that read covers by name.
 """
 
@@ -183,7 +186,7 @@ class Graph:
 
     @memoized
     def _maximal_independent_sets(self) -> tuple[frozenset[str], ...]:
-        return _named_sets(self.vertices, self._independent_masks)
+        return spelled(self.vertices, name_order(self._independent_masks))
 
     @memoized
     def _minimal_vertex_covers(self) -> tuple[frozenset[str], ...]:
@@ -193,12 +196,7 @@ class Graph:
 
 def adjacency(g: Graph) -> Mapping[str, frozenset[str]]:
     """Read-only neighbour sets, named off the neighbour masks on each call."""
-    names = g.vertices
-    width = f"0{len(names)}b"
-    rows = (format(nb, width)[::-1].encode().translate(_SELECT) for nb in g.neighbours)
-    return MappingProxyType(
-        {v: frozenset(compress(names, row)) for v, row in zip(names, rows)}
-    )
+    return MappingProxyType(dict(zip(g.vertices, spelled(g.vertices, g.neighbours))))
 
 
 def bit_positions(mask: int) -> list[int]:
@@ -256,18 +254,30 @@ def add_edges(g: Graph, f) -> Graph:
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
-def _named_sets(names, masks) -> tuple[frozenset[str], ...]:
-    """An antichain of masks as name sets, ordered by their bit positions.
+def _low_first(mask: int) -> str:
+    """A mask's binary digits read lowest bit first: `bin` less its
+    "0b", reversed."""
+    return bin(mask)[:1:-1]
+
+
+def name_order(masks) -> list[int]:
+    """An antichain of masks in the order of their sorted names, where
+    bit i stands for the i-th name.
 
     Of two masks A and B of an antichain, A comes first exactly when the
     lowest bit of A ^ B is in A: below that bit they agree, and B must
     hold a higher bit, or it would lie inside A.  Written lowest bit
-    first, A is then the larger string, so the sort is on the reversed
-    binary strings, descending, and each string selects its names."""
-    width = f"0{len(names)}b"
-    rows = sorted((format(m, width)[::-1] for m in masks), reverse=True)
+    first, both strings reach that bit and A's is the larger there, so
+    the sort is on those strings, descending."""
+    return sorted(masks, key=_low_first, reverse=True)
+
+
+def spelled(names, masks) -> tuple[frozenset[str], ...]:
+    """Each mask, in the order given, as the set of the names its bits
+    stand for: its digits read lowest bit first select the names."""
     return tuple(
-        frozenset(compress(names, row.encode().translate(_SELECT))) for row in rows
+        frozenset(compress(names, _low_first(m).encode().translate(_SELECT)))
+        for m in masks
     )
 
 

@@ -496,6 +496,21 @@ def test_cm_draw_decides_unmixedness_once(monkeypatch):
     assert route_a == [member]
 
 
+def test_an_unmixed_draw_names_no_set_of_its_member():
+    # the complex routes read the member's set masks and the cover-shape
+    # check tests them pair by pair; outside the full-oracle sweep only
+    # a mixed graph (a mixed deformation in route e) names its sets
+    rng = random.Random(29)
+    unmixed = 0
+    for index in range(600):
+        member = member_from_mask(4, rng.randrange(1 << len(optional_edges(4))))
+        outcome = census.check_member(member, index, full_oracles=False)
+        if outcome["summary"]["unmixed"]:
+            unmixed += 1
+            assert "_maximal_independent_sets" not in vars(member.graph)
+    assert unmixed >= 2
+
+
 def test_rational_homology_disagreement_is_recorded_once(monkeypatch):
     member = _cm_member()
     clean = census.check_member(member, 0, full_oracles=True)

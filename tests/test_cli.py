@@ -540,14 +540,13 @@ def test_check_output_is_the_same_under_python_O(name):
     assert run("-O") == plain
 
 
-def test_check_of_pairs_18_fits_in_160_mb(tmp_path):
-    # the 2**18 cover sizes are popcounts of masks, and no set is named:
-    # naming them ends in MemoryError under this limit.  The limit is set
-    # in the child only, between fork and exec.
+def _check_under_memory_limit(tmp_path, pairs, megabytes, *args):
+    """`check pairs N` with `args` in a child process whose address space
+    is limited, the limit set in the child only, between fork and exec."""
     resource = pytest.importorskip("resource")
-    limit = 160 * 2**20
-    path = tmp_path / "pairs.graph"
-    path.write_text("pairs 18\n")
+    limit = megabytes * 2**20
+    path = tmp_path / f"pairs{pairs}.graph"
+    path.write_text(f"pairs {pairs}\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
@@ -556,12 +555,30 @@ def test_check_of_pairs_18_fits_in_160_mb(tmp_path):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    done = subprocess.run(
-        [sys.executable, "-m", "cmgraphs", "check", str(path), "--json"],
+    return subprocess.run(
+        [sys.executable, "-m", "cmgraphs", "check", str(path), "--json", *args],
         env=env, capture_output=True, timeout=60, preexec_fn=limit_memory,
     )
+
+
+def test_check_of_pairs_18_fits_in_160_mb(tmp_path):
+    # the 2**18 cover sizes are popcounts of masks, and no set is named:
+    # naming them ends in MemoryError under this limit
+    done = _check_under_memory_limit(tmp_path, 18, 160)
     assert done.returncode == 0, done.stderr.decode()[-500:]
     assert len(done.stdout) == 3_148_183
+
+
+def test_route_b_on_pairs_14_fits_in_120_mb(tmp_path):
+    # the ridge table holds one facet index per facet and vertex, 14 * 2**14
+    # of them, and needs about 60 MB of address space in all; a table of
+    # facet-index masks, each up to 2**14 bits wide, needs over 200 MB
+    done = _check_under_memory_limit(tmp_path, 14, 120, "--routes", "b")
+    assert done.returncode == 0, done.stderr.decode()[-500:]
+    assert len(done.stdout) == 203_483
+    document = json.loads(done.stdout)
+    assert document["cm"]["primary"] == "strongly-connected"
+    assert document["cm"]["value"] is True
 
 
 def _listed_and_counted(monkeypatch):
@@ -615,6 +632,22 @@ def test_check_of_a_bare_matching_names_no_cover_of_its_input(
         assert [len(v) for v in listed if len(v) == 2 * n] == [2 * n] * listings
         assert [len(g.vertices) for g in counted] == [2 * n] * counts
         assert not [g for g in named if len(g.vertices) == 2 * n]
+
+
+def test_routes_b_and_c_name_no_set_of_their_input(capsys, monkeypatch, tmp_path):
+    # the complex is the input's set masks: route b spells facets off it
+    # for its chain, and route c reads the facet count off the masks
+    # before it gives up above the cap, so the input graph names no set
+    path = tmp_path / "pairs12.graph"
+    path.write_text("pairs 12\n")
+    named = count_builds(monkeypatch, graphs.Graph, "_maximal_independent_sets")
+    code, out, _ = run_cli(capsys, "check", str(path), "--json", "--routes", "b,c")
+    routes = json.loads(out)["cm"]["routes"]
+    assert code == 0 and routes["b"]["value"] is True
+    assert routes["c"]["certificate"] == {
+        "inconclusive": "4096 facets exceed the shelling search bound 20"
+    }
+    assert [g for g in named if len(g.vertices) == 24] == []
 
 
 def test_check_lists_a_mixed_input_above_the_threshold_and_never_counts_it(

@@ -59,8 +59,7 @@ def test_from_facets_keeps_maximal_only():
 
 
 def test_from_facets_keeps_a_repeated_declared_vertex_once():
-    # as `Graph.build` does, so the complex's one bit order sees each
-    # name once
+    # as `Graph.build` does, so each name has one bit in the masks
     c = SimplicialComplex.from_facets(
         [("a", "b"), ("b", "c")], vertices=["a", "b", "c", "a"]
     )
@@ -68,26 +67,47 @@ def test_from_facets_keeps_a_repeated_declared_vertex_once():
     assert c == SimplicialComplex.from_facets([("a", "b"), ("b", "c")])
 
 
-def test_a_complex_memoizes_one_bit_order_outside_its_fields():
-    # the bit order and the masks are computed once per complex, and
-    # equality, hashing, repr and pickling see the two fields alone
+def test_from_facets_rejects_a_facet_vertex_left_undeclared():
+    # the masks need a bit for every vertex of the facets
+    with pytest.raises(InputFormatError, match=r"undeclared vertices: \['c'\]"):
+        SimplicialComplex.from_facets([{"a", "b"}, {"b", "c"}], vertices=["a", "b"])
+
+
+def test_a_complex_is_its_vertex_names_and_facet_masks():
+    # bit i of a mask stands for vertices[i]; the named facets and the
+    # face masks are views computed once per complex, and equality,
+    # hashing, repr and pickling see the two fields alone
     c = SimplicialComplex.from_facets([("b", "c"), ("a", "b"), ("c", "d")])
-    fresh = SimplicialComplex(c.vertices, c.facets)
-    assert dict(c.bit_order) == {"a": 1, "b": 2, "c": 4, "d": 8}
+    fresh = SimplicialComplex(c.vertices, c.facet_masks)
+    assert c.vertices == ("a", "b", "c", "d")
     assert c.facet_masks == (0b0011, 0b0110, 0b1100)
+    assert c.facets == tuple(map(frozenset, ("ab", "bc", "cd")))
     assert c.face_masks == (0, 1, 2, 4, 8, 0b0011, 0b0110, 0b1100)
-    assert c.facet_masks is c.facet_masks
-    assert c.bit_order is c.bit_order
-    with pytest.raises(TypeError):
-        c.bit_order["e"] = 16
+    assert c.facets is c.facets and c.face_masks is c.face_masks
     assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
     assert pickle.dumps(c) == pickle.dumps(fresh)
     restored = pickle.loads(pickle.dumps(c))
-    assert restored == c and "facet_masks" not in vars(restored)
+    assert restored == c and "facets" not in vars(restored)
     assert all_faces(c) == [
-        frozenset(n for n, bit in c.bit_order.items() if s & bit)
+        frozenset(v for i, v in enumerate(c.vertices) if s >> i & 1)
         for s in c.face_masks
     ]
+
+
+def test_from_facets_orders_the_facets_by_their_sorted_names():
+    # the facet masks' order is the order of the facets' sorted names,
+    # whatever order the faces come in and whatever faces they hold
+    rng = random.Random(29)
+    for _ in range(300):
+        verts = [f"v{i}" for i in range(rng.randint(1, 9))]
+        faces = [
+            rng.sample(verts, rng.randint(0, len(verts))) for _ in range(rng.randint(1, 8))
+        ]
+        sets = {frozenset(f) for f in faces}
+        maximal = [f for f in sets if not any(f < g for g in sets)]
+        c = SimplicialComplex.from_facets(faces)
+        assert list(c.facets) == sorted(maximal, key=lambda f: tuple(sorted(f)))
+        assert c.vertices == tuple(sorted(set().union(*sets)))
 
 
 def test_complementary_complex_examples(c4, ex31):

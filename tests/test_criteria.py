@@ -292,30 +292,25 @@ def test_degree_one_exists(ex31_pl, c4_pl, graft_spec):
     assert sorted(v for v, d in deg.items() if d == 1) == ["y1", "y2", "y4"]
 
 
-def test_routes_b_c_and_f_read_one_complex(monkeypatch, ex31):
-    # the complex is built once per graph and kept on it, outside the
-    # graph's equality, hash, repr and pickle
-    seen, built = [], []
+def test_routes_b_c_and_f_read_one_complex(monkeypatch, ex31_pl):
+    # the complex is built once per graph from its set masks, which it
+    # names no set of, and kept on it, outside the graph's equality,
+    # hash, repr and pickle
+    seen = []
     for name in ("is_strongly_connected", "find_shelling", "reisner_cm"):
         def recorded(complex_, *args, real=getattr(criteria, name)):
             seen.append(complex_)
             return real(complex_, *args)
 
         monkeypatch.setattr(criteria, name, recorded)
-    enumerate_ = complexes.maximal_independent_sets
-
-    def counted(g):
-        built.append(g)
-        return enumerate_(g)
-
-    monkeypatch.setattr(complexes, "maximal_independent_sets", counted)
-    g = Graph(ex31.vertices, ex31.neighbours)  # a fresh memo
-    pl = pairing.find_star_labeling(g)
+    g = Graph(ex31_pl.graph.vertices, ex31_pl.graph.neighbours)  # a fresh memo
+    pl = ex31_pl.with_graph(g)
     verdicts = cm_routes(pl, routes="bcf")
     assert all(v.value is True for v in verdicts.values())
     assert len(seen) == 3 and all(c is seen[0] for c in seen)
-    assert criteria.complementary_complex(g) is seen[0] and built == [g]
-    fresh = Graph(ex31.vertices, ex31.neighbours)
+    assert criteria.complementary_complex(g) is seen[0]
+    assert "_maximal_independent_sets" not in vars(g)
+    fresh = Graph(g.vertices, g.neighbours)
     assert "complex" in vars(g)
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
     assert pickle.dumps(g) == pickle.dumps(fresh)

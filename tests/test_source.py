@@ -208,14 +208,29 @@ def test_a_graph_membership_is_written_from_outside_graphs_in_the_census_sweep_o
     assert _membership_writes(ast.parse(writes)) == [("f", n) for n in (2, 3, 4, 5)]
 
 
-def test_only_the_complex_memo_and_the_unreduced_reference_derive_a_bit_order():
-    # routes b, c and f read the complex's one memoized bit order; the
-    # unreduced homology reference keeps its own over any face list
-    owners = set(_call_sites("_bit_order"))
-    assert owners == {
-        ("complexes.py", "bit_order"),
-        ("complexes.py", "_ranks_from_faces"),
-    }
+def test_only_graphs_sorts_masks_into_name_order():
+    # a sort keyed on binary digits read lowest bit first puts an
+    # antichain of masks into the order of its names; that rule is
+    # `graphs.name_order`, which the graph's named sets and the complex's
+    # facet and face masks read
+    package = pathlib.Path(ROOT, "src", "cmgraphs")
+
+    def reads_digits_backwards(call):
+        return any(
+            isinstance(node, ast.Slice) and node.step is not None
+            and ast.unparse(node.step) == "-1"
+            or isinstance(node, ast.Name) and node.id == "_low_first"
+            for node in ast.walk(call)
+        )
+
+    sorts = [
+        (path.name, owner)
+        for path in sorted(package.rglob("*.py"))
+        for owner, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) in ("sorted", "sort")
+        and reads_digits_backwards(call)
+    ]
+    assert sorts == [("graphs.py", "name_order")]
 
 
 def test_indented_json_is_written_in_one_place():
