@@ -132,7 +132,8 @@ def is_strongly_connected(c: SimplicialComplex) -> Verdict:
     vertex).  On the complex's facet masks each ridge `f ^ bit` maps to
     the list of the indices of the facets that hold it, one entry per
     facet and vertex, so the table holds F * d entries for F facets of
-    size d.  A breadth-first search from each unvisited facet in index
+    size d; each facet's ridge keys are computed once, for the table and
+    the walk.  A breadth-first search from each unvisited facet in index
     order, visiting neighbours in ascending index order, yields the
     components and, from facet 0, the chain.
     """
@@ -141,10 +142,11 @@ def is_strongly_connected(c: SimplicialComplex) -> Verdict:
     m = len(masks)
     if m <= 1:
         return Verdict(True, "facet-chain", {"chain": c.facet_lists()})
+    keys = [[f ^ 1 << v for v in bit_positions(f)] for f in masks]
     ridges: dict[int, list[int]] = {}
-    for i, f in enumerate(masks):
-        for v in bit_positions(f):
-            ridges.setdefault(f ^ 1 << v, []).append(i)
+    for i, own in enumerate(keys):
+        for key in own:
+            ridges.setdefault(key, []).append(i)
     parent: list[int | None] = [None] * m
     seen = bytearray(m)
     components = []
@@ -154,10 +156,7 @@ def is_strongly_connected(c: SimplicialComplex) -> Verdict:
         seen[root] = 1
         queue = [root]
         for i in queue:  # the queue grows while it is walked
-            f = masks[i]
-            near = {
-                j for v in bit_positions(f) for j in ridges[f ^ 1 << v] if not seen[j]
-            }
+            near = {j for key in keys[i] for j in ridges[key] if not seen[j]}
             for j in sorted(near):
                 seen[j] = 1
                 parent[j] = i

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    bit_positions,
     degrees,
     is_unmixed_bruteforce,
     name_order,
@@ -72,13 +73,15 @@ def _structural_scan(pl: PairedLabeling) -> Verdict:
          distinct i, j, k and z_i either of x_i, y_i;
     (ii) a cross edge x_i y_j forbids the cover edge x_i x_j.
 
-    Both read the labeling's pair relations, so the scan is O(n * m).
+    Both read the labeling's pair masks as inclusions, O(n * m): links[j]
+    lies in cover[i] | {i} for j in cover[i], and in links[i] | {i} for j
+    in links[i]; k is the lowest bit of links[j] outside it.
     """
     cross, links, cover = pl.relations
     for i in range(1, pl.n + 1):
         both = cross[i] & cover[i]
         if both:
-            j = min(both)
+            j = (both & -both).bit_length() - 1
             return Verdict(
                 False,
                 "structural",
@@ -93,13 +96,15 @@ def _structural_scan(pl: PairedLabeling) -> Verdict:
                 },
             )
     for i in range(1, pl.n + 1):
-        for j in sorted(cover[i] | links[i]):
-            forced = links[j] - {i}
-            fail_x = forced - cover[i] if j in cover[i] else frozenset()
-            fail_y = forced - links[i] if j in links[i] else frozenset()
-            if fail_x or fail_y:
-                k = min(fail_x | fail_y)
-                z = pl.x(i) if k in fail_x else pl.y(i)
+        as_x, as_y = cover[i] | 1 << i, links[i] | 1 << i
+        for j in bit_positions(cover[i] | links[i]):
+            forced = links[j]
+            fail_x = (forced | as_x) ^ as_x if cover[i] >> j & 1 else 0
+            fail_y = (forced | as_y) ^ as_y if links[i] >> j & 1 else 0
+            fail = fail_x | fail_y
+            if fail:
+                k = (fail & -fail).bit_length() - 1
+                z = pl.x(i) if fail_x >> k & 1 else pl.y(i)
                 return Verdict(
                     False,
                     "structural",
@@ -209,9 +214,9 @@ def _route_e(pl: PairedLabeling) -> Verdict:
     # graph is kept, since each holds the masks of its maximal
     # independent sets, or above `SIZE_COUNT_ABOVE` vertices their count
     # by size (a mixed one, which ends the walk, lists and names them)
-    links, seen = pl.relations.links, set()
+    linked, seen = sum(1 << i for i, m in enumerate(pl.relations.links) if m), set()
     for t in subsets:
-        key = tuple(i for i in t if links[i])
+        key = sum(1 << i for i in t) & linked
         if key in seen:
             continue
         seen.add(key)

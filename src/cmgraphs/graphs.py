@@ -20,7 +20,9 @@ descriptor that stores each value in the instance `__dict__`, as
 `functools.cached_property` does but without its lock.  The memo holds
 only immutable values and dies with the graph.
 
-The perfect-matching backtracker (route d) runs on the neighbour masks.
+The one perfect-matching backtracker, `walk_perfect_matchings`, runs
+on neighbour masks and yields bit positions: route d walks a labeling's
+X-Y masks, and `iter_perfect_matchings` names a whole graph's matchings.
 The height and class membership read only the neighbour masks: the
 independence number comes from an exact reduce-and-branch search, so
 deciding membership lists no independent set, and `classify` reads the
@@ -272,13 +274,16 @@ def name_order(masks) -> list[int]:
     return sorted(masks, key=_low_first, reverse=True)
 
 
+def selected(items, mask: int):
+    """The items at the set bits of `mask`, in bit order, picked in C: the
+    mask's digits read lowest bit first select them."""
+    return compress(items, _low_first(mask).encode().translate(_SELECT))
+
+
 def spelled(names, masks) -> tuple[frozenset[str], ...]:
     """Each mask, in the order given, as the set of the names its bits
-    stand for: its digits read lowest bit first select the names."""
-    return tuple(
-        frozenset(compress(names, _low_first(m).encode().translate(_SELECT)))
-        for m in masks
-    )
+    stand for."""
+    return tuple(frozenset(selected(names, m)) for m in masks)
 
 
 def _bron_kerbosch(g: Graph) -> tuple[int, ...]:
@@ -589,25 +594,32 @@ def is_unmixed_bruteforce(g: Graph) -> Verdict:
 
 
 def iter_perfect_matchings(g: Graph):
-    """Yield all perfect matchings by backtracking on the neighbour masks:
-    the lowest uncovered bit is matched to each uncovered neighbour in
-    ascending bit order.  Bit order is sorted-name order, so the pairs
-    chosen down one branch come out sorted, and each matching is a sorted
-    tuple of sorted pairs.  An explicit stack holds, per depth, the
-    uncovered bits left after that depth's lowest one and the partners
-    still to try, so depth is unbounded."""
-    names, neighbours = g.vertices, g.neighbours
+    """`walk_perfect_matchings` on the neighbour masks, named: bit order is
+    name order, so each matching is a sorted tuple of sorted pairs."""
+    names = g.vertices
+    for matching in walk_perfect_matchings(g.neighbours):
+        yield tuple((names[v], names[u]) for v, u in matching)
+
+
+def walk_perfect_matchings(neighbours):
+    """Yield all perfect matchings of the graph with these neighbour
+    masks, each as a tuple of (v, u) bit positions, v < u, ascending in v:
+    the one perfect-matching backtracker.  The lowest uncovered bit is
+    matched to each uncovered neighbour in ascending bit order.  An
+    explicit stack holds, per depth, the uncovered bits left after that
+    depth's lowest one and the partners still to try, so depth is
+    unbounded."""
 
     def choices(uncovered):
         low = uncovered & -uncovered
         v = low.bit_length() - 1
         return [uncovered ^ low, v, neighbours[v] & uncovered]
 
-    if not names:
+    if not neighbours:
         yield ()
         return
-    acc: list[tuple[str, str]] = []  # the pair chosen at each open depth
-    stack = [choices((1 << len(names)) - 1)]
+    acc: list[tuple[int, int]] = []  # the pair chosen at each open depth
+    stack = [choices((1 << len(neighbours)) - 1)]
     while stack:
         top = stack[-1]
         rest, v, partners = top
@@ -618,7 +630,7 @@ def iter_perfect_matchings(g: Graph):
             continue
         low = partners & -partners
         top[2] = partners ^ low
-        pair = (names[v], names[low.bit_length() - 1])
+        pair = (v, low.bit_length() - 1)
         rest ^= low
         if not rest:
             yield (*acc, pair)

@@ -10,9 +10,9 @@ so cross edges point upward, and decides uniqueness of the perfect matching.
 Like a `Graph`, a `PairedLabeling` memoizes what every criterion reads:
 the bit position of each x_i and y_i in its graph with the mask of each
 side (`bits`, the one place names are turned into positions), its pair
-relations (`PairRelations`), read from the graph's neighbour masks, its
-2-pair cycle (`short_cycle`, which route a and the relabeling read) and
-its unmixedness verdict (`unmixed`, which
+relations (`PairRelations`, masks over pair indices), read from the
+graph's neighbour masks, its 2-pair cycle (`short_cycle`, which route a
+and the relabeling read) and its unmixedness verdict (`unmixed`, which
 `criteria._crosschecked_unmixed` decides and keeps).  The relations are
 the one record of the links y_i x_k that `transform.o_set` rewires and
 `transform.restricted_o_full` reads.  All of them are built on first
@@ -25,14 +25,14 @@ neighbour masks, through the check `mask_check` builds for the pairs.
 A deformation keeps the vertices and the pairs, so the census checks a
 draw's names once and each of its deformations with that one check.
 Cycle witnesses are checked on the masks too; edges are named only in
-dumps and error reports.
+dumps and error reports.  Route d walks the X-Y perfect matchings as
+bit positions and names only the second matching it reports.
 """
 
 import heapq
 import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     InputFormatError,
@@ -49,6 +49,7 @@ from .graphs import (
     lex_min_matching,
     maximal_independent_sets,
     memoized,
+    walk_perfect_matchings,
 )
 from .verdicts import Verdict
 
@@ -64,13 +65,14 @@ class PairBits(NamedTuple):
 
 
 class PairRelations(NamedTuple):
-    """Per pair index i (1-based), the indices j != i with x_i y_j
-    (`cross`), y_i x_j (`links`, the transpose) or x_i x_j (`cover`) an
-    edge; defined when the x names and the y names are distinct."""
+    """Per pair index i (1-based), the pairs j != i with x_i y_j (`cross`),
+    y_i x_j (`links`, the transpose) or x_i x_j (`cover`) an edge, as a
+    mask with bit j for pair j, as in `transform._subset_bits`; entry 0
+    is 0.  Defined when the x names and the y names are distinct."""
 
-    cross: Mapping[int, frozenset[int]]
-    links: Mapping[int, frozenset[int]]
-    cover: Mapping[int, frozenset[int]]
+    cross: tuple[int, ...]
+    links: tuple[int, ...]
+    cover: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -97,22 +99,30 @@ class PairedLabeling:
 
     @memoized
     def relations(self) -> PairRelations:
-        """The pair relations, read from the neighbour masks in one pass."""
+        """The pair relations, read from the neighbour masks in one pass:
+        `pair_bit` takes a bit position of x_i or y_i to the bit of pair
+        i, the one table from vertex bits to pair bits."""
         xs, ys, x_mask, y_mask = self.bits
         neighbours = self.graph.neighbours
-        x_index = dict(zip(xs, range(1, len(xs) + 1)))
-        y_index = dict(zip(ys, range(1, len(ys) + 1)))
-
-        def indices(p, index, side, i):
-            found = bit_positions(neighbours[p] & side)
-            return frozenset(index[q] for q in found) - {i}
-
-        cross, links, cover = {}, {}, {}
+        pair_bit = [0] * len(neighbours)
         for i, (px, py) in enumerate(zip(xs, ys), start=1):
-            cross[i] = indices(px, y_index, y_mask, i)
-            links[i] = indices(py, x_index, x_mask, i)
-            cover[i] = indices(px, x_index, x_mask, i)
-        return PairRelations(*map(MappingProxyType, (cross, links, cover)))
+            pair_bit[px] = pair_bit[py] = 1 << i
+
+        def pairs_of(mask: int) -> int:
+            out = 0
+            while mask:
+                low = mask & -mask
+                out |= pair_bit[low.bit_length() - 1]
+                mask ^= low
+            return out
+
+        cross, links, cover = [0], [0], [0]
+        for i, (px, py) in enumerate(zip(xs, ys), start=1):
+            others, nb = ~(1 << i), neighbours[px]
+            cross.append(pairs_of(nb & y_mask) & others)
+            links.append(pairs_of(neighbours[py] & x_mask) & others)
+            cover.append(pairs_of(nb & x_mask) & others)
+        return PairRelations(tuple(cross), tuple(links), tuple(cover))
 
     @memoized
     def short_cycle(self) -> "CycleWitness | None":
@@ -364,9 +374,13 @@ def find_cycle(pl: PairedLabeling, max_r: int | None = None) -> CycleWitness | N
     limit = n if max_r is None else min(max_r, n)
     found = None
     for s in range(1, n + 1):
-        levels, seen = [{s}], {s}
+        above = -1 << s + 1  # the pairs above s
+        levels, seen = [1 << s], 1 << s
         while len(levels) < limit and levels[-1]:
-            level = {j for i in levels[-1] for j in cross[i] if j > s} - seen
+            reach = 0
+            for i in bit_positions(levels[-1]):
+                reach |= cross[i]
+            level = reach & above & ~seen
             seen |= level
             levels.append(level)
             if links[s] & level:
@@ -377,7 +391,8 @@ def find_cycle(pl: PairedLabeling, max_r: int | None = None) -> CycleWitness | N
     s, levels = found
     cycle = [s]
     for level in reversed(levels[1:]):
-        cycle.append(min(links[cycle[-1]] & level))
+        step = links[cycle[-1]] & level
+        cycle.append((step & -step).bit_length() - 1)
     w = CycleWitness(tuple(cycle))
     if not cycle_witness_holds(pl, w):
         raise RouteDisagreementError(
@@ -407,23 +422,23 @@ def relabel_for_double_star(pl: PairedLabeling) -> PairedLabeling:
             witness={"antisymmetry": [i, j]},
         )
     for i in range(1, n + 1):
-        for j in sorted(cross[i]):
-            missing = cross[j] - cross[i] - {i}
+        for j in bit_positions(cross[i]):
+            missing = cross[j] & ~(cross[i] | 1 << i)
             if missing:
-                k = min(missing)
+                k = (missing & -missing).bit_length() - 1
                 raise PreconditionError(
                     f"transitivity fails on pairs ({i}, {j}, {k})",
                     witness={"transitivity": [i, j, k]},
                 )
 
-    pred_count = {j: len(links[j]) for j in range(1, n + 1)}
+    pred_count = [m.bit_count() for m in links]
     available = [(pl.x(i), i) for i in range(1, n + 1) if pred_count[i] == 0]
     heapq.heapify(available)
     order: list[int] = []
     while available:
         _, i = heapq.heappop(available)
         order.append(i)
-        for j in cross[i]:
+        for j in bit_positions(cross[i]):
             pred_count[j] -= 1
             if pred_count[j] == 0:
                 heapq.heappush(available, (pl.x(j), j))
@@ -439,8 +454,29 @@ def relabel_for_double_star(pl: PairedLabeling) -> PairedLabeling:
 
 
 def satisfies_double_star(pl: PairedLabeling) -> bool:
-    """Does every cross edge x_i y_j have i <= j?"""
-    return all(j > i for i, js in pl.relations.cross.items() for j in js)
+    """Does every cross edge x_i y_j have i <= j?  Read off the neighbour
+    masks, so a relabeled copy builds no relations: no x_i may see the y
+    of an earlier pair."""
+    xs, ys, _, _ = pl.bits
+    neighbours, earlier = pl.graph.neighbours, 0
+    for px, py in zip(xs, ys):
+        if neighbours[px] & earlier:
+            return False
+        earlier |= 1 << py
+    return True
+
+
+def xy_matchings(pl: PairedLabeling):
+    """A valid labeling's perfect matchings, walked on its X-Y edges: Y is
+    independent and |Y| = |X|, so no x-x edge lies in any, and only dead
+    branches are cut."""
+    _, _, x_mask, y_mask = pl.bits
+    return walk_perfect_matchings(
+        [
+            nb & (y_mask if x_mask >> p & 1 else x_mask)
+            for p, nb in enumerate(pl.graph.neighbours)
+        ]
+    )
 
 
 def unique_perfect_matching(pl: PairedLabeling) -> Verdict:
@@ -449,7 +485,7 @@ def unique_perfect_matching(pl: PairedLabeling) -> Verdict:
     permutation of a second matching, plus the matching that swaps
     partners along that cycle alone: the second matching's edges on the
     cycle's pairs and the labeling's elsewhere."""
-    found = list(itertools.islice(iter_perfect_matchings(pl.graph), 2))
+    found = list(itertools.islice(xy_matchings(pl), 2))
     if not found:
         raise RouteDisagreementError(
             "perfect matching enumeration and labeling disagree",
@@ -457,17 +493,14 @@ def unique_perfect_matching(pl: PairedLabeling) -> Verdict:
         )
     if len(found) == 1:
         return Verdict(True, "unique-matching", {"matchings_found": 1})
-    other = next(
-        m
-        for m in found
-        if set(m) != {tuple(sorted(p)) for p in pl.pairs}
-    )
-    x_index = {x: i for i, (x, _) in enumerate(pl.pairs, start=1)}
-    y_index = {y: i for i, (_, y) in enumerate(pl.pairs, start=1)}
-    partner = {}  # pair of each y -> pair of the x it is matched with
-    for a, b in other:
-        x, y = (a, b) if a in x_index else (b, a)
-        partner[y_index[y]] = x_index[x]
+    xs, ys, _, _ = pl.bits
+    own = {(px, py) if px < py else (py, px) for px, py in zip(xs, ys)}
+    other = next(m for m in found if set(m) != own)
+    mate = dict(other)
+    mate.update((u, v) for v, u in other)
+    pair_of = dict(zip(xs, range(1, pl.n + 1)))  # the pair of each x bit
+    # pair of each y -> pair of the x it is matched with
+    partner = {j: pair_of[mate[py]] for j, py in enumerate(ys, start=1)}
     start = min(j for j, i in partner.items() if i != j)
     cycle = [start]
     while partner[cycle[-1]] != start:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputFormatError, RouteDisagreementError, StructureError
-from .graphs import Graph, isolated_vertices, lex_min_matching
+from .graphs import Graph, bit_positions, isolated_vertices, lex_min_matching, selected
 from .pairing import PairedLabeling, validate_labeling
 
 
@@ -43,7 +43,7 @@ def rewire(pl: PairedLabeling, g: Graph, pairs) -> Graph:
     for i in moved:
         pi, py = xs[i - 1], ys[i - 1]
         x_bit, y_bit, linked = 1 << pi, 1 << py, 0
-        for k in links[i]:
+        for k in bit_positions(links[i]):
             pk = xs[k - 1]
             masks[pk] = masks[pk] & ~y_bit | x_bit
             linked |= 1 << pk
@@ -102,8 +102,7 @@ def deformations(pl: PairedLabeling):
     pair, which came earlier; every later subset with that key gets the
     same object.  The key of no pair is the input graph, never built.
     """
-    links = pl.relations.links
-    linked = sum(1 << i for i in links if links[i])
+    linked = sum(1 << i for i, m in enumerate(pl.relations.links) if m)
     built = {0: pl.graph}
     for t, bits in _subset_bits(pl.n):
         key = bits & linked
@@ -121,19 +120,19 @@ def restricted_o_full(pl: PairedLabeling) -> Graph:
 
     On the x vertices that graph keeps every cover edge x_i x_j and gains
     x_k x_i for each link y_i x_k, so it is read off the pair relations:
-    x_i x_j for each j in `cover[i] | links[i]`, set as bits both ways
-    on the sorted x names.  Its covers and independent sets drive the
-    type, level and Gorenstein computations.
+    x_i meets x_j for each bit j of `cover[i] | links[i] | cross[i]`
+    (`cross` is the transpose of `links`), on the sorted x names, whose
+    bits the row's pair bits select.  Its covers and independent sets
+    drive the type, level and Gorenstein computations.
     """
-    _, links, cover = pl.relations
+    cross, links, cover = pl.relations
     names = tuple(sorted(pl.x_names))
     rank = dict(zip(names, range(len(names))))
     at = [rank[x] for x in pl.x_names]  # bit of x_i, at index i - 1
+    bit = [0] + [1 << a for a in at]  # by pair index
     masks = [0] * len(names)
-    for i in range(1, pl.n + 1):
-        for j in cover[i] | links[i]:
-            masks[at[i - 1]] |= 1 << at[j - 1]
-            masks[at[j - 1]] |= 1 << at[i - 1]
+    for i in range(1, pl.n + 1):  # distinct bits, so their sum is their union
+        masks[at[i - 1]] = sum(selected(bit, cover[i] | links[i] | cross[i]))
     return Graph(names, tuple(masks))
 
 

@@ -9,7 +9,7 @@ package replaced, and tests compare the two: the recursive frozenset
 Bron-Kerbosch enumerator, dense Gauss-Jordan ranks over F_p and Q,
 strong connectivity by testing every facet pair, pair relations probed
 pair by pair with `has_edge`, as the package did before a labeling
-memoized them, the labeling validator on adjacency name sets, every
+memoized them as masks, the labeling validator on adjacency name sets, every
 labeling by a matching search of its own per minimum cover, the
 recursive perfect-matching backtracker and lexicographic matcher, and
 route e's walk that deforms and checks every subset it is given.  The
@@ -555,6 +555,21 @@ def validate_labeling_def(pl):
         if extends is not None:
             problems.append(f"Y is not maximal: {extends} extends it")
     return problems
+
+
+def relations_def(pl):
+    """The pair relations probed pair by pair with `has_edge`: per pair i,
+    the masks with bit j for each pair j != i with x_i y_j (cross), y_i
+    x_j (links) or x_i x_j (cover) an edge; entry 0 is 0."""
+    g, n = pl.graph, pl.n
+
+    def related(a, b):
+        return (0,) + tuple(
+            sum(1 << j for j in range(1, n + 1) if j != i and g.has_edge(a(i), b(j)))
+            for i in range(1, n + 1)
+        )
+
+    return related(pl.x, pl.y), related(pl.y, pl.x), related(pl.x, pl.x)
 
 
 def satisfies_double_star_def(pl):

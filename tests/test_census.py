@@ -451,19 +451,29 @@ def test_homology_of_a_mixed_member_is_route_f(monkeypatch):
 
 
 def test_unmixed_member_enumerates_its_matchings_once(monkeypatch):
-    # route d and the labeling-invariance sweep are the callers of
-    # iter_perfect_matchings in pairing; each enumerates once
+    # route d walks the labeling's X-Y masks (xy_matchings) and the
+    # labeling-invariance sweep names the graph's matchings through
+    # iter_perfect_matchings; each enters the one walker once
     calls = []
-    iterate = pairing.iter_perfect_matchings
+    walk = graphs.walk_perfect_matchings
 
-    def counted(g):
+    def counted(neighbours):
         calls.append(sys._getframe(1).f_code.co_name)
+        return walk(neighbours)
+
+    named, iterate = [], pairing.iter_perfect_matchings
+
+    def counted_named(g):
+        named.append(sys._getframe(1).f_code.co_name)
         return iterate(g)
 
-    monkeypatch.setattr(pairing, "iter_perfect_matchings", counted)
+    monkeypatch.setattr(pairing, "walk_perfect_matchings", counted)
+    monkeypatch.setattr(graphs, "walk_perfect_matchings", counted)
+    monkeypatch.setattr(pairing, "iter_perfect_matchings", counted_named)
     outcome = census.check_member(_cm_member(), 0, full_oracles=True)
     assert outcome["violations"] == []
-    assert sorted(calls) == ["all_star_labelings", "unique_perfect_matching"]
+    assert named == ["all_star_labelings"]
+    assert sorted(calls) == ["iter_perfect_matchings", "xy_matchings"]
 
 
 def test_cm_draw_decides_unmixedness_once(monkeypatch):

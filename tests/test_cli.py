@@ -351,13 +351,14 @@ def test_check_decides_unmixedness_once_per_labeling(capsys, monkeypatch):
 
 def test_check_builds_relations_once_per_labeling(capsys, monkeypatch, tmp_path):
     # an upward labeling is its own upward relabeling; only a changed
-    # order builds a copy, which reads its own relations
+    # order builds a copy, whose upward check reads its neighbour masks,
+    # so the copy builds no relations
     downward = tmp_path / "downward.graph"
     downward.write_text("pairs 3\nedge x3 y2\nedge x3 y1\nedge x2 y1\n")
     built = count_builds(monkeypatch, pairing.PairedLabeling, "relations")
     for path, order, builds in (
         (fixture_path("example3_1.graph"), [1, 2, 3], 1),
-        (str(downward), [3, 2, 1], 2),
+        (str(downward), [3, 2, 1], 1),
     ):
         built.clear()
         code, out, _ = run_cli(capsys, "check", path, "--json")
@@ -503,7 +504,7 @@ def test_rejected_graft_labeling_exits_three(capsys, monkeypatch):
 
 
 def test_missing_perfect_matching_exits_three(capsys, monkeypatch):
-    monkeypatch.setattr(pairing, "iter_perfect_matchings", lambda g: iter(()))
+    monkeypatch.setattr(pairing, "walk_perfect_matchings", lambda masks: iter(()))
     code, _, err = run_cli(
         capsys, "check", fixture_path("example3_1.graph"), "--routes", "d"
     )

@@ -56,6 +56,36 @@ def test_parse_rejects_malformed_lines(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("vertex\n", InputFormatError, "line 1: vertex takes exactly one name"),
+        ("edge a b\nvertex a b\n", InputFormatError, "line 2: vertex takes exactly one name"),
+        ("# c\n\nedge a\n", InputFormatError, "line 3: edge takes exactly two names"),
+        ("edge a b c\n", InputFormatError, "line 1: edge takes exactly two names"),
+        ("edge\n", InputFormatError, "line 1: edge takes exactly two names"),
+        ("edge a b\nedge c c  # x\n", InputFormatError, "line 2: loop edge 'c'-'c' is not allowed"),
+        ("pairs 1\nedge a b\npairs 2\n", InputFormatError, "line 3: pairs may be declared only once"),
+        ("pairs 1\npairs two\n", InputFormatError, "line 2: pairs may be declared only once"),
+        ("pairs two\n", InputFormatError, "line 1: pairs takes one positive integer"),
+        ("pairs -1\n", InputFormatError, "line 1: pairs takes one positive integer"),
+        ("pairs 1 2\n", InputFormatError, "line 1: pairs takes one positive integer"),
+        ("pairs\n", InputFormatError, "line 1: pairs takes one positive integer"),
+        ("edge a b\npairs 000\n", InputFormatError, "line 2: pairs takes one positive integer"),
+        ("pairs 0\n", InputFormatError, "line 1: pairs takes one positive integer"),
+        (f"pairs {PAIRS_CAP + 1}\n", CapacityError, f"line 1: pairs is capped at {PAIRS_CAP} pairs"),
+        ("vertex a\nxside\n", InputFormatError, "line 2: xside needs at least one name"),
+        ("xside a\nyside   # none\n", InputFormatError, "line 2: yside needs at least one name"),
+        ("edge a b\n\nfrobnicate a b\n", InputFormatError, "line 3: unknown directive 'frobnicate'"),
+        ("Edge a b\n", InputFormatError, "line 1: unknown directive 'Edge'"),
+    ],
+)
+def test_parse_errors_name_their_line(text, error, message):
+    with pytest.raises(error) as caught:
+        parse_graph(text)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_pairs_count_is_capped_before_anything_is_built():
     assert PAIRS_CAP >= 1200  # the largest matching the docs and tests use
     largest = parse_graph(f"pairs 000{PAIRS_CAP}\n").graph

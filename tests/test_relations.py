@@ -27,13 +27,16 @@ from cmgraphs.pairing import (
     relabel_for_double_star,
     satisfies_double_star,
     validate_labeling,
+    xy_matchings,
 )
 from cmgraphs.transform import index_subsets, o_set, restricted_o_full
 from conftest import count_builds
 from oracles import (
     find_cycle_def,
+    iter_perfect_matchings_def,
     o_set_def,
     relabel_for_double_star_def,
+    relations_def,
     satisfies_double_star_def,
     structural_scan_def,
     validate_labeling_def,
@@ -78,6 +81,7 @@ def test_relations_match_the_has_edge_scans():
     rng = random.Random(20090731)
     for _ in range(CASES):
         pl = random_labeling(rng)
+        assert pl.relations == relations_def(pl)
         assert _structural_scan(pl).to_dict() == structural_scan_def(pl).to_dict()
         for max_r in (2, 3, None):
             assert find_cycle(pl, max_r) == find_cycle_def(pl, max_r)
@@ -89,6 +93,40 @@ def test_relations_match_the_has_edge_scans():
         assert o_set(pl, t) == o_set_def(pl, t)
         full = o_set_def(pl, range(1, pl.n + 1))
         assert restricted_o_full(pl) == induced_subgraph(full, pl.x_names)
+
+
+def renamed(pl, rng):
+    """`pl` with its vertices renamed at random and its pairs shuffled, so
+    that the names sort out of pair order."""
+    names = rng.sample([f"v{k:02d}" for k in range(40)], len(pl.graph.vertices))
+    new = dict(zip(pl.graph.vertices, names))
+    edges = [(new[a], new[b]) for a, b in pl.graph.edge_list()]
+    pairs = [(new[x], new[y]) for x, y in pl.pairs]
+    rng.shuffle(pairs)
+    return PairedLabeling(Graph.build(names, edges), tuple(pairs))
+
+
+def test_mask_relations_and_the_x_y_walk_match_the_definitions():
+    # every member with n <= 3, and seeded n = 4-6 members renamed so
+    # that their names sort out of pair order, with their pairs shuffled
+    rng = random.Random(30909)
+    members = [pl for n in (1, 2, 3) for pl in enumerate_class(n)]
+    for n, count in ((4, 300), (5, 120), (6, 40)):
+        drawn = enumerate_class(n, mode="sample", seed=n, count=count)
+        members += [renamed(pl, rng) for pl in drawn]
+    unsorted = second = 0
+    for pl in members:
+        assert validate_labeling(pl) == []
+        assert pl.relations == relations_def(pl)
+        names = pl.graph.vertices
+        walked = [
+            tuple((names[v], names[u]) for v, u in m)
+            for m in itertools.islice(xy_matchings(pl), 2)
+        ]
+        assert walked == list(itertools.islice(iter_perfect_matchings_def(pl.graph), 2))
+        unsorted += list(pl.x_names) != sorted(pl.x_names)
+        second += len(walked) == 2
+    assert len(members) > 900 and unsorted > 400 and second > 600
 
 
 def test_validator_reads_the_masks_as_the_adjacency_did():
@@ -303,10 +341,11 @@ def test_relations_are_built_once_per_labeling(monkeypatch):
     satisfies_double_star(upward)
     find_cycle(pl)
     assert read == [] and built == [pl]
-    assert pl.relations.cross == {1: {2, 3}, 2: {3}, 3: set()}
-    assert pl.relations.cover == {1: set(), 2: {3}, 3: {2}}
+    # bit j stands for pair j; entry 0 is no pair
+    assert pl.relations.cross == (0, 0b1100, 0b1000, 0)
+    assert pl.relations.cover == (0, 0, 0b1000, 0b100)
     with pytest.raises(TypeError):
-        pl.relations.links[1] = frozenset()
+        pl.relations.links[1] = 0
 
 
 def test_o_set_on_a_deformed_labeling_matches_the_oracle():
@@ -338,11 +377,11 @@ def test_restricted_deformation_reads_the_relations(monkeypatch):
 
 def test_with_graph_gets_fresh_relations():
     pl = std_labeling()
-    assert pl.relations.links[3] == {1, 2}
+    assert pl.relations.links[3] == 0b110
     deformed = pl.with_graph(o_set(pl, (3,)))
-    assert deformed.relations.links[3] == frozenset()
-    assert deformed.relations.cover[1] == {3}
-    assert pl.relations.links[3] == {1, 2}
+    assert deformed.relations.links[3] == 0
+    assert deformed.relations.cover[1] == 0b1000
+    assert pl.relations.links[3] == 0b110
 
 
 def test_labeling_identity_ignores_the_memo():

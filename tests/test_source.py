@@ -296,3 +296,100 @@ def test_no_function_in_graphs_calls_itself():
     recursive = "def f(n):\n    return f(n - 1) if n else 0\n"
     method = "class A:\n    def g(self):\n        return g() + self.g()\n"
     assert _self_calls(ast.parse(recursive + method)) == ["f:2", "g:5"]
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, without those of the functions
+    defined inside it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _backtracking_generators(tree):
+    """The generators that backtrack: each yields, and either pops an
+    explicit stack or calls itself."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(_own_nodes(fn))
+        yields = any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in nodes)
+        backtracks = any(
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "pop"
+                 or getattr(node.func, "id", None) == fn.name)
+            for node in nodes
+        )
+        if yields and backtracks:
+            found.append(fn.name)
+    return found
+
+
+def test_only_the_mask_walker_backtracks_perfect_matchings():
+    # route d walks a labeling's X-Y masks and `iter_perfect_matchings`
+    # names the whole graph's matchings, both through one walker
+    package = pathlib.Path(ROOT, "src", "cmgraphs")
+    found = [
+        (path.name, name)
+        for path in sorted(package.rglob("*.py"))
+        for name in _backtracking_generators(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("graphs.py", "walk_perfect_matchings")]
+    assert sorted(_call_sites("walk_perfect_matchings")) == [
+        ("graphs.py", "iter_perfect_matchings"),
+        ("pairing.py", "xy_matchings"),
+    ]
+    recursive = (
+        "def walk(g):\n"
+        "    def rec(rest):\n"
+        "        yield from rec(rest[1:]) if rest else [()]\n"
+        "    yield from rec(g)\n"
+    )
+    stacked = "def walk(g):\n    stack = [g]\n    while stack:\n        yield stack.pop()\n"
+    assert _backtracking_generators(ast.parse(recursive)) == ["rec"]
+    assert _backtracking_generators(ast.parse(stacked)) == ["walk"]
+
+
+def _pair_bit_lookups(tree):
+    """The lines that OR into a mask the table entry of a bit position
+    read off a mask, `out |= table[low.bit_length() - 1]`: a vertex mask
+    turned into a pair mask."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.BitOr)
+        and isinstance(node.value, ast.Subscript)
+        and any(
+            getattr(inner, "attr", None) == "bit_length"
+            for inner in ast.walk(node.value.slice)
+        )
+    ]
+
+
+def test_only_the_relations_map_vertex_bits_to_pair_bits():
+    # the pair relations are the one record of which pairs a vertex
+    # meets; every other reader takes their masks
+    package = pathlib.Path(ROOT, "src", "cmgraphs")
+    relations = next(
+        node
+        for node in ast.walk(ast.parse((package / "pairing.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "relations"
+    )
+    found = [
+        (path.name, line)
+        for path in sorted(package.rglob("*.py"))
+        for line in _pair_bit_lookups(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found
+    assert [
+        (name, line)
+        for name, line in found
+        if name != "pairing.py" or not relations.lineno <= line <= relations.end_lineno
+    ] == []
+    lookup = "def f(m, t):\n    out = 0\n    out |= t[(m & -m).bit_length() - 1]\n"
+    assert _pair_bit_lookups(ast.parse(lookup)) == [3]
