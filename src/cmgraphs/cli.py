@@ -2,7 +2,8 @@
 
 Subcommands: classify, check, transform, graft, invariants, census,
 complex.  Exit codes: 0 completed (verdicts may be true or false), 1
-input, format or usage error, 2 capacity bailout (inconclusive), 3
+input, format or usage error, or standard output closed before the
+output was written, 2 capacity bailout (inconclusive), 3
 internal disagreement between provably equivalent criteria, or any other
 unexpected exception (reported with the argv that raised it).
 """
@@ -402,7 +403,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
     except CapacityError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -413,6 +416,15 @@ def main(argv=None) -> int:
         return EXIT_DISAGREEMENT
     except CmGraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # what is still buffered goes to the null device, so the
+        # interpreter's flush at exit cannot raise again
+        with contextlib.suppress(OSError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print("error: standard output closed early", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

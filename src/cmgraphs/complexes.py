@@ -16,8 +16,13 @@ popcounts, and the homology oracle lists its faces as masks
 the memoized `facets` view, which certificates, shelling orders and
 `format_complex` read, and `all_faces`.
 
-The oracle (`reisner_cm`) ranks each distinct link once.  Each link is
-first strongly collapsed (dominated vertices deleted, Barmak-Minian), so
+The oracle (`reisner_cm`) keeps each face's star as a mask over facet
+indices and builds a link only where it can break Reisner's condition:
+a link of dimension 0 or less is nonempty, a cone (the face is not the
+intersection of its star) is contractible, and a connected
+1-dimensional link has no reduced homology below its top, so none of
+them is built or ranked.  Each other distinct link is ranked once,
+after a strong collapse (dominated vertices deleted, Barmak-Minian), so
 only a core with two or more vertices is eliminated.
 `reduced_homology_ranks` stays unreduced, the reference for the oracle.
 
@@ -377,9 +382,8 @@ def _link_betti(link: frozenset[int], field) -> list[int]:
     masks, dimensions -1 through its top.
 
     The link is strongly collapsed to its core, which has the same
-    homology over every field.  A core of one vertex is contractible (a
-    cone, whose facets share a vertex, always collapses to one): all
-    ranks vanish and no matrix is eliminated.  Any other core is
+    homology over every field.  A core of one vertex is contractible:
+    all ranks vanish and no matrix is eliminated.  Any other core is
     eliminated and its ranks padded with zeros to the link's top.
     """
     top = max(h.bit_count() for h in link)  # the link's dimension + 1
@@ -404,24 +408,75 @@ def reduced_homology_ranks(c: SimplicialComplex, field=2) -> list[int]:
     return _ranks_from_faces(all_faces(c), field)
 
 
+def _connected(masks) -> bool:
+    """Whether nonempty vertex masks form one piece, two masks joined
+    when they share a vertex."""
+    reach, rest = masks[0], masks[1:]
+    while rest:
+        joined = [h for h in rest if h & reach]
+        if not joined:
+            return False
+        for h in joined:
+            reach |= h
+        rest = [h for h in rest if not h & reach]
+    return True
+
+
 def reisner_cm(c: SimplicialComplex, field=2) -> Verdict:
     """Cohen-Macaulayness oracle: every face's link must have vanishing
     reduced homology strictly below the link's own dimension.
 
     Faces and facets are the complex's masks (`face_masks`,
     `facet_masks`), listed through `all_faces`.  The link of F is
-    generated by the masks G & ~F over the facets G containing F;
-    homology is computed once per distinct link (`_link_betti`), and a
-    link that strongly collapses to a point, a cone among them, is
-    settled without elimination.  A false verdict carries the first
-    offending face's full homology profile.
+    generated by the masks G & ~F over the facets G containing F, its
+    star, kept as a mask over facet indices: the star of F is its
+    parent's (F less its lowest bit, listed before F) cut to the facets
+    holding that bit.  A face is settled without building its link when
+    the link cannot break the condition:
+    - its link has dimension at most 0 (no star facet has more than
+      |F| + 1 vertices): a nonempty link has no homology below that;
+    - its link is a cone: F is not the intersection of its star's
+      facets (memoized per star), and any vertex of that intersection
+      outside F is an apex, so the link is contractible;
+    - its link is 1-dimensional and its facets form one connected
+      piece, so its reduced homology in dimensions -1 and 0 vanishes.
+    Any other link, a disconnected 1-dimensional one or one of dimension
+    2 or more, is ranked once per distinct link (`_link_betti`).  A
+    false verdict carries the first offending face's full homology
+    profile.
     """
     label = field_label(field)
     face_list = all_faces(c)
     facets = c.facet_masks
+    every = (1 << len(facets)) - 1
+    holding = {0: every}  # vertex bit -> the facets holding it; 0 -> all
+    wider = [0] * (c.dim + 3)  # wider[k]: facets of more than k vertices
+    for i, g in enumerate(facets):
+        for v in bit_positions(g):
+            holding[1 << v] = holding.get(1 << v, 0) | 1 << i
+        for k in range(g.bit_count()):
+            wider[k] |= 1 << i
+    stars = {0: every}  # face -> its star
+    meets: dict[int, int] = {}  # star -> the intersection of its facets
     link_betti: dict[frozenset[int], list[int]] = {}
     for f, fm in zip(face_list, c.face_masks):
-        link = frozenset(g & ~fm for g in facets if g & fm == fm)
+        low = fm & -fm
+        star = stars[fm] = stars[fm ^ low] & holding[low]
+        size = fm.bit_count()
+        if not star & wider[size + 1]:
+            continue
+        meet = meets.get(star)
+        if meet is None:
+            meet = -1
+            for i in bit_positions(star):
+                meet &= facets[i]
+            meets[star] = meet
+        if meet != fm:
+            continue
+        link = [facets[i] ^ fm for i in bit_positions(star)]
+        if not star & wider[size + 2] and _connected(link):
+            continue
+        link = frozenset(link)
         betti = link_betti.get(link)
         if betti is None:
             betti = link_betti[link] = _link_betti(link, field)

@@ -562,6 +562,28 @@ def _check_under_memory_limit(tmp_path, pairs, megabytes, *args):
     )
 
 
+def test_a_reader_that_closes_early_ends_with_exit_one(tmp_path):
+    # `check --json pairs16.graph | head -c 10`: the 788 KB document fills
+    # the pipe, the reader goes after ten bytes, and the write that fails
+    # ends in one error line, with no dump and nothing raised at exit
+    path = tmp_path / "pairs16.graph"
+    path.write_text("pairs 16\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cmgraphs", "check", "--json", str(path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(10) == b'{\n  "versi'
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert err == "error: standard output closed early\n"
+
+
 def test_check_of_pairs_18_fits_in_160_mb(tmp_path):
     # the 2**18 cover sizes are popcounts of masks, and no set is named:
     # naming them ends in MemoryError under this limit

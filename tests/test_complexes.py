@@ -473,9 +473,12 @@ def _matches_definition(c, field):
 
 
 def test_reisner_link_memo_matches_definition():
-    # the oracle's strong-collapse cores and mask signs against full
-    # elimination of every link, over F2, F3 and Q: random complexes, RP2,
-    # and the complexes of every class member with at most three pairs
+    # the oracle's shortcuts, strong-collapse cores and mask signs against
+    # full elimination of every link, over F2, F3 and Q: random complexes,
+    # RP2, complexes built to reach each shortcut before the first
+    # offending face, the complexes of every class member with at most
+    # three pairs, and a seeded sample of four-pair members, two of each
+    # kind (Cohen-Macaulay, unmixed but not, mixed)
     rng = random.Random(31)
     verts = ["a", "b", "c", "d", "e", "f"]
     complexes = [SimplicialComplex.from_facets([{"a", "b", "c"}, {"a", "d", "e"}])]
@@ -486,17 +489,65 @@ def test_reisner_link_memo_matches_definition():
         ]
         complexes.append(SimplicialComplex.from_facets(facets))
     complexes.append(SimplicialComplex.from_facets(RP2_FACETS))
+    square = [{"a", "b", "c"}, {"a", "c", "d"}, {"a", "d", "e"}, {"a", "b", "e"}]
+    octahedron = [
+        {pole} | edge
+        for pole in ("n", "s")
+        for edge in ({"p", "q"}, {"q", "r"}, {"r", "t"}, {"p", "t"})
+    ]
+    # the first offending face and its link's reduced homology, by field
+    # (None: Cohen-Macaulay)
+    # - abc and ad: the empty face's link is a cone (apex a), and a's
+    #   link, an edge plus an isolated vertex, is ranked and offends;
+    # - a cone from a over the square bcde, with a triangle hung at b:
+    #   a's link is the square, connected, so it passes unranked, and b's
+    #   link (two edges through a and one apart) offends;
+    # - the octahedron: every vertex link is a square and every edge link
+    #   two points;
+    # - the cone from z over RP2: every face without z has a cone link,
+    #   and z's link is RP2, which offends over F2 only
+    fields = (2, 3, "Q")
+    shortcuts = [
+        ([{"a", "b", "c"}, {"a", "d"}], dict.fromkeys(fields, (["a"], [0, 1, 0]))),
+        (square + [{"b", "x", "y"}], dict.fromkeys(fields, (["b"], [0, 1, 0]))),
+        (octahedron, dict.fromkeys(fields)),
+        (
+            [f | {"z"} for f in RP2_FACETS],
+            {2: (["z"], [0, 0, 1, 1]), 3: None, "Q": None},
+        ),
+    ]
+    complexes += [SimplicialComplex.from_facets(f) for f, _ in shortcuts]
     members = {
         complementary_complex(pl.graph) for n in (1, 2, 3) for pl in enumerate_class(n)
     }
     assert len(members) > 50
     complexes += sorted(members, key=lambda c: (c.vertices, c.facet_lists()))
+    wanted = {(True, True): 2, (True, False): 2, (False, False): 2}
+    for pl in enumerate_class(4, "sample", seed=52, count=3000):
+        c = complementary_complex(pl.graph)
+        kind = (is_pure(c).value, reisner_cm(c, 2).value)
+        if wanted.get(kind):
+            wanted[kind] -= 1
+            complexes.append(c)
+        if not any(wanted.values()):
+            break
+    assert not any(wanted.values())
     values = {
         (is_pure(c).value, _matches_definition(c, field).value)
         for c in complexes
-        for field in (2, 3, "Q")
+        for field in fields
     }
     assert values == {(True, True), (True, False), (False, False)}
+
+    for facets, by_field in shortcuts:
+        c = SimplicialComplex.from_facets(facets)
+        for field, want in by_field.items():
+            verdict = reisner_cm(c, field)
+            if want is None:
+                assert verdict.value is True
+            else:
+                profile = verdict.certificate["profile"]
+                assert (profile["face"], profile["reduced_betti"]) == want
 
     # the empty face passes (two triangles glued at a point are contractible)
     # and the first offending face is a, whose link is two disjoint edges
@@ -597,31 +648,71 @@ def _counted_ranks(monkeypatch):
     return calls
 
 
+def _is_connected(link):
+    """Whether the link's facets form one piece on vertex names."""
+    reach, rest = set(next(iter(link))), set(link)
+    while True:
+        joined = {h for h in rest if h & reach}
+        if not joined:
+            return not rest
+        reach.update(*joined)
+        rest -= joined
+
+
+def _ranked_core_dims(c, last=None):
+    """The rank calls Reisner's rule makes, one per boundary map of each
+    distinct ranked link's core, over the faces up to `last` (or all):
+    a link is ranked when its face is the intersection of its star's
+    facets (no cone), the link has dimension 2 or more or is
+    1-dimensional and disconnected, and its core has two or more
+    vertices."""
+    ranked = []
+    for f in all_faces(c):
+        star = [h for h in c.facets if f <= h]
+        link = frozenset(h - f for h in star)
+        link_dim = max(map(len, link)) - 1
+        can_fail = link_dim >= 2 or link_dim == 1 and not _is_connected(link)
+        if (
+            frozenset.intersection(*star) == f
+            and can_fail
+            and len(set().union(*_strong_core(link))) >= 2
+            and link not in ranked
+        ):
+            ranked.append(link)
+        if f == last:
+            break
+    return sum(max(len(h) for h in _strong_core(link)) for link in ranked)
+
+
 def test_reisner_settles_cone_links_without_elimination(monkeypatch):
-    # the 8-pair upward chain is Cohen-Macaulay, so every face is checked;
-    # a link that strongly collapses to one vertex ranks nothing, and a
-    # cone (all facets sharing a vertex) always does; any other distinct
-    # link ranks the boundary maps of its core in dimensions 0 through
-    # the core's own
-    g = Graph.build(
+    # a face is settled unranked when its link has dimension 0 or less,
+    # is a cone, or is a connected graph; the 8-pair upward chain is
+    # Cohen-Macaulay and every link it ranked before the shortcuts was a
+    # cone, so it now ranks nothing.  pairs_graph(4) (no cones) and the
+    # suspended RP2 (no dominated vertex) still eliminate; over F2 the
+    # latter stops at its first face, the empty one
+    chain = Graph.build(
         edges=[(f"x{i}", f"y{j}") for i in range(1, 9) for j in range(i, 9)]
     )
-    c = complementary_complex(g)
-    links = {frozenset(h - f for h in c.facets if f <= h) for f in all_faces(c)}
-    cones = [link for link in links if frozenset.intersection(*link)]
-    cores = {link: _strong_core(link) for link in links}
-    assert all(len(set().union(*cores[link])) == 1 for link in cones)
-    eliminated = [
-        core for core in cores.values() if len(set().union(*core)) != 1
+    srp2 = SimplicialComplex.from_facets(
+        [f | {pole} for f in RP2_FACETS for pole in ("n", "s")]
+    )
+    cases = [
+        (complementary_complex(chain), 2, 0),
+        (complementary_complex(chain), "Q", 0),
+        (complementary_complex(pairs_graph(4)), 2, 16),
+        (complementary_complex(pairs_graph(4)), "Q", 16),
+        (srp2, 2, 4),
+        (srp2, "Q", 25),
     ]
-    expected = sum(max(len(h) for h in core) for core in eliminated)
-    assert (len(links), len(cones), len(eliminated)) == (960, 923, 9)
-    assert expected == 8
-
     calls = _counted_ranks(monkeypatch)
-    for field in (2, "Q"):
+    for c, field, expected in cases:
         calls.clear()
-        assert reisner_cm(c, field).value is True
+        verdict = reisner_cm(c, field)
+        last = None
+        if not verdict.value:
+            last = frozenset(verdict.certificate["profile"]["face"])
+        assert _ranked_core_dims(c, last) == expected
         assert len(calls) == expected
 
 
