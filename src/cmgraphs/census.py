@@ -17,16 +17,21 @@ The claim that every deformation O_t keeps the class and the labeling is
 checked on all 2^n pair-index subsets t of a draw.  The draw is validated
 once in full; then `transform.deformations` walks the subsets as a
 lattice keyed by their linked pairs, so each distinct deformation is
-built once, from a smaller one, and its masks are checked once.  Masks
-that pass prove membership, so the deformation is given the draw's
+built once, from a smaller one, by the labeling's memoized row writes,
+and its masks are checked once.  The validation and the sweep read one
+check, the bare member's, which every draw of a pair count shares with
+its names, pairs and bit positions, so a draw builds none.  Masks that
+pass prove membership, so the deformation is given the draw's
 `ClassMembership` in its memo, and `classify`, which still reads every
-subset, reads that memo: a draw runs one independence search, its own.
-That sweep is why a sampled census stops above
+subset, reads that memo: the sweep runs no independence search, and a
+draw runs its own two, branch and bound for its membership and the
+Bron-Kerbosch listing of its sets, which brute force and its other
+checks read.  That sweep is why a sampled census stops above
 `criteria.DEFORMATION_SUBSET_CAP` pairs.
 """
 
 import functools
-import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -48,7 +53,6 @@ from .pairing import (
     PairedLabeling,
     all_star_labelings,
     find_cycle,
-    mask_check,
     relabel_for_double_star,
     validate_labeling,
 )
@@ -75,9 +79,9 @@ def optional_edges(n: int) -> tuple[tuple[str, str], ...]:
 
 @functools.cache
 def _bare_member(n: int):
-    """The bare matching's labeling for a pair count, whose `position`
-    and `bits` every draw shares, and the bit positions of each candidate
-    edge's ends in its graph; built once per pair count."""
+    """The bare matching's labeling for a pair count, whose `position`,
+    `bits` and `check` every draw shares, and the bit positions of each
+    candidate edge's ends in its graph; built once per pair count."""
     bare = pairs_graph(n)
     position = bare.position
     ends = tuple((position[a], position[b]) for a, b in optional_edges(n))
@@ -91,7 +95,8 @@ def member_from_mask(n: int, mask: int) -> PairedLabeling:
     is built from the bare matching's neighbour masks, with one bit pair
     set per set bit of the draw.  Every draw of a pair count has the bare
     matching's names and pairs, so the graph's `position` and the
-    labeling's `bits` are the bare member's, shared, not rebuilt."""
+    labeling's `bits` and `check` are the bare member's, shared, not
+    rebuilt."""
     bare, ends = _bare_member(n)
     neighbours = list(bare.graph.neighbours)
     for b in bit_positions(mask & ((1 << len(ends)) - 1)):
@@ -102,6 +107,7 @@ def member_from_mask(n: int, mask: int) -> PairedLabeling:
     vars(graph)["position"] = bare.graph.position
     pl = PairedLabeling(graph, bare.pairs)
     vars(pl)["bits"] = bare.bits
+    vars(pl)["check"] = bare.check
     return pl
 
 
@@ -272,7 +278,7 @@ def check_member(pl: PairedLabeling, index: int, full_oracles: bool) -> dict:
     if validate_labeling(pl):
         record("transform-preserves-class", {"subset": []})
     else:
-        check, membership = mask_check(pl), pl.graph._membership
+        check, membership = pl.check, pl.graph._membership
         for t, deformed, built in deformations(pl):
             broken = built and check(deformed.neighbours)
             if built and not broken:
@@ -350,12 +356,14 @@ def cross_validate(
     masks = _masks(n, mode, seed, count)
     full_oracles = 2 * n <= 6
     jobs = [(n, index, mask, full_oracles) for index, mask in enumerate(masks)]
-    cpus = multiprocessing.cpu_count() or 1
+    cpus = os.cpu_count() or 1
     workers = min(threads, cpus) if threads else cpus
 
     if workers == 1 or len(jobs) < 64:
         outcomes = map(_check_draw, jobs)
     else:
+        import multiprocessing  # here, so that `cmgraphs check` starts without it
+
         chunksize = max(1, len(jobs) // (workers * 8))
         try:
             with multiprocessing.Pool(workers) as pool:

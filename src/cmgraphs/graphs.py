@@ -29,8 +29,8 @@ deciding membership lists no independent set, and `classify` reads the
 membership memo.  One caller outside this module writes that memo: the
 census sweep gives a deformation whose masks pass its labeling's check
 the draw's membership, which that check proves, so a census draw runs
-one independence search.  The maximal independent sets are enumerated
-only when the sets themselves are asked for (the labeling's cover,
+one membership search, its own.  The maximal independent sets are
+enumerated only when the sets themselves are asked for (the labeling's cover,
 complexes, invariants, the cover-shape check, and brute-force
 unmixedness on a small or mixed graph), once per graph, as masks: one
 iterative pivoted Bron-Kerbosch search per connected component, with an
@@ -56,10 +56,11 @@ sets below a node depend on that pair alone, and its count by size kept
 as a polynomial packed in one int.  An unmixed graph then has no set
 listed.  Otherwise brute force reads the sizes as popcounts of the
 masks, so an unmixed graph has no set named; a mixed one names the sets
-to report its two witnesses.  A labeling whose structural scan finds it
-mixed has the masks listed before brute force runs
-(`criteria._crosschecked_unmixed`), so its graph is listed, not
-counted.  The labeling's X, the first cover of size n, is read off the
+to report its two witnesses.  An unmixed graph with more than
+`INDEPENDENT_SET_CAP` covers gets their sizes as one count, not listed.
+A labeling whose structural scan finds it mixed has the masks listed
+before brute force runs (`criteria._crosschecked_unmixed`), so its graph
+is listed, not counted.  The labeling's X, the first cover of size n, is read off the
 named sets; the cover-shape check tests the masks and names just the
 cover it reports.  `minimal_vertex_covers` names every cover, for
 callers that read covers by name.
@@ -79,6 +80,13 @@ from .verdicts import Verdict
 # the listing, and the census lists each member's sets for its other
 # checks anyway.
 SIZE_COUNT_ABOVE = 10
+
+# An unmixed graph with more maximal independent sets than this gets a
+# brute-force certificate of cover sizes with counts, not one size per
+# cover: `pairs 19` (524,288 sets) is the largest bare matching whose
+# sizes are listed, and no fixture, benchmark input or census member
+# comes near it.  At `pairs 1200` the list would not fit in memory.
+INDEPENDENT_SET_CAP = 1 << 19
 
 
 class memoized:
@@ -555,11 +563,14 @@ def classify(g: Graph) -> ClassMembership:
 def is_unmixed_bruteforce(g: Graph) -> Verdict:
     """True iff all minimal vertex covers share one cardinality.
 
-    The certificate always carries the multiset of cover sizes; a false
-    verdict adds the first cover of the smallest size and the last of the
-    largest, in the covers' order (by sorted names).  The covers are the
-    complements of the maximal independent sets, in reverse order, so a
-    cover's size is |V| minus its set's.
+    The certificate carries the multiset of cover sizes: as a list, one
+    size per cover, or, for an unmixed graph with more than
+    `INDEPENDENT_SET_CAP` covers, as `cover_size_counts`, the one
+    [size, count] pair.  A false verdict adds the first cover of the
+    smallest size and the last of the largest, in the covers' order (by
+    sorted names).  The covers are the complements of the maximal
+    independent sets, in reverse order, so a cover's size is |V| minus
+    its set's.
 
     A graph with more than `SIZE_COUNT_ABOVE` vertices whose sets are not
     listed yet has them counted by size (`_count_by_size`); if they share
@@ -574,10 +585,10 @@ def is_unmixed_bruteforce(g: Graph) -> Verdict:
         counts = g._set_size_counts
         if len(counts) == 1:
             [(size, count)] = counts
-            return Verdict(True, "cover-sizes", {"cover_sizes": [k - size] * count})
+            return _one_cover_size(k - size, count)
     sizes = sorted(k - m.bit_count() for m in g._independent_masks)
     if sizes[0] == sizes[-1]:
-        return Verdict(True, "cover-sizes", {"cover_sizes": sizes})
+        return _one_cover_size(sizes[0], len(sizes))
     sets = maximal_independent_sets(g)
     largest = next(s for s in reversed(sets) if len(s) == k - sizes[0])
     smallest = next(s for s in sets if len(s) == k - sizes[-1])
@@ -591,6 +602,14 @@ def is_unmixed_bruteforce(g: Graph) -> Verdict:
             "witness_large": sorted(verts - smallest),
         },
     )
+
+
+def _one_cover_size(size: int, count: int) -> Verdict:
+    """The unmixed verdict for `count` minimal covers of one `size`: the
+    sizes listed up to `INDEPENDENT_SET_CAP` covers, counted above it."""
+    if count > INDEPENDENT_SET_CAP:
+        return Verdict(True, "cover-sizes", {"cover_size_counts": [[size, count]]})
+    return Verdict(True, "cover-sizes", {"cover_sizes": [size] * count})
 
 
 def iter_perfect_matchings(g: Graph):

@@ -15,16 +15,20 @@ graph's neighbour masks, its 2-pair cycle (`short_cycle`, which route a
 and the relabeling read) and its unmixedness verdict (`unmixed`, which
 `criteria._crosschecked_unmixed` decides and keeps).  The relations are
 the one record of the links y_i x_k that `transform.o_set` rewires and
-`transform.restricted_o_full` reads.  All of them are built on first
-use; equality, hashing, repr and pickling see only the graph and the
-pairs, and `with_graph` starts a labeling without them.
+`transform.restricted_o_full` reads; `transform.rewire` reads them as
+`row_writes`, what rewiring each pair writes into the masks.  The
+validator's edge checks, built from `bits`, are `check`.  All of these
+are built on first use; equality, hashing, repr and pickling see only
+the graph and the pairs, and `with_graph` starts a labeling without
+them.
 
 `validate_labeling` checks the names (at least one pair, distinct names
 on disjoint sides that partition the vertices), then the edges on the
-neighbour masks, through the check `mask_check` builds for the pairs.
-A deformation keeps the vertices and the pairs, so the census checks a
-draw's names once and each of its deformations with that one check.
-Cycle witnesses are checked on the masks too; edges are named only in
+neighbour masks, through the labeling's `check`, which `mask_check`
+builds once for the pairs.  A deformation keeps the vertices and the
+pairs, so the census checks a draw's names once and each of its
+deformations with that one check, which every draw of a pair count
+shares.  Cycle witnesses are checked on the masks too; edges are named only in
 dumps and error reports.  Route d walks the X-Y perfect matchings as
 bit positions and names only the second matching it reports.
 """
@@ -125,6 +129,36 @@ class PairedLabeling:
         return PairRelations(tuple(cross), tuple(links), tuple(cover))
 
     @memoized
+    def row_writes(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per pair index i (1-based), what rewiring pair i writes into
+        the neighbour masks, as (row, bits cleared, bits set) with row a
+        bit position: each link y_i x_k clears y_i from x_k's row and
+        sets x_i there, y_i's row loses the linked x_k and x_i's row gains
+        them.  Empty for a pair with no link, and at entry 0; read from
+        `links` once, for every `transform.rewire` of the labeling."""
+        xs, ys, _, _ = self.bits
+        writes = [()]
+        for px, py, pair_mask in zip(xs, ys, self.relations.links[1:]):
+            if not pair_mask:
+                writes.append(())
+                continue
+            x_bit, y_bit, linked, pair_writes = 1 << px, 1 << py, 0, []
+            for k in bit_positions(pair_mask):
+                row = xs[k - 1]
+                pair_writes.append((row, y_bit, x_bit))
+                linked |= 1 << row
+            pair_writes += (py, linked, 0), (px, 0, linked)
+            writes.append(tuple(pair_writes))
+        return tuple(writes)
+
+    @memoized
+    def check(self):
+        """`mask_check(self)`, built once per labeling and read by
+        `validate_labeling` and the census sweep; a census draw is handed
+        the bare member's."""
+        return mask_check(self)
+
+    @memoized
     def short_cycle(self) -> "CycleWitness | None":
         """The 2-pair alternating cycle route a looks for, or None;
         searched once per labeling."""
@@ -181,7 +215,7 @@ def validate_labeling(pl: PairedLabeling) -> list[str]:
     """All violated labeling invariants, as human-readable strings: the
     checks of the names (at least one pair, distinct names on disjoint
     sides, a partition of the vertices), then, when the pairs partition
-    the vertices, `mask_check(pl)` on the graph's neighbour masks."""
+    the vertices, the labeling's `check` on the graph's neighbour masks."""
     g, n = pl.graph, pl.n
     problems = []
     xs = {x for x, _ in pl.pairs}
@@ -193,7 +227,7 @@ def validate_labeling(pl: PairedLabeling) -> list[str]:
     if xs | ys != set(g.vertices):
         problems.append("pairs must partition the vertex set")
         return problems
-    return problems + mask_check(pl)(g.neighbours)
+    return problems + pl.check(g.neighbours)
 
 
 def mask_check(pl: PairedLabeling):
@@ -203,63 +237,50 @@ def mask_check(pl: PairedLabeling):
     The returned function takes neighbour masks over those vertices, by
     the graph's bit positions, and returns the problems they give, in the
     validator's order: each missing matching edge, then the two sides.
-    Each side, V - X for X and Y for Y, is scanned once: for a vertex of
-    the side with a neighbour in it (X is then no cover, Y not
-    independent) and, if there is none, for the lowest x with no
-    neighbour in it (redundant in X, extending Y).  When the sides are
-    disjoint, V - X is Y and the one scan answers both.  A deformation
-    keeps the vertices and the pairs, so one check serves every
-    deformation of a labeling."""
+    The bit positions it reads are taken from `pl.bits` here, once: the
+    matching's (x row, y bit) pairs, each side's rows and the x rows.
+    Each side, V - X for X and Y for Y, is scanned once: for a row of the
+    side that meets the side (X is then no cover, Y not independent) and,
+    if there is none, for the lowest x row that misses it (redundant in
+    X, extending Y).  When the sides are disjoint, V - X is Y and the one
+    scan answers both.  A deformation keeps the vertices and the pairs,
+    so one check serves every deformation of a labeling, and every census
+    draw of a pair count shares the bare member's (`PairedLabeling.check`).
+    """
     names = pl.graph.vertices
     xs, ys, x_mask, y_mask = pl.bits
-    matching = [(px, py, x, y) for px, py, (x, y) in zip(xs, ys, pl.pairs)]
+    matching = tuple(zip(xs, [1 << py for py in ys], pl.pairs))
+    x_rows = tuple(bit_positions(x_mask))
     outside = ((1 << len(names)) - 1) & ~x_mask
-    shared = outside == y_mask
+    x_side = ["X is not a vertex cover"], ["X is not minimal: {} is redundant"]
+    y_side = ["Y is not independent"], ["Y is not maximal: {} extends it"]
+    if outside == y_mask:
+        scans = [(outside, x_side[0] + y_side[0], x_side[1] + y_side[1])]
+    else:
+        scans = [(outside, *x_side), (y_mask, *y_side)]
+    scans = [
+        (side, tuple(bit_positions(side)), met, missed)
+        for side, met, missed in scans
+    ]
 
     def check(neighbours) -> list[str]:
-        problems = [
-            f"matching edge {x}-{y} missing"
-            for px, py, x, y in matching
-            if not neighbours[px] >> py & 1
-        ]
-        edge, free = _scan_side(outside, x_mask, neighbours)
-        if shared:
-            y_edge, y_free = edge, free
-        else:
-            y_edge, y_free = _scan_side(y_mask, x_mask, neighbours)
-        if edge is not None:
-            problems.append("X is not a vertex cover")
-        elif free is not None:
-            problems.append(f"X is not minimal: {names[free]} is redundant")
-        if y_edge is not None:
-            problems.append("Y is not independent")
-        elif y_free is not None:
-            problems.append(f"Y is not maximal: {names[y_free]} extends it")
+        problems = []
+        for row, y_bit, (x, y) in matching:
+            if not neighbours[row] & y_bit:
+                problems.append(f"matching edge {x}-{y} missing")
+        for side, rows, met, missed in scans:
+            for p in rows:
+                if neighbours[p] & side:
+                    problems += met
+                    break
+            else:
+                for p in x_rows:
+                    if not neighbours[p] & side:
+                        problems += [m.format(names[p]) for m in missed]
+                        break
         return problems
 
     return check
-
-
-def _scan_side(side: int, x_mask: int, neighbours) -> tuple[int | None, int | None]:
-    """The lowest bit position of `side` with a neighbour in `side`, and,
-    when there is none, the lowest of `x_mask` with no neighbour in it;
-    None where there is no such position or it is not looked for."""
-    edge = _lowest(side, neighbours, side, True)
-    if edge is not None:
-        return edge, None
-    return None, _lowest(x_mask, neighbours, side, False)
-
-
-def _lowest(mask: int, neighbours, other: int, meets: bool) -> int | None:
-    """The lowest bit position p of `mask` whose neighbour mask meets
-    `other` (or, when `meets` is false, misses it); None if there is none."""
-    while mask:
-        low = mask & -mask
-        p = low.bit_length() - 1
-        if bool(neighbours[p] & other) is meets:
-            return p
-        mask ^= low
-    return None
 
 
 def make_labeling(g: Graph, pairs) -> PairedLabeling:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputFormatError, RouteDisagreementError, StructureError
-from .graphs import Graph, bit_positions, isolated_vertices, lex_min_matching, selected
+from .graphs import Graph, isolated_vertices, lex_min_matching, selected
 from .pairing import PairedLabeling, validate_labeling
 
 
@@ -27,29 +27,20 @@ def rewire(pl: PairedLabeling, g: Graph, pairs) -> Graph:
 
     Each link y_i x_k of `pl` (i in `pairs`) becomes the cover edge
     x_k x_i.  Only the neighbour masks are written: `g`'s, with the bits
-    y_i and x_k cleared on each other and x_i and x_k set on each other.
-    The masks are set and cleared, never toggled, so a cover edge x_k x_i
-    that is already there, or that two links produce, stays one edge, and
-    a pair rewired twice is rewired once.  The new graph is built from
-    them on `g`'s vertices; when no pair in `pairs` has a link, `g`
-    itself is returned.
+    y_i and x_k cleared on each other and x_i and x_k set on each other,
+    as the labeling's `row_writes` for pair i list them.  The masks are
+    set and cleared, never toggled, so a cover edge x_k x_i that is
+    already there, or that two links produce, stays one edge, and a pair
+    rewired twice is rewired once.  The new graph is built from them on
+    `g`'s vertices; when no pair in `pairs` has a link, `g` itself is
+    returned.
     """
-    links = pl.relations.links
-    moved = [i for i in pairs if links[i]]
-    if not moved:
-        return g
-    xs, ys, _, _ = pl.bits
-    masks = list(g.neighbours)
-    for i in moved:
-        pi, py = xs[i - 1], ys[i - 1]
-        x_bit, y_bit, linked = 1 << pi, 1 << py, 0
-        for k in bit_positions(links[i]):
-            pk = xs[k - 1]
-            masks[pk] = masks[pk] & ~y_bit | x_bit
-            linked |= 1 << pk
-        masks[py] &= ~linked
-        masks[pi] |= linked
-    return Graph(g.vertices, tuple(masks))
+    writes, masks, moved = pl.row_writes, list(g.neighbours), False
+    for i in pairs:
+        for row, cleared, added in writes[i]:
+            masks[row] = masks[row] & ~cleared | added
+            moved = True
+    return Graph(g.vertices, tuple(masks)) if moved else g
 
 
 def o_set(pl: PairedLabeling, t) -> Graph:

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import pickle
 import random
 import sys
@@ -162,8 +164,9 @@ def test_worker_count_is_bounded(monkeypatch, capsys):
             requested.append(processes)
             raise OSError("no worker processes here")
 
-    monkeypatch.setattr(census.multiprocessing, "Pool", RefusingPool)
-    monkeypatch.setattr(census.multiprocessing, "cpu_count", lambda: 4)
+    # the census imports multiprocessing only where a pool opens
+    monkeypatch.setattr(multiprocessing, "Pool", RefusingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     _stub_check_member(monkeypatch)
     for threads in (100000, 0, 3, 1):
         report = cross_validate(2, mode="sample", seed=1, count=64, threads=threads)
@@ -591,22 +594,18 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _count_mask_checks(monkeypatch):
-    """Record each call of every check the census builds with
-    `pairing.mask_check`; the checks `validate_labeling` builds are left
-    out."""
-    calls, build = [], pairing.mask_check
+def _count_mask_checks(monkeypatch, n):
+    """Record each call of the check every draw of `n` pairs shares, the
+    bare member's `check`: the draw's validation first, then the sweep's
+    checks of its deformations."""
+    bare, _ = census._bare_member(n)
+    calls, check = [], bare.check
 
-    def counted_build(pl):
-        check = build(pl)
+    def counted(neighbours):
+        calls.append(neighbours)
+        return check(neighbours)
 
-        def counted(neighbours):
-            calls.append(neighbours)
-            return check(neighbours)
-
-        return counted
-
-    monkeypatch.setattr(census, "mask_check", counted_build)
+    monkeypatch.setitem(vars(bare), "check", counted)
     return calls
 
 
@@ -628,7 +627,9 @@ def _builds(monkeypatch):
 def test_a_draw_checks_each_deformation_once(monkeypatch):
     # one classify and one full validate_labeling for the draw, then one
     # classify per pair-index subset, and one build and one check of the
-    # masks per distinct deformation other than the drawn graph.  Draws 9
+    # masks per distinct deformation other than the drawn graph.  The
+    # validation and the sweep read one check, the bare member's, and a
+    # draw builds none.  Draws 9
     # and 264 link one and two of their four pairs, draw 312 all four.  On
     # the unmixed draw route e deforms too, up to its first mixed
     # deformation (the second subset).  Masks that pass prove membership,
@@ -638,14 +639,15 @@ def test_a_draw_checks_each_deformation_once(monkeypatch):
     validated = _count_calls(monkeypatch, pairing, "validate_labeling")
     deformed = _count_calls(monkeypatch, transform, "o_set")
     searched = _count_calls(monkeypatch, graphs, "_independence_number")
-    checked = _count_mask_checks(monkeypatch)
+    made = _count_calls(monkeypatch, pairing, "mask_check")
+    checked = _count_mask_checks(monkeypatch, 4)
     built = _builds(monkeypatch)
     for mask, unmixed, linked, o_set_calls in (
         (9, False, 1, 0),
         (264, True, 2, 2),
         (312, False, 4, 0),
     ):
-        for calls in (classified, validated, deformed, searched, checked, built):
+        for calls in (classified, validated, deformed, searched, made, checked, built):
             calls.clear()
         pl = member_from_mask(4, mask)
         distinct = {o_set_def(pl, t) for t in index_subsets(4)}
@@ -658,7 +660,8 @@ def test_a_draw_checks_each_deformation_once(monkeypatch):
         assert len(validated) == 1
         assert set(built) == distinct - {pl.graph}
         assert len(built) == len(distinct) - 1
-        assert checked == [g.neighbours for g in built]
+        assert checked == [pl.graph.neighbours] + [g.neighbours for g in built]
+        assert made == []
         assert len(deformed) == o_set_calls
         [drawn] = classified[0]
         assert drawn == pl.graph and classify(drawn).in_class
@@ -687,13 +690,15 @@ def test_a_deformation_that_breaks_the_labeling_is_recorded(monkeypatch):
     monkeypatch.setattr(transform, "rewire", breaking)
     broken = add_edges(target, [("y1", "y2")])
     assert classify(broken).in_class and classify(broken).height == 3
-    checked = _count_mask_checks(monkeypatch)
+    checked = _count_mask_checks(monkeypatch, 3)
     outcome = census._check_draw((3, 5, 76, False))
     assert outcome["summary"]["cm"]
     assert [(v["index"], v["check"], v["details"]) for v in outcome["violations"]] == [
         (5, "transform-preserves-class", {"subset": [2, 3]})
     ]
-    assert checked[-1] == broken.neighbours and len(checked) == 3
+    # the draw's validation, then the three built deformations
+    assert checked[0] == draw.graph.neighbours and len(checked) == 4
+    assert checked[-1] == broken.neighbours
     # the broken graph failed its check, so it was given no membership
     # and never classified; the two built before it passed and hold one
     assert made[-1] == broken and "_membership" not in vars(made[-1])

@@ -541,13 +541,14 @@ def test_check_output_is_the_same_under_python_O(name):
     assert run("-O") == plain
 
 
-def _check_under_memory_limit(tmp_path, pairs, megabytes, *args):
-    """`check pairs N` with `args` in a child process whose address space
-    is limited, the limit set in the child only, between fork and exec."""
+def _check_under_memory_limit(tmp_path, text, megabytes, *args):
+    """`check` with `args` on a file holding `text`, in a child process
+    whose address space is limited, the limit set in the child only,
+    between fork and exec."""
     resource = pytest.importorskip("resource")
     limit = megabytes * 2**20
-    path = tmp_path / f"pairs{pairs}.graph"
-    path.write_text(f"pairs {pairs}\n")
+    path = tmp_path / "input.graph"
+    path.write_text(text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
@@ -587,7 +588,7 @@ def test_a_reader_that_closes_early_ends_with_exit_one(tmp_path):
 def test_check_of_pairs_18_fits_in_160_mb(tmp_path):
     # the 2**18 cover sizes are popcounts of masks, and no set is named:
     # naming them ends in MemoryError under this limit
-    done = _check_under_memory_limit(tmp_path, 18, 160)
+    done = _check_under_memory_limit(tmp_path, "pairs 18\n", 160)
     assert done.returncode == 0, done.stderr.decode()[-500:]
     assert len(done.stdout) == 3_148_183
 
@@ -596,12 +597,30 @@ def test_route_b_on_pairs_14_fits_in_120_mb(tmp_path):
     # the ridge table holds one facet index per facet and vertex, 14 * 2**14
     # of them, and needs about 60 MB of address space in all; a table of
     # facet-index masks, each up to 2**14 bits wide, needs over 200 MB
-    done = _check_under_memory_limit(tmp_path, 14, 120, "--routes", "b")
+    done = _check_under_memory_limit(tmp_path, "pairs 14\n", 120, "--routes", "b")
     assert done.returncode == 0, done.stderr.decode()[-500:]
     assert len(done.stdout) == 203_483
     document = json.loads(done.stdout)
     assert document["cm"]["primary"] == "strongly-connected"
     assert document["cm"]["value"] is True
+
+
+def test_inputs_with_more_covers_than_the_cap_end_with_exit_zero(tmp_path):
+    # the 10-byte `pairs 1200` (2**1200 minimal covers) and the 40-pair
+    # whiskered path with its pairs line (267,914,296) are unmixed and
+    # counted by size; a list of their cover sizes would not fit, so the
+    # certificate is the count
+    whiskered = "pairs 40\n" + "".join(f"edge x{i} x{i + 1}\n" for i in range(1, 40))
+    for text, size, count in (
+        ("pairs 1200", 1200, 2**1200),
+        (whiskered, 40, 267_914_296),
+    ):
+        assert count > graphs.INDEPENDENT_SET_CAP
+        done = _check_under_memory_limit(tmp_path, text, 1024)
+        assert done.returncode == 0, done.stderr.decode()[-500:]
+        unmixed = json.loads(done.stdout)["unmixed"]
+        assert unmixed["value"] is True and "cover_sizes" not in unmixed["certificate"]
+        assert unmixed["certificate"]["cover_size_counts"] == [[size, count]]
 
 
 def _listed_and_counted(monkeypatch):

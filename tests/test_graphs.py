@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cmgraphs.graphs as graphs
 from cmgraphs.census import enumerate_class, member_from_mask, optional_edges
 from cmgraphs.errors import InputFormatError
 from cmgraphs.graphs import (
@@ -605,6 +606,27 @@ def test_counting_a_long_chain_and_a_long_whiskered_path_is_fast():
     assert time.perf_counter() - start < 5
     assert "_independent_masks" not in vars(chain)
     assert "_independent_masks" not in vars(whiskered)
+
+
+def test_above_the_set_cap_the_cover_sizes_are_counted(monkeypatch):
+    # at the cap the sizes are listed, one cover above it they are
+    # counted; pairs 3 lists its 8 sets, pairs 6 (12 vertices) counts its
+    # 64, and a mixed graph keeps its list and witnesses
+    assert graphs.INDEPENDENT_SET_CAP >= 317_811
+    for n, path in ((3, "_independent_masks"), (6, "_set_size_counts")):
+        for cap, certificate in (
+            (2**n, {"cover_sizes": [n] * 2**n}),
+            (2**n - 1, {"cover_size_counts": [[n, 2**n]]}),
+        ):
+            monkeypatch.setattr(graphs, "INDEPENDENT_SET_CAP", cap)
+            g = pairs_graph(n)
+            verdict = is_unmixed_bruteforce(g)
+            assert verdict.value is True and verdict.certificate == certificate
+            assert path in vars(g)
+    mixed = Graph.build(edges=[("a", "b"), ("b", "c")])
+    monkeypatch.setattr(graphs, "INDEPENDENT_SET_CAP", 1)
+    verdict = is_unmixed_bruteforce(mixed)
+    assert verdict.value is False and verdict.certificate["cover_sizes"] == [1, 2]
 
 
 def test_cover_sizes_are_the_complements_of_the_named_sets():

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import cmgraphs.transform as transform
-from cmgraphs.census import enumerate_class
+from cmgraphs.census import enumerate_class, member_from_mask
 from cmgraphs.criteria import _crosschecked_unmixed, _structural_scan
 from cmgraphs.errors import PreconditionError
 from cmgraphs.graphs import (
@@ -273,18 +273,22 @@ def corrupted_masks(pl, masks, rng):
 
 def test_the_mask_check_of_a_deformation_agrees_with_both_validators():
     # every subset of every member with n <= 3 and of a seeded n = 4
-    # sample, each deformation's masks also corrupted four ways
+    # sample, each deformation's masks also corrupted four ways.  A draw
+    # is handed the bare member's check, shared by every draw of its pair
+    # count; it must give the problems of a check built for the draw
     rng = random.Random(9094368)
     members = [pl for n in (1, 2, 3) for pl in enumerate_class(n)]
     members += enumerate_class(4, mode="sample", seed=21, count=150)
     failed = checked = 0
     for pl in members:
-        check = mask_check(pl)
+        shared, check = pl.check, mask_check(PairedLabeling(pl.graph, pl.pairs))
+        assert shared is member_from_mask(pl.n, 0).check and shared is not check
         for t in index_subsets(pl.n):
             deformed = o_set(pl, t).neighbours
             for masks in corrupted_masks(pl, deformed, rng):
                 v = pl.with_graph(Graph(pl.graph.vertices, tuple(masks)))
                 got = check(masks)
+                assert got == shared(masks)
                 assert got == validate_labeling(v) == validate_labeling_def(v)
                 failed += bool(got)
                 checked += 1

@@ -170,6 +170,28 @@ def test_a_pair_is_rewired_in_one_function():
     assert found == {("transform.py", "rewire")}
 
 
+def _imported_modules(node):
+    """The top-level module names an import statement loads."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_no_module_imports_multiprocessing_at_module_level():
+    # importing it costs every CLI process about 9 ms; the census imports
+    # it only where a pool opens, so `check` starts without it
+    package = pathlib.Path(ROOT, "src", "cmgraphs")
+    found = [
+        (path.name, owner)
+        for path in sorted(package.rglob("*.py"))
+        for owner, node in _owners(ast.parse(path.read_text(encoding="utf-8")))
+        if "multiprocessing" in _imported_modules(node)
+    ]
+    assert found == [("census.py", "cross_validate")]
+
+
 def _membership_writes(tree):
     """(innermost enclosing function, line) for each place that can write
     a graph's membership memo: the key `"_membership"` as a string, as
