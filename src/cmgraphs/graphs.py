@@ -8,9 +8,9 @@ only.  `Graph.build` makes a graph from named edges, `Graph(vertices,
 neighbours)` from masks, as deformations and census members are made.
 The masks are the graph's one adjacency: `position` (name to bit),
 `edges`, `edge_list` and `has_edge` are views of them, and `adjacency`
-names its neighbour sets off them on each call.  Every enumeration
-returns a fixed deterministic order (lexicographic on sorted vertex
-names) so reports and golden files are byte-stable.
+names its neighbour sets off them on each call, for `degrees` only.
+Every enumeration returns a fixed deterministic order (lexicographic on
+sorted vertex names) so reports and golden files are byte-stable.
 
 A `Graph` is immutable, so the facts every analysis needs (the views
 above, the independence number, the class membership, the maximal
@@ -23,6 +23,10 @@ only immutable values and dies with the graph.
 The one perfect-matching backtracker, `walk_perfect_matchings`, runs
 on neighbour masks and yields bit positions: route d walks a labeling's
 X-Y masks, and `iter_perfect_matchings` names a whole graph's matchings.
+The cover-to-Y matcher `lex_min_matching` runs on the masks too: one
+augmenting-path search, `_augment`, grows its maximum matching, fixes
+each left bit to its lowest feasible partner, and gives the Hall
+witness as the right bits a failed search reached.
 The height and class membership read only the neighbour masks: the
 independence number comes from an exact reduce-and-branch search, so
 deciding membership lists no independent set, and `classify` reads the
@@ -658,89 +662,78 @@ def walk_perfect_matchings(neighbours):
         stack.append(choices(rest))
 
 
+def _augment(neighbours, mate, start, allowed):
+    """Depth-first search for an augmenting path from the left bit
+    `start` through the right bits of `allowed`, partners tried in
+    ascending bit order.  `mate` holds each bit's partner, -1 when it has
+    none.  When a path is found the matching flips along it and the
+    search returns None; otherwise nothing changes and it returns the
+    mask of right bits it reached.  An explicit stack holds the left bits
+    of the path; each one past the start was reached through its mate."""
+    reached = 0
+    stack = [start]
+    while stack:
+        options = neighbours[stack[-1]] & allowed & ~reached
+        if not options:
+            stack.pop()
+            continue
+        low = options & -options
+        reached |= low
+        r = low.bit_length() - 1
+        if mate[r] < 0:  # each left bit on the path takes the next right bit
+            for l in reversed(stack):
+                mate[l], mate[r], r = r, l, mate[l]
+            return None
+        stack.append(mate[r])
+    return reached
+
+
 def lex_min_matching(g: Graph, left, right):
-    """Lexicographically smallest matching of `left` into `right` that
-    covers every vertex of `left`, along edges of `g`.
+    """Lexicographically smallest matching of `left` into `right`, two
+    disjoint sets of vertices of `g`, that covers every vertex of `left`,
+    along edges of `g`.
 
     Returns a dict, or None together with a deficient set
     (sorted S, sorted N(S)) violating Hall's condition when no such
     matching exists.
 
-    A maximum matching is grown first, by augmenting paths from each
-    left vertex in sorted order.  The left vertices are then fixed in
-    sorted order, each to its smallest partner that still leaves a
-    matching of the rest: giving l a partner r held by l' frees l's old
-    partner, and r is possible exactly when an augmenting path leads
-    from l' to a free right vertex without the partners already fixed.
+    It runs on the neighbour masks, where bit order is name order, and
+    one augmenting-path search, `_augment`, does all its work.  A maximum
+    matching is grown first, by a search from each left bit in ascending
+    order.  If it leaves a left bit unmatched, the search from the first
+    such bit fails, and the right bits it reached are N(S), all matched,
+    for S that bit and their mates.  Otherwise the left bits are fixed in
+    ascending order, each to its lowest partner that still leaves a
+    matching of the rest: l lets its partner go, and a partner r held by
+    l' is possible exactly when a search from l' finds a path without r
+    and the partners already fixed.  Names are spelled once, on return.
     """
-    adj, right, lefts = adjacency(g), frozenset(right), sorted(left)
-    allowed = {l: sorted(adj[l] & right) for l in lefts}
-    match_of_left: dict[str, str] = {}
-    match_of_right: dict[str, str] = {}
-
-    def augment(start, blocked) -> bool:
-        """Depth-first search for an augmenting path from `start` that
-        avoids `blocked`, trying partners in sorted order; the matching
-        changes only when a path is found.  An explicit stack holds the
-        left vertices of the path and the partners they still have to
-        try, `path` the right vertex each one reached through."""
-        seen: set[str] = set()
-        stack = [(start, iter(allowed[start]))]
-        path: list[str] = []
-        while stack:
-            options = stack[-1][1]
-            r = next((r for r in options if r not in blocked and r not in seen), None)
-            if r is None:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            seen.add(r)
-            path.append(r)
-            owner = match_of_right.get(r)
-            if owner is None:
-                for (l, _), r in zip(stack, path):
-                    match_of_left[l] = r
-                    match_of_right[r] = l
-                return True
-            stack.append((owner, iter(allowed[owner])))
-        return False
+    names, neighbours, position = g.vertices, g.neighbours, g.position
+    lefts = sorted(position[l] for l in left)
+    allowed = sum(1 << p for p in {position[r] for r in right})
+    mate = [-1] * len(names)
+    for l in lefts:
+        _augment(neighbours, mate, l, allowed)
+    start = next((l for l in lefts if mate[l] < 0), None)
+    if start is not None:
+        reached = _augment(neighbours, mate, start, allowed)
+        s = sum(1 << mate[r] for r in bit_positions(reached)) | 1 << start
+        return None, (list(selected(names, s)), list(selected(names, reached)))
 
     for l in lefts:
-        augment(l, ())
-    if len(match_of_left) < len(lefts):
-        start = next(l for l in lefts if l not in match_of_left)
-        # alternating reachability from an unmatched left vertex
-        s, ns = {start}, set()
-        frontier = [start]
-        while frontier:
-            l = frontier.pop()
-            for r in allowed[l]:
-                if r not in ns:
-                    ns.add(r)
-                    owner = match_of_right.get(r)
-                    if owner is not None and owner not in s:
-                        s.add(owner)
-                        frontier.append(owner)
-        return None, (sorted(s), sorted(ns))
-
-    used: set[str] = set()
-    for l in lefts:
-        old = match_of_left[l]
-        for r in allowed[l]:
-            if r in used:
-                continue
-            owner = match_of_right.get(r)
-            if owner == l:  # l keeps its partner
+        mate[mate[l]] = -1  # l lets its partner go
+        options = neighbours[l] & allowed
+        while True:
+            low = options & -options
+            options ^= low
+            r = low.bit_length() - 1
+            owner = mate[r]
+            if owner < 0:  # r is free (l's old partner, say): nothing moves
                 break
-            del match_of_right[old]  # l lets its partner go
-            if owner is None:  # r was free: nothing else moves
-                break
-            del match_of_left[owner], match_of_right[r]
-            if augment(owner, used | {r}):  # r's owner moves along a path
-                break
-            match_of_right[old] = l  # r is not possible: undo
-            match_of_left[owner], match_of_right[r] = r, owner
-        match_of_left[l], match_of_right[r] = r, l
-        used.add(r)
-    return {l: match_of_left[l] for l in lefts}, None
+            mate[owner] = mate[r] = -1
+            if _augment(neighbours, mate, owner, allowed ^ low) is None:
+                break  # r's owner moves along a path
+            mate[owner], mate[r] = r, owner  # r is not possible: undo
+        mate[l], mate[r] = r, l
+        allowed ^= low
+    return {names[l]: names[mate[l]] for l in lefts}, None

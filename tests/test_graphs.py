@@ -365,12 +365,15 @@ def test_lex_min_matching_follows_a_long_augmenting_path():
 def test_lex_min_matching_matches_a_permutation_search():
     # every injective choice of partners in sorted-left order, first
     # valid one wins; Hall's condition fails exactly when none exists,
-    # and the recursive matcher finds the same matching or deficient set
+    # and the recursive matcher finds the same matching or deficient set.
+    # Unpadded numbers make sorted order differ from numeric order
+    # (a10 < a2), and right names sort below or above the left ones.
     rng = random.Random(11)
     for _ in range(400):
         k, extra = rng.randint(1, 4), rng.randint(0, 2)
-        left = [f"a{i}" for i in range(k)]
-        right = [f"b{i}" for i in range(k + extra)]
+        prefix = rng.choice("_b")
+        left = sorted(f"a{i}" for i in rng.sample(range(1, 13), k))
+        right = sorted(f"{prefix}{j}" for j in rng.sample(range(1, 13), k + extra))
         outside = ["c0"]
         edges = [
             (l, r) for l in left for r in right + outside if rng.random() < 0.45
@@ -394,6 +397,20 @@ def test_lex_min_matching_matches_a_permutation_search():
             assert set(ns) == {r for l in s for r in adj[l] if r in right}
         else:
             assert deficiency is None
+    # the recursive matcher only: the bare 12-pair upward chain (x_i y_j
+    # for i <= j), whose growth searches run deep; and a zigzag l_i r_i,
+    # l_i r_(i+1) closed by z, where fixing l1 to r1 moves z along a path
+    # through every pair
+    xs, ys = [f"x{i}" for i in range(1, 13)], [f"y{j}" for j in range(1, 13)]
+    chain = Graph.build(edges=[(x, y) for i, x in enumerate(xs) for y in ys[i:]])
+    ls, rs = [f"l{i}" for i in range(1, 13)] + ["z"], [f"r{j}" for j in range(1, 14)]
+    steps = [(l, r) for i, l in enumerate(ls[:-1]) for r in rs[i:i + 2]]
+    zigzag = Graph.build(edges=steps + [("z", "r1"), ("z", "r13")])
+    for g, left, right in [(chain, xs, ys), (chain, ys, xs), (zigzag, ls, rs)]:
+        matching, deficiency = lex_min_matching(g, left, right)
+        assert deficiency is None and len(matching) == len(left)
+        assert (matching, deficiency) == lex_min_matching_def(g, left, right)
+    assert lex_min_matching(zigzag, ls, rs)[0]["z"] == "r13"
 
 
 def _named_random_graphs(rng, count, largest=9):

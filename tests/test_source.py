@@ -83,6 +83,12 @@ def test_brute_force_unmixedness_is_called_in_criteria_and_the_cli_only():
     assert modules == {"criteria.py", "cli.py"}
 
 
+def test_named_neighbour_sets_are_read_by_the_degrees_only():
+    # the decision paths, the cover-to-Y matcher included, run on the
+    # neighbour masks
+    assert _call_sites("adjacency") == [("graphs.py", "degrees")]
+
+
 def test_graph_has_no_attribute_hook():
     # a graph's views (`position`, `edges`) are memoized descriptors of
     # their own; a class-level hook would run on every attribute load
